@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .complexes import Chain, boundary_matrix, pushforward_matrix
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
-from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, solve
+from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, restrict
 from .multiplicity import (
     MultiplePointComplex,
     SkElement,
@@ -151,17 +151,6 @@ def veps_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
     return M if n % 2 == 0 else M.scaled(-1)
 
 
-def _restrict(M: IntMatrix, src_cols: IntMatrix, tgt_cols: IntMatrix) -> IntMatrix:
-    """Matrix of M between the column-span bases; spans must be preserved."""
-    image = M @ src_cols
-    out_cols = []
-    for j in range(image.cols):
-        y = solve(tgt_cols, image.column(j))
-        assert y is not None, "map does not preserve the subgroup"
-        out_cols.append(y)
-    return IntMatrix.from_columns(out_cols, rows=tgt_cols.cols)
-
-
 def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMatrix:
     """Simplicial boundary in alternating coordinates (degree n to n-1)."""
     Z, n = basis_n.Z, basis_n.n
@@ -197,15 +186,18 @@ def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=basis_tgt.n_gens)
 
 
+def alt_differentials(Z: MultiplePointComplex, n: int) -> tuple:
+    """Boundaries (d_n, d_next) into and out of the degree-n alternating
+    chains of D^k, in the free alternating bases."""
+    basis_n = AltBasis(Z, n)
+    d_n = alt_boundary_matrix(basis_n, AltBasis(Z, n - 1) if n else None)
+    d_next = alt_boundary_matrix(AltBasis(Z, n + 1), basis_n)
+    return d_n, d_next
+
+
 def alternating_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
     """Homology of the alternating chain complex of D^k via its free basis."""
-    basis_n = AltBasis(Z, n)
-    if n == 0:
-        d_n = IntMatrix(0, basis_n.n_gens)
-    else:
-        d_n = alt_boundary_matrix(basis_n, AltBasis(Z, n - 1))
-    d_next = alt_boundary_matrix(AltBasis(Z, n + 1), basis_n)
-    return homology_pair(d_n, d_next)
+    return homology_pair(*alt_differentials(Z, n))
 
 
 def alternating_homology_kernel(Z: MultiplePointComplex, n: int) -> HomologyGroup:
@@ -223,10 +215,10 @@ def alternating_homology_kernel(Z: MultiplePointComplex, n: int) -> HomologyGrou
         d_n = IntMatrix(0, A_n.cols)
     else:
         A_prev = alternating_kernel(Z, n - 1)
-        d_n = _restrict(boundary_matrix(Z.complex, n), A_n, A_prev)
+        d_n = restrict(boundary_matrix(Z.complex, n), A_n, A_prev)
     if n + 1 <= Z.dim:
         A_next = alternating_kernel(Z, n + 1)
-        d_next = _restrict(boundary_matrix(Z.complex, n + 1), A_next, A_n)
+        d_next = restrict(boundary_matrix(Z.complex, n + 1), A_next, A_n)
     else:
         d_next = IntMatrix(A_n.cols, 0)
     return homology_pair(d_n, d_next)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .complexes import homology_of_complex, validate_map
+from .complexes import homology_of_complex
 from .errors import IcssError, ParseError
 from .fixtures import fixture_names, get_fixture
 from .io import (
@@ -212,10 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except IcssError as exc:
+    except (IcssError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,10 +11,10 @@ representatives the other.
 
 from __future__ import annotations
 
-from .alternating import AltBasis, alt_Z, alternating_kernel, alt_boundary_matrix
+from .alternating import AltBasis, alt_Z, alt_differentials, alternating_kernel
 from .complexes import Chain, boundary_matrix
 from .errors import NotAlternating
-from .intlinalg import HomologyGroup, IntMatrix, homology_pair, solve
+from .intlinalg import HomologyGroup, IntMatrix, homology_pair, restrict
 from .multiplicity import MultiplePointComplex, SkElement, sk_matrix
 
 
@@ -85,16 +85,6 @@ def alternating_cochain_basis(Z: MultiplePointComplex, n: int) -> IntMatrix:
     return alternating_kernel(Z, n)
 
 
-def _corestrict(M: IntMatrix, src_cols: IntMatrix, tgt_cols: IntMatrix) -> IntMatrix:
-    image = M @ src_cols
-    cols = []
-    for j in range(image.cols):
-        y = solve(tgt_cols, image.column(j))
-        assert y is not None, "map leaves the subgroup"
-        cols.append(y)
-    return IntMatrix.from_columns(cols, rows=tgt_cols.cols)
-
-
 def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
     """Degree-n cohomology of the alternating-cochain subcomplex of the
     raw dual complex."""
@@ -102,7 +92,7 @@ def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGro
         return HomologyGroup(0)
     A_n = alternating_cochain_basis(Z, n)
     if n + 1 <= Z.dim:
-        delta_n = _corestrict(
+        delta_n = restrict(
             boundary_matrix(Z.complex, n + 1).transpose(),
             A_n,
             alternating_cochain_basis(Z, n + 1),
@@ -110,7 +100,7 @@ def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGro
     else:
         delta_n = IntMatrix(0, A_n.cols)
     if n >= 1:
-        delta_prev = _corestrict(
+        delta_prev = restrict(
             boundary_matrix(Z.complex, n).transpose(),
             alternating_cochain_basis(Z, n - 1),
             A_n,
@@ -122,10 +112,4 @@ def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGro
 
 def dual_alternating_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
     """Degree-n cohomology of the dual of the free alternating basis complex."""
-    basis_n = AltBasis(Z, n)
-    if n == 0:
-        d_n = IntMatrix(0, basis_n.n_gens)
-    else:
-        d_n = alt_boundary_matrix(basis_n, AltBasis(Z, n - 1))
-    d_next = alt_boundary_matrix(AltBasis(Z, n + 1), basis_n)
-    return cochain_homology(d_n, d_next)
+    return cochain_homology(*alt_differentials(Z, n))

@@ -9,7 +9,7 @@ oriented generator to the chain groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ComplexMismatch, DegreeOutOfRange, InvalidSimplex

@@ -8,7 +8,7 @@ arbitrary-precision ints.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotAComplex, NotASubgroup
 
@@ -357,29 +357,47 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns([T.column(j) for j in free], rows=M.cols)
 
 
+def solve_columns(M: IntMatrix, B: IntMatrix) -> IntMatrix | None:
+    """An integral X with M @ X == B, or None if some column of B has no
+    integral solution.  M is echeloned once for all columns of B."""
+    if B.rows != M.rows:
+        raise ValueError("row count mismatch")
+    H, T, pivots = column_echelon(M)
+    h = H.data
+    # column c of H is zero above its pivot row r
+    steps = [
+        (r, c, h[r][c], [(i, h[i][c]) for i in range(r, M.rows) if h[i][c]])
+        for r, c in pivots
+    ]
+    Y = IntMatrix(M.cols, B.cols)
+    for j in range(B.cols):
+        resid = B.column(j)
+        for r, c, p, entries in steps:
+            q, rem = divmod(resid[r], p)
+            if rem:
+                return None
+            if q:
+                Y.data[c][j] = q
+                for i, a in entries:
+                    resid[i] -= q * a
+        if any(resid):
+            return None
+    return T @ Y
+
+
 def solve(M: IntMatrix, target) -> list | None:
     """An integral x with M @ x == target, or None if no integral solution."""
-    if len(target) != M.rows:
-        raise ValueError("target length mismatch")
-    H, T, pivots = column_echelon(M)
-    resid = list(target)
-    y = [0] * M.cols
-    for r, c in pivots:
-        if resid[r] % H.data[r][c]:
-            return None
-        q = resid[r] // H.data[r][c]
-        y[c] = q
-        if q:
-            for i in range(M.rows):
-                resid[i] -= q * H.data[i][c]
-    if any(resid):
-        return None
-    return T.mul_vec(y)
+    X = solve_columns(M, IntMatrix.from_columns([target], rows=M.rows))
+    return None if X is None else X.column(0)
 
 
-def preimage_solve(M: IntMatrix, target):
-    """Alias for :func:`solve`; None encodes the no-solution outcome."""
-    return solve(M, target)
+def restrict(M: IntMatrix, src: IntMatrix, tgt: IntMatrix) -> IntMatrix:
+    """Matrix of M from the column span of src to the column span of tgt;
+    raises NotASubgroup unless M carries the first span into the second."""
+    X = solve_columns(tgt, M @ src)
+    if X is None:
+        raise NotASubgroup("map does not carry the source span into the target span")
+    return X
 
 
 @dataclass(frozen=True)
@@ -454,7 +472,7 @@ class Subgroup:
         return solve(self.basis, vec) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return all(self.contains(other.basis.column(j)) for j in range(other.basis.cols))
+        return solve_columns(self.basis, other.basis) is not None
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient_rank != other.ambient_rank:
@@ -479,13 +497,9 @@ def subgroup_quotient(A: Subgroup, B: Subgroup) -> HomologyGroup:
     """Invariant factors of A / B; raises NotASubgroup unless B is inside A."""
     if A.ambient_rank != B.ambient_rank:
         raise ValueError("ambient mismatch")
-    cols = []
-    for j in range(B.basis.cols):
-        y = solve(A.basis, B.basis.column(j))
-        if y is None:
-            raise NotASubgroup("B is not contained in A")
-        cols.append(y)
-    rel = IntMatrix.from_columns(cols, rows=A.basis.cols)
+    rel = solve_columns(A.basis, B.basis)
+    if rel is None:
+        raise NotASubgroup("B is not contained in A")
     return group_from_presentation(A.basis.cols, invariant_factors(rel))
 
 
@@ -496,13 +510,9 @@ def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
     if not (d_n @ d_next).is_zero():
         raise NotAComplex("d_n @ d_next != 0")
     K = kernel_basis(d_n)
-    cols = []
-    for j in range(d_next.cols):
-        y = solve(K, d_next.column(j))
-        if y is None:  # cannot happen for a genuine complex with saturated kernel
-            raise NotAComplex("boundary not inside the kernel lattice")
-        cols.append(y)
-    rel = IntMatrix.from_columns(cols, rows=K.cols)
+    rel = solve_columns(K, d_next)
+    if rel is None:  # cannot happen for a genuine complex with saturated kernel
+        raise NotAComplex("boundary not inside the kernel lattice")
     return group_from_presentation(K.cols, invariant_factors(rel))
 
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .complexes import SimplicialMap, build_complex
-from .errors import IcssError, ParseError
+from .errors import ParseError
 from .intlinalg import HomologyGroup
 
 
@@ -96,6 +96,8 @@ def parse_map(text: str) -> MapDocument:
             raise ParseError(f"missing required field {key!r}")
     xv, xs = _check_side(obj["x"], "x")
     yv, ys = _check_side(obj["y"], "y")
+    if not ys:
+        raise ParseError("y.simplices: the target complex has no simplices")
     vmap = obj["map"]
     if not isinstance(vmap, dict):
         raise ParseError("map: expected an object of vertex-name pairs")

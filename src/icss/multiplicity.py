@@ -16,11 +16,10 @@ from .complexes import (
     Chain,
     SimplicialComplex,
     SimplicialMap,
-    build_complex,
     face_closure,
     sort_sign,
 )
-from .errors import ComplexMismatch, InvalidIndex, InvalidMultiplicity
+from .errors import ComplexMismatch, InvalidIndex, InvalidMultiplicity, InvalidSimplex
 
 
 def ordered_lifts(f: SimplicialMap, delta) -> list:
@@ -233,7 +232,8 @@ def fk_map(Z: MultiplePointComplex) -> SimplicialMap:
     vmap = {}
     for v, t in enumerate(Z.vertex_tuples):
         images = {f.vertex_map[x] for x in t}
-        assert len(images) == 1, "slots disagree under f: not a fibre product vertex"
+        if len(images) != 1:
+            raise ComplexMismatch(f"slots of vertex {t} disagree under f")
         vmap[v] = images.pop()
     return SimplicialMap(Z.complex, f.target, vmap)
 
@@ -311,7 +311,8 @@ def sk_vertex_map(Z: MultiplePointComplex, sigma: SkElement) -> dict:
     vmap = {}
     for v, t in enumerate(Z.vertex_tuples):
         image = sigma.apply_tuple(t)
-        assert image in Z.tuple_index, "slot permutation left the complex"
+        if image not in Z.tuple_index:
+            raise ComplexMismatch(f"slot permutation moves vertex {t} out of the complex")
         vmap[v] = Z.tuple_index[image]
     return vmap
 
@@ -323,7 +324,8 @@ def sk_act(sigma: SkElement, c: Chain, Z: MultiplePointComplex) -> Chain:
     for s, m in c.terms.items():
         image = tuple(vmap[v] for v in s)
         sign = sort_sign(image)
-        assert sign != 0
+        if sign == 0:
+            raise InvalidSimplex(f"slot permutation collapses the simplex {s}")
         key = tuple(sorted(image))
         terms[key] = terms.get(key, 0) + sign * m
     return Chain(c.complex, c.degree, terms)

@@ -11,6 +11,17 @@ Filtering the total complex by columns (p) gives the multiple-point spectral
 sequences; filtering by rows (q) gives the collapsing one whose second page
 is already the homology of the image.  Pages are computed from the generic
 filtered-complex formula with exact integer arithmetic.
+
+How the usual symbols of the subject map onto this module:
+
+- Tot(C)_n: the blocks of total degree n (``tot_rank``, ``_offsets``)
+- D_n: ``SpectralSequence.D(n)``, the assembled total differential
+- F^s: the coordinate set ``SpectralSequence._coords_leq(n, s)``
+- Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r)``
+- E^r_{p,q}: ``SpectralSequence.page`` / ``page_group`` at the cell (p, q)
+- d^r: ``PageEntry.d_matrix`` for r in {0, 1}; not emitted for r >= 2
+- E^infinity_{p,q}: ``SpectralSequence.infinity_group`` (stable page)
+- F_p H_n: the filtration levels inside ``SpectralSequence.e_infinity``
 """
 
 from __future__ import annotations
@@ -32,7 +43,8 @@ from .intlinalg import (
     Subgroup,
     homology_pair,
     kernel_basis,
-    solve,
+    preimage_subgroup,
+    solve_columns,
     subgroup_quotient,
 )
 from .multiplicity import Tower
@@ -244,6 +256,7 @@ class SpectralSequence:
     def cycle_subgroup(self, n: int, s: int, r: int) -> Subgroup:
         """Elements of filtration level s in degree n whose total boundary
         drops by at least r filtration levels."""
+        r = min(r, s + 1)  # no level lies below 0, so a larger r is the same
         key = (n, s, r)
         if key in self._cycles:
             return self._cycles[key]
@@ -253,11 +266,8 @@ class SpectralSequence:
             sub = Subgroup.zero(ambient)
         else:
             D = self.D(n)
-            keep_rows = [
-                i
-                for i in range(D.rows)
-                if i not in set(self._coords_leq(n - 1, s - r))
-            ]
+            dropped = set(self._coords_leq(n - 1, s - r))
+            keep_rows = [i for i in range(D.rows) if i not in dropped]
             restricted = IntMatrix.from_rows(
                 [[D.data[i][j] for j in cols] for i in keep_rows], cols=len(cols)
             ) if keep_rows else IntMatrix(0, len(cols))
@@ -343,18 +353,10 @@ class SpectralSequence:
         else:
             tp, tq = p, q - 1
         tgt_gens = self._d0_kernel(tp, tq) if tp >= 0 and tq >= 0 else IntMatrix(0, 0)
-        cross = self._d1_block(p, q)
-        cols = []
-        for j in range(gens.cols):
-            image = cross.mul_vec(gens.column(j))
-            if tgt_gens.cols == 0:
-                assert not any(image), "page-one differential misses the target cycles"
-                cols.append([])
-                continue
-            y = solve(tgt_gens, image)
-            assert y is not None, "page-one differential image is not a cycle"
-            cols.append(y)
-        return IntMatrix.from_columns(cols, rows=tgt_gens.cols)
+        d1 = solve_columns(tgt_gens, self._d1_block(p, q) @ gens)
+        if d1 is None:
+            raise NotAComplex("page-one differential image is not a cycle")
+        return d1
 
     def page_one_homology(self, p: int, q: int) -> HomologyGroup:
         """Homology of (page 1, its differential) at cell (p, q), computed
@@ -378,13 +380,7 @@ class SpectralSequence:
         tgt_rels = self._d0_rels(tp, tq) if tp >= 0 and tq >= 0 else IntMatrix(0, 0)
         # cycles: generator combinations whose page-one image is a relation
         ambient = gens.cols
-        if out.rows == 0:
-            cyc = Subgroup.full(ambient)
-        else:
-            stacked = out.hstack(tgt_rels.scaled(-1)) if tgt_rels.cols else out
-            K = kernel_basis(stacked)
-            head = IntMatrix.from_rows(K.data[:ambient], K.cols) if ambient else IntMatrix(0, K.cols)
-            cyc = Subgroup(ambient, head)
+        cyc = Subgroup(ambient, preimage_subgroup(out, Subgroup(out.rows, tgt_rels)))
         bnd = Subgroup(ambient, incoming.hstack(rels))
         return subgroup_quotient(cyc, bnd)
 
@@ -395,12 +391,10 @@ class SpectralSequence:
             up = self.dc.d_h(p, q + 1)
         else:
             up = self.dc.d_v(p + 1, q)
-        cols = []
-        for j in range(up.cols):
-            y = solve(gens, up.column(j))
-            assert y is not None, "page-zero boundary is not a cycle"
-            cols.append(y)
-        return IntMatrix.from_columns(cols, rows=gens.cols)
+        rels = solve_columns(gens, up)
+        if rels is None:
+            raise NotAComplex("page-zero boundary is not a cycle")
+        return rels
 
     # convergence
     def level_complete(self, m: int) -> bool:
@@ -429,25 +423,6 @@ class SpectralSequence:
         self._require_complete(n)
         return homology_pair(self.D(n), self.D(n + 1))
 
-    def _kernel_in_level(self, n: int, s: int) -> IntMatrix:
-        """Basis of the degree-n total cycles supported in filtration level s."""
-        ambient = self.tot_rank(n)
-        cols = self._coords_leq(n, s)
-        if not cols:
-            return IntMatrix(ambient, 0)
-        D = self.D(n)
-        restricted = IntMatrix.from_rows(
-            [[D.data[i][j] for j in cols] for i in range(D.rows)], cols=len(cols)
-        )
-        K = kernel_basis(restricted)
-        emb = []
-        for j in range(K.cols):
-            v = [0] * ambient
-            for local, coord in enumerate(cols):
-                v[coord] = K.data[local][j]
-            emb.append(v)
-        return IntMatrix.from_columns(emb, rows=ambient)
-
     def e_infinity(self, n: int) -> DegreeReport:
         """Graded comparison of the limit page with the filtration on the
         homology of the total complex, plus the homology of Y as the target."""
@@ -460,7 +435,7 @@ class SpectralSequence:
         graded, infinity = [], []
         max_s = s_values[-1] if s_values else -1
         for s in range(max_s + 1):
-            S_s = Subgroup(ambient, self._kernel_in_level(n, s)).sum(boundaries)
+            S_s = self.cycle_subgroup(n, s, s + 1).sum(boundaries)
             gr = subgroup_quotient(S_s, prev)
             prev = S_s
             cell = (s, n - s) if self.filtration == "columns" else (n - s, s)
@@ -625,19 +600,6 @@ def gvzss_report(f: SimplicialMap, q_max=None, n_max=None) -> SpectralSequenceRe
     if n_max is None:
         n_max = ss.dc.q_max
     return make_report(ss, "GVZSS", n_max)
-
-
-# how the usual symbols of the subject map onto this module
-NOTATION = {
-    "Tot(C)_n": "SpectralSequence blocks of total degree n (tot_rank, _offsets)",
-    "D_n": "SpectralSequence.D(n), the assembled total differential",
-    "F^s": "coordinate set SpectralSequence._coords_leq(n, s)",
-    "Z^r_{s,t}": "SpectralSequence.cycle_subgroup(s + t, s, r)",
-    "E^r_{p,q}": "SpectralSequence.page / page_group at the cell (p, q)",
-    "d^r": "PageEntry.d_matrix for r in {0, 1}; not emitted for r >= 2",
-    "E^infinity_{p,q}": "SpectralSequence.infinity_group (stable page)",
-    "F_p H_n": "filtration levels inside SpectralSequence.e_infinity",
-}
 
 
 def page_one_oracle(ss: SpectralSequence, p: int, q: int) -> HomologyGroup:

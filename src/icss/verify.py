@@ -23,8 +23,7 @@ from .alternating import (
     rho_matrix,
 )
 from .complexes import SimplicialMap, pushforward, pushforward_matrix, Chain
-from .errors import IcssError
-from .intlinalg import IntMatrix, Subgroup, kernel_basis, solve
+from .intlinalg import IntMatrix, Subgroup, kernel_basis
 from .multiplicity import Tower, ordered_lifts
 
 

@@ -16,8 +16,10 @@ from icss.intlinalg import (
     kernel_basis,
     preimage_subgroup,
     rank,
+    restrict,
     smith_normal_form,
     solve,
+    solve_columns,
     subgroup_quotient,
 )
 
@@ -145,6 +147,65 @@ def test_solve():
         x = [rng.randint(-4, 4) for _ in range(M.cols)]
         y = solve(M, M.mul_vec(x))
         assert y is not None and M.mul_vec(y) == M.mul_vec(x)
+
+
+def solvable_by_smith(M, b) -> bool:
+    """M @ x == b has an integral solution iff U @ b is divisible by the
+    Smith diagonal and vanishes below the rank (U @ M @ V == S)."""
+    U, S, _ = smith_normal_form(M)
+    diag = [S.data[i][i] if i < M.cols else 0 for i in range(M.rows)]
+    return all((c % d if d else c) == 0 for c, d in zip(U.mul_vec(b), diag))
+
+
+@st.composite
+def solve_cases(draw):
+    m, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(rows, cols, lo, hi):
+        cells = st.integers(lo, hi)
+        data = [[draw(cells) for _ in range(cols)] for _ in range(rows)]
+        return IntMatrix(rows, cols, data)
+
+    M = matrix(m, n, -6, 6)
+    B = M @ matrix(n, k, -4, 4)
+    if draw(st.booleans()):
+        B = B + matrix(m, k, -2, 2)
+    return M, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_cases())
+def test_solve_columns_matches_per_column_solve(case):
+    M, B = case
+    X = solve_columns(M, B)
+    per_column = [solve(M, B.column(j)) for j in range(B.cols)]
+    solvable = [solvable_by_smith(M, B.column(j)) for j in range(B.cols)]
+    assert [y is not None for y in per_column] == solvable
+    if all(solvable):
+        assert X == IntMatrix.from_columns(per_column, rows=M.cols)
+        assert M @ X == B
+    else:
+        assert X is None
+
+
+def test_solve_columns_empty_shapes():
+    # M with no columns solves exactly the zero targets
+    assert solve_columns(IntMatrix(3, 0), IntMatrix(3, 2)) == IntMatrix(0, 2)
+    B = IntMatrix.from_rows([[0], [1], [0]], cols=1)
+    assert solve_columns(IntMatrix(3, 0), B) is None
+    # B with no columns always has the empty solution
+    M = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]], cols=3)
+    assert solve_columns(M, IntMatrix(2, 0)) == IntMatrix(3, 0)
+    with pytest.raises(ValueError):
+        solve_columns(M, IntMatrix(3, 1))
+
+
+def test_restrict():
+    two = IntMatrix.from_rows([[2]], cols=1)
+    I1 = IntMatrix.identity(1)
+    assert restrict(two, I1, two) == I1
+    with pytest.raises(NotASubgroup):
+        restrict(I1, I1, two)
 
 
 def test_homology_group_invariants():

@@ -78,6 +78,29 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     assert main(["fixtures", "no-such-fixture"]) == 2
 
 
+EMPTY_TARGETS = {
+    "all_empty": {
+        "x": {"vertices": [], "simplices": []},
+        "y": {"vertices": [], "simplices": []},
+        "map": {},
+    },
+    "no_simplices": {
+        "x": {"vertices": ["a"], "simplices": []},
+        "y": {"vertices": ["p"], "simplices": []},
+        "map": {"a": "p"},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["icss", "gvzss", "verify"])
+@pytest.mark.parametrize("doc", sorted(EMPTY_TARGETS))
+def test_cli_empty_target_exits_2(tmp_path, capsys, command, doc):
+    path = write_doc(tmp_path, json.dumps(EMPTY_TARGETS[doc]))
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "y.simplices" in err
+
+
 def test_cli_fixture_listing(capsys):
     assert main(["--format", "json", "fixtures"]) == 0
     payload = json.loads(capsys.readouterr().out)
