@@ -108,7 +108,8 @@ def build_complex(maximal_simplices, labels=None) -> SimplicialComplex:
     """Face closure of the given maximal simplices (vertex-id tuples).
 
     With ``labels`` given, the tuples may use labels instead of indices and
-    the vertex order is the label order.
+    the vertex order is the label order; a labelled vertex that lies in no
+    given simplex is a 0-simplex of its own.
     """
     if labels is not None:
         lab_ix = {lab: i for i, lab in enumerate(labels)}
@@ -124,6 +125,8 @@ def build_complex(maximal_simplices, labels=None) -> SimplicialComplex:
         if len(set(s)) != len(s):
             raise InvalidSimplex(f"repeated vertex in simplex {s!r}")
     closed = face_closure(maximal_simplices)
+    if labels is not None:
+        closed.update((v,) for v in range(n_vertices))
     by_dim: dict = {}
     for s in closed:
         by_dim.setdefault(len(s) - 1, []).append(s)

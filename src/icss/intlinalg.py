@@ -9,12 +9,16 @@ arbitrary-precision ints.  No floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import NotAComplex, NotASubgroup
 
 
 class IntMatrix:
-    """Dense integer matrix with explicit shape (so 0xN and Nx0 make sense)."""
+    """Integer matrix with explicit shape (so 0xN and Nx0 make sense).
+
+    Storage is dense rows; products and elimination steps skip zero entries.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -84,19 +88,20 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         out = IntMatrix(self.rows, other.cols)
-        bt = other.transpose().data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for j in range(other.cols):
-                brow = bt[j]
-                orow[j] = sum(arow[k] * brow[k] for k in range(self.cols))
+        # (column, entry) pairs of the nonzeros in each row of other
+        support = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        for arow, orow in zip(self.data, out.data):
+            for a, brow in zip(arow, support):
+                if a:
+                    for j, b in brow:
+                        orow[j] += a * b
         return out
 
     def mul_vec(self, v) -> list:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(row[k] * v[k] for k in range(self.cols)) for row in self.data]
+        nonzero = [(k, x) for k, x in enumerate(v) if x]
+        return [sum(row[k] * x for k, x in nonzero) for row in self.data]
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -179,20 +184,18 @@ def smith_normal_form(M: IntMatrix):
             r[i], r[j] = r[j], r[i]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j
-        Si, Sj = S[i], S[j]
-        Ui, Uj = U[i], U[j]
-        for c in range(n):
-            Si[c] -= q * Sj[c]
-        for c in range(m):
-            Ui[c] -= q * Uj[c]
+        # row_i -= q * row_j, over the nonzero entries of row_j
+        for A in (S, U):
+            Ai = A[i]
+            for c, x in enumerate(A[j]):
+                if x:
+                    Ai[c] -= q * x
 
     def col_sub(i, j, q):
-        # col_i -= q * col_j
-        for r in S:
-            r[i] -= q * r[j]
-        for r in V:
-            r[i] -= q * r[j]
+        # col_i -= q * col_j, over the rows where col_j is nonzero
+        for r in chain(S, V):
+            if r[j]:
+                r[i] -= q * r[j]
 
     def neg_row(i):
         S[i] = [-x for x in S[i]]
@@ -237,10 +240,11 @@ def smith_normal_form(M: IntMatrix):
                         break
             if restart:
                 continue
-            # divisibility: pivot must divide the whole trailing block
+            # divisibility: pivot must divide the whole trailing block (a unit
+            # pivot does, so its block is not scanned)
             p = S[t][t]
             bad = None
-            for i in range(t + 1, m):
+            for i in range(t + 1, m if p > 1 else t + 1):
                 row = S[i]
                 for j in range(t + 1, n):
                     if row[j] % p:
@@ -283,23 +287,26 @@ def column_echelon(M: IntMatrix, reduce: bool = False):
     H = [list(r) for r in M.data]
     T = IntMatrix.identity(n).data
 
-    def swap_cols(i, j):
-        for r in H:
-            r[i], r[j] = r[j], r[i]
-        for r in T:
-            r[i], r[j] = r[j], r[i]
+    # Column c of H, and every column right of it, is zero above row r, so
+    # the column operations on H start at row r.
+    def swap_cols(i, j, top):
+        for row in islice(H, top, None):
+            row[i], row[j] = row[j], row[i]
+        for row in T:
+            row[i], row[j] = row[j], row[i]
 
-    def col_sub(i, j, q):
-        for r in H:
-            r[i] -= q * r[j]
-        for r in T:
-            r[i] -= q * r[j]
+    def neg_col(i, top):
+        for row in chain(islice(H, top, None), T):
+            row[i] = -row[i]
 
-    def neg_col(i):
-        for r in H:
-            r[i] = -r[i]
-        for r in T:
-            r[i] = -r[i]
+    def support(j, top):
+        # the rows of H (from row top on) and of T with a nonzero in column j
+        return [row for row in chain(islice(H, top, None), T) if row[j]]
+
+    def col_sub(i, j, q, rows):
+        # col_i -= q * col_j, over the support rows of col_j
+        for row in rows:
+            row[i] -= q * row[j]
 
     pivots = []
     c = 0
@@ -318,14 +325,16 @@ def column_echelon(M: IntMatrix, reduce: bool = False):
             if best is None:
                 break
             if best[1] != c:
-                swap_cols(c, best[1])
+                swap_cols(c, best[1], r)
             if H[r][c] < 0:
-                neg_col(c)
+                neg_col(c, r)
             done = True
+            rows = None
             for j in range(c + 1, n):
                 if H[r][j]:
                     q = H[r][j] // H[r][c]
-                    col_sub(j, c, q)
+                    rows = rows or support(c, r)
+                    col_sub(j, c, q, rows)
                     if H[r][j]:
                         done = False
             if done:
@@ -337,10 +346,12 @@ def column_echelon(M: IntMatrix, reduce: bool = False):
     if reduce:
         for r, c in pivots:
             p = H[r][c]
+            rows = None
             for j in range(c):
                 q = H[r][j] // p
                 if q:
-                    col_sub(j, c, q)
+                    rows = rows or support(c, r)
+                    col_sub(j, c, q, rows)
 
     return IntMatrix(m, n, H), IntMatrix(n, n, T), pivots
 
@@ -352,9 +363,8 @@ def rank(M: IntMatrix) -> int:
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns generate the integer kernel of M (a saturated lattice basis)."""
     H, T, pivots = column_echelon(M)
-    pivot_cols = {c for _, c in pivots}
-    free = [j for j in range(M.cols) if j not in pivot_cols]
-    return IntMatrix.from_columns([T.column(j) for j in free], rows=M.cols)
+    k = len(pivots)  # the pivot columns are 0, 1, ..., k-1
+    return IntMatrix(M.cols, M.cols - k, [row[k:] for row in T.data])
 
 
 def solve_columns(M: IntMatrix, B: IntMatrix) -> IntMatrix | None:
@@ -452,9 +462,8 @@ class Subgroup:
             raise ValueError("generator length mismatch")
         H, _, pivots = column_echelon(gens, reduce=True)
         self.ambient_rank = ambient_rank
-        self.basis = IntMatrix.from_columns(
-            [H.column(c) for _, c in pivots], rows=ambient_rank
-        )
+        k = len(pivots)  # the pivot columns are 0, 1, ..., k-1
+        self.basis = IntMatrix(ambient_rank, k, [row[:k] for row in H.data])
 
     @staticmethod
     def zero(ambient_rank: int) -> "Subgroup":

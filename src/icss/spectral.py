@@ -205,6 +205,7 @@ class SpectralSequence:
             self._tot_rank[n] = total
         self._D = {}
         self._cycles = {}
+        self._d0_kernels = {}
         self._pages = {}
 
     # total complex
@@ -272,13 +273,10 @@ class SpectralSequence:
                 [[D.data[i][j] for j in cols] for i in keep_rows], cols=len(cols)
             ) if keep_rows else IntMatrix(0, len(cols))
             K = kernel_basis(restricted)
-            emb = []
-            for j in range(K.cols):
-                v = [0] * ambient
-                for local, coord in enumerate(cols):
-                    v[coord] = K.data[local][j]
-                emb.append(v)
-            sub = Subgroup(ambient, IntMatrix.from_columns(emb, rows=ambient))
+            emb = IntMatrix(ambient, K.cols)
+            for local, coord in enumerate(cols):
+                emb.data[coord] = K.data[local]
+            sub = Subgroup(ambient, emb)
         self._cycles[key] = sub
         return sub
 
@@ -300,8 +298,7 @@ class SpectralSequence:
             Z = self.cycle_subgroup(n, s, r)
             below = self.cycle_subgroup(n, s - 1, r - 1)
             up = self.cycle_subgroup(n + 1, s + r - 1, r - 1)
-            image_cols = self.D(n + 1) @ up.basis
-            B = below.sum(Subgroup(self.tot_rank(n), image_cols))
+            B = Subgroup(self.tot_rank(n), below.basis.hstack(self.D(n + 1) @ up.basis))
             grp = subgroup_quotient(Z, B)
         self._pages[key] = grp
         return grp
@@ -341,7 +338,9 @@ class SpectralSequence:
         return self.dc.d_h(p, q) if self.filtration == "columns" else self.dc.d_v(p, q)
 
     def _d0_kernel(self, p, q) -> IntMatrix:
-        return kernel_basis(self._d0_block(p, q))
+        if (p, q) not in self._d0_kernels:
+            self._d0_kernels[(p, q)] = kernel_basis(self._d0_block(p, q))
+        return self._d0_kernels[(p, q)]
 
     def _d1_block(self, p, q) -> IntMatrix:
         return self.dc.d_v(p, q) if self.filtration == "columns" else self.dc.d_h(p, q)

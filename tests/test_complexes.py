@@ -41,6 +41,13 @@ def test_build_complex_with_labels():
         build_complex([(0, 0)])
 
 
+def test_build_complex_keeps_isolated_labelled_vertex():
+    X = build_complex([("a", "b")], labels=["a", "b", "c"])
+    assert X.simplices(0) == ((0,), (1,), (2,))
+    assert X.maximal_simplices() == [(2,), (0, 1)]
+    assert homology_of_complex(X, 0) == HomologyGroup(2)
+
+
 def test_boundary_of_edge():
     X = build_complex([(0, 1)])
     d1 = boundary_matrix(X, 1)

@@ -283,3 +283,149 @@ def test_preimage_subgroup():
     P = preimage_subgroup(M, S)
     for j in range(P.cols):
         assert S.contains(M.mul_vec(P.column(j)))
+
+
+# The products and elimination steps skip zero entries; the reference below
+# touches every entry, zeros included, so it shares no shortcut with them.
+
+
+def reference_product(A, B):
+    """Plain triple loop: the entries of A @ B."""
+    out = [[0] * B.cols for _ in range(A.rows)]
+    for i in range(A.rows):
+        for j in range(B.cols):
+            for k in range(A.cols):
+                out[i][j] += A.data[i][k] * B.data[k][j]
+    return out
+
+
+BIG = 2**70  # well past 2**64, so no fixed-width shortcut can hold an entry
+ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+
+
+@st.composite
+def int_matrices(draw, rows, cols, dense):
+    """A rows x cols matrix, dense or with about 5 % of its entries nonzero."""
+    M = IntMatrix(rows, cols)
+    if dense:
+        M.data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    elif rows and cols:
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), ENTRIES)
+        for i, j, x in draw(st.lists(cell, max_size=rows * cols // 10)):
+            M.data[i][j] = x
+    return M
+
+
+@st.composite
+def product_cases(draw):
+    dense = draw(st.booleans())
+    size = st.integers(0, 6) if dense else st.integers(0, 16)
+    m, k, n = draw(size), draw(size), draw(size)
+    return draw(int_matrices(m, k, dense)), draw(int_matrices(k, n, dense))
+
+
+def shares_rows(C, *operands):
+    return any(r is s for r in C.data for M in operands for s in M.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases())
+def test_products_match_triple_loop(case):
+    A, B = case
+    before = (A.copy(), B.copy())
+    C = A @ B
+    expected = reference_product(A, B)
+    assert (C.rows, C.cols) == (A.rows, B.cols)
+    assert C.data == expected
+    assert (A, B) == before
+    assert not shares_rows(C, A, B)
+    assert len({id(r) for r in C.data}) == C.rows
+    for j in range(B.cols):
+        assert A.mul_vec(B.column(j)) == [row[j] for row in expected]
+
+
+def test_products_of_empty_shapes():
+    # 0 x n times n x 0, and n x 0 times 0 x m
+    assert IntMatrix(0, 3) @ IntMatrix(3, 0) == IntMatrix(0, 0)
+    C = IntMatrix(3, 0) @ IntMatrix(0, 4)
+    assert C == IntMatrix(3, 4)
+    assert len({id(r) for r in C.data}) == 3
+    assert IntMatrix(2, 0).mul_vec([]) == [0, 0]
+    assert IntMatrix(0, 2).mul_vec([5, 7]) == []
+
+
+def test_products_with_big_entries():
+    A = IntMatrix.from_rows([[BIG, 0, -1], [0, 0, 0]], cols=3)
+    B = IntMatrix.from_rows([[BIG], [5], [2**65]], cols=1)
+    assert (A @ B).data == [[BIG * BIG - 2**65], [0]]
+    assert A.mul_vec([BIG, 0, 1]) == [BIG * BIG - 1, 0]
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Sparse matrices up to 10 x 10, or small dense ones."""
+    dense = draw(st.booleans())
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    return draw(int_matrices(rows, cols, dense and rows * cols <= 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs(), st.booleans())
+def test_column_echelon_postconditions_sparse(M, reduce):
+    H, T, pivots = column_echelon(M, reduce=reduce)
+    assert H.data == reference_product(M, T)
+    assert is_unimodular(T)
+    assert [c for _, c in pivots] == list(range(len(pivots)))
+    assert all(a[0] < b[0] for a, b in zip(pivots, pivots[1:]))
+    for r, c in pivots:
+        p = H.data[r][c]
+        assert p > 0 and not any(H.data[r][c + 1 :])
+        assert not any(H.data[i][c] for i in range(r))
+        if reduce:
+            assert all(0 <= H.data[r][j] < p for j in range(c))
+    # the columns past the pivots are zero: they span the kernel of M
+    assert not any(any(row[len(pivots) :]) for row in H.data)
+
+
+@st.composite
+def sparse_solve_cases(draw):
+    M = draw(echelon_inputs())
+    k = draw(st.integers(0, 3))
+    X = draw(int_matrices(M.cols, k, False))
+    B = IntMatrix(M.rows, k, reference_product(M, X))
+    if draw(st.booleans()):
+        noise = draw(int_matrices(M.rows, k, False))
+        B = B + noise
+    return M, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_solve_cases())
+def test_solve_columns_sparse(case):
+    M, B = case
+    X = solve_columns(M, B)
+    solvable = all(solvable_by_smith(M, B.column(j)) for j in range(B.cols))
+    assert (X is not None) == solvable
+    if X is not None:
+        assert reference_product(M, X) == B.data
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(29)
+    for trial in range(120):
+        density = (0.05, 0.3, 1.0)[trial % 3]
+        size = 12 if density < 0.1 else 7
+        m, n = rng.randint(1, size), rng.randint(1, size)
+        M = IntMatrix.from_rows(
+            [
+                [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)
+            ],
+            cols=n,
+        )
+        S = sympy_snf(sympy.Matrix(M.data), domain=sympy.ZZ)
+        expected = sorted(abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i])
+        assert invariant_factors(M) == expected, M.data

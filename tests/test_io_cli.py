@@ -101,6 +101,34 @@ def test_cli_empty_target_exits_2(tmp_path, capsys, command, doc):
     assert err.count("\n") == 1 and "y.simplices" in err
 
 
+# y lists a vertex "q" that lies in no simplex: it is a point of Y that
+# nothing maps onto
+ISOLATED_TARGET_VERTEX = {
+    "x": {"vertices": ["a"], "simplices": [["a"]]},
+    "y": {"vertices": ["p", "q"], "simplices": [["p"]]},
+    "map": {"a": "p"},
+}
+
+
+def test_cli_isolated_target_vertex_is_not_hit(tmp_path, capsys):
+    path = write_doc(tmp_path, json.dumps(ISOLATED_TARGET_VERTEX))
+    assert main(["--format", "json", "validate", path]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["surjective"] is False and payload["valid"] is False
+    assert main(["--format", "json", "homology", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["y"]["H_0"] == {"rank": 2, "torsion": []}
+
+
+@pytest.mark.parametrize("command", ["icss", "gvzss"])
+def test_cli_isolated_target_vertex_exits_2(tmp_path, capsys, command):
+    path = write_doc(tmp_path, json.dumps(ISOLATED_TARGET_VERTEX))
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "surjective" in captured.err
+
+
 def test_cli_fixture_listing(capsys):
     assert main(["--format", "json", "fixtures"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -167,3 +167,22 @@ def test_row_filtration_page_one_bottom_row(fold):
     ss = first_ss(fold, "Alt")
     for q in range(fold.target.dim + 1):
         assert ss.page_group(2, q, 0) == homology_of_complex(fold.target, q)
+
+
+def test_page_zero_kernels_are_cached(disc_to_rp2, monkeypatch):
+    import icss.spectral as spectral
+
+    ss = icss(disc_to_rp2)
+    blocks = []
+    real = spectral.kernel_basis
+
+    def counting(M):
+        blocks.append(M)
+        return real(M)
+
+    monkeypatch.setattr(spectral, "kernel_basis", counting)
+    for p in range(ss.dc.p_max + 1):
+        for q in range(ss.dc.q_max + 1):
+            ss.page_one_homology(p, q)
+    # one kernel per distinct page-zero block, however often it is asked for
+    assert len(blocks) == len(set(blocks)) == 6
