@@ -74,6 +74,12 @@ class AltBasis:
     The generator for (delta, I) is the alternation of the product simplex of
     the lifts indexed by I, normalized by the listing parity so that raw
     coordinates are recovered by a plain signed lookup at the product simplex.
+
+    Sign rule: a slot permutation sigma carries the product of the lifts L
+    onto the product of sigma(L), and the record ``rec`` of sigma(L) holds the
+    parity of its listing.  Column g of ``to_raw_matrix`` therefore has the
+    entry ``sigma.sign * rec.sign`` at ``rec.canonical`` for each sigma in
+    S_k, read straight off ``Z.products``.
     """
 
     def __init__(self, Z: MultiplePointComplex, n: int):
@@ -90,25 +96,39 @@ class AltBasis:
         self._by_delta: dict = {}
         for idx, g in enumerate(self.gens):
             self._by_delta.setdefault(g.delta, []).append(idx)
-        cols = []
-        for g in self.gens:
-            chain = alt_Z(Chain(Z.complex, n, {g.canonical: g.sign}), Z)
-            cols.append(chain.to_vector())
-        self.to_raw_matrix = IntMatrix.from_columns(cols, rows=Z.n_simplices(n))
+        perms = SkElement.all(Z.k)
+        self.to_raw_matrix = IntMatrix(Z.n_simplices(n), self.n_gens)
+        for j, g in enumerate(self.gens):
+            for sigma in perms:
+                rec = Z.products[(g.delta, sigma.apply_tuple(g.lifts))]
+                self.to_raw_matrix.data[Z.index(rec.canonical)][j] += sigma.sign * rec.sign
 
     def gens_over(self, delta) -> list:
         """Indices of the generators lying over the Y-simplex delta."""
         return self._by_delta.get(tuple(delta), [])
+
+    def selector(self) -> IntMatrix:
+        """Signed rows at the generators' product simplices: a left inverse
+        of ``to_raw_matrix`` on the alternating chains."""
+        S = IntMatrix(self.n_gens, self.Z.n_simplices(self.n))
+        for row, g in zip(S.data, self.gens):
+            row[self.Z.index(g.canonical)] = g.sign
+        return S
+
+    def coordinates(self, R: IntMatrix) -> IntMatrix:
+        """Alternating coordinates of the raw columns of R; raises
+        NotAlternating unless every column is an alternating chain."""
+        A = self.selector() @ R
+        if self.to_raw_matrix @ A != R:
+            raise NotAlternating("a column is not an alternating chain")
+        return A
 
     def alt_to_raw(self, a) -> list:
         return self.to_raw_matrix.mul_vec(a)
 
     def raw_to_alt(self, vec) -> list:
         """Coordinates of an alternating raw vector; raises otherwise."""
-        a = [g.sign * vec[self.Z.index(g.canonical)] for g in self.gens]
-        if self.to_raw_matrix.mul_vec(a) != list(vec):
-            raise NotAlternating("vector is not an alternating chain")
-        return a
+        return self.coordinates(IntMatrix.from_columns([vec])).column(0)
 
     def chain(self, idx: int) -> Chain:
         a = [0] * self.n_gens
@@ -160,12 +180,7 @@ def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMa
         raise DegreeOutOfRange("basis_prev must be the degree n-1 basis of the same complex")
     if basis_n.n_gens == 0:
         return IntMatrix(basis_prev.n_gens, 0)
-    d = boundary_matrix(Z.complex, n)
-    cols = [
-        basis_prev.raw_to_alt(d.mul_vec(basis_n.to_raw_matrix.column(j)))
-        for j in range(basis_n.n_gens)
-    ]
-    return IntMatrix.from_columns(cols, rows=basis_prev.n_gens)
+    return basis_prev.coordinates(boundary_matrix(Z.complex, n) @ basis_n.to_raw_matrix)
 
 
 def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
@@ -178,12 +193,7 @@ def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
         raise InvalidMultiplicity("source multiplicity must be at least 2")
     if basis_tgt.n != basis_src.n or basis_tgt.Z.k != Z.k - 1:
         raise DegreeOutOfRange("target basis must have multiplicity k-1, same degree")
-    M = veps_matrix(Z, basis_src.n)
-    cols = [
-        basis_tgt.raw_to_alt(M.mul_vec(basis_src.to_raw_matrix.column(j)))
-        for j in range(basis_src.n_gens)
-    ]
-    return IntMatrix.from_columns(cols, rows=basis_tgt.n_gens)
+    return basis_tgt.coordinates(veps_matrix(Z, basis_src.n) @ basis_src.to_raw_matrix)
 
 
 def alt_differentials(Z: MultiplePointComplex, n: int) -> tuple:

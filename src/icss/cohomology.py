@@ -38,25 +38,16 @@ def alt_star_matrix(basis: AltBasis) -> IntMatrix:
     of such functionals.
     """
     Z, n = basis.Z, basis.n
-    cols = []
-    for s in Z.simplices(n):
-        c = alt_Z(Chain(Z.complex, n, {s: 1}), Z)
-        cols.append(basis.raw_to_alt(c.to_vector()))
-    T = IntMatrix.from_columns(cols, rows=basis.n_gens)  # coords of Alt on each raw generator
+    cols = [alt_Z(Chain(Z.complex, n, {s: 1}), Z).to_vector() for s in Z.simplices(n)]
+    # coords of Alt on each raw generator
+    T = basis.coordinates(IntMatrix.from_columns(cols, rows=Z.n_simplices(n)))
     return T.transpose()
 
 
 def theta_matrix(basis: AltBasis) -> IntMatrix:
     """Evaluation of an alternating raw functional on the signed product
     representatives of the basis generators; inverse to alt_star."""
-    Z = basis.Z
-    rows = []
-    m = Z.n_simplices(basis.n)
-    for g in basis.gens:
-        row = [0] * m
-        row[Z.index(g.canonical)] = g.sign
-        rows.append(row)
-    return IntMatrix(len(rows), m, rows)
+    return basis.selector()
 
 
 def is_alternating_cochain(Z: MultiplePointComplex, n: int, phi) -> bool:

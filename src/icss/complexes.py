@@ -73,12 +73,12 @@ class SimplicialComplex:
         return self._index[len(s) - 1][tuple(s)]
 
     def maximal_simplices(self) -> list:
-        out = []
-        for d in sorted(self._simplices, reverse=True):
-            for s in self._simplices[d]:
-                if not any(set(s) < set(t) for t in out):
-                    out.append(s)
-        return sorted(out, key=lambda s: (len(s), s))
+        """Simplices that are faces of no other simplex.  The complex is
+        closed under faces, so these are the ones that are no facet."""
+        facets = {s[:i] + s[i + 1 :] for s in self.all_simplices() for i in range(len(s))}
+        return sorted(
+            (s for s in self.all_simplices() if s not in facets), key=lambda s: (len(s), s)
+        )
 
     def __eq__(self, other):
         return (
@@ -280,7 +280,7 @@ class SimplicialMap:
     insist on a fully valid map, the projections need not be surjective).
     """
 
-    __slots__ = ("source", "target", "vertex_map", "report")
+    __slots__ = ("source", "target", "vertex_map", "report", "lift_index")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
@@ -292,6 +292,9 @@ class SimplicialMap:
         self.report = validate_map(self.vertex_map, source, target)
         if not self.report.simplicial:
             raise InvalidSimplex("vertex map is not simplicial")
+        # Y-simplex -> its sorted ordered lifts, filled on first use by
+        # multiplicity.ordered_lifts
+        self.lift_index = None
 
     @property
     def valid(self) -> bool:

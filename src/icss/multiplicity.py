@@ -27,20 +27,20 @@ def ordered_lifts(f: SimplicialMap, delta) -> list:
 
     A lift is the vertex tuple (v_0, ..., v_n) of an X-simplex ordered so that
     f(v_j) = w_j.  Lifts are returned sorted, and correspond one-to-one with
-    the X-simplices lying over delta.
+    the X-simplices lying over delta.  One pass over X indexes the lifts of
+    every Y-simplex, kept on the map for later calls.
     """
-    delta = tuple(delta)
-    n = len(delta) - 1
-    lifts = []
-    for s in f.source.simplices(n):
-        images = tuple(f.vertex_map[v] for v in s)
-        if tuple(sorted(images)) == delta and len(set(images)) == n + 1:
-            pos = {w: j for j, w in enumerate(delta)}
-            lift = [None] * (n + 1)
-            for v in s:
-                lift[pos[f.vertex_map[v]]] = v
-            lifts.append(tuple(lift))
-    return sorted(lifts)
+    if f.lift_index is None:
+        index: dict = {}
+        for s in f.source.all_simplices():
+            pairs = sorted((f.vertex_map[v], v) for v in s)
+            image = tuple(w for w, _ in pairs)
+            if len(set(image)) == len(s):
+                index.setdefault(image, []).append(tuple(v for _, v in pairs))
+        for lifts in index.values():
+            lifts.sort()
+        f.lift_index = index
+    return list(f.lift_index.get(tuple(delta), ()))
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,6 @@ def build_double(f: SimplicialMap, kind: str, p_max=None, q_max=None) -> DoubleC
         "dim_y": dim_y,
         "k_max": tower.k_max(),
     }
-    if kind == "Alt":
-        meta["bases"] = bases
     return DoubleComplex(kind, p_max, q_max, ranks, d_h, d_v, meta=meta)
 
 

@@ -22,7 +22,7 @@ from .alternating import (
     eps_last_matrix,
     rho_matrix,
 )
-from .complexes import SimplicialMap, pushforward, pushforward_matrix, Chain
+from .complexes import SimplicialMap, pushforward_matrix
 from .intlinalg import IntMatrix, Subgroup, kernel_basis
 from .multiplicity import Tower, ordered_lifts
 
@@ -220,11 +220,7 @@ def check_D_row_exact(f: SimplicialMap, n: int) -> VerificationReport:
         k: alt_veps_matrix(bases[k], bases[k - 1]) for k in range(2, N_max + 1)
     }
     # augmentation to the chains of Y in alternating coordinates
-    aug_cols = []
-    for g in bases[1].gens:
-        c = pushforward(f, Chain(tower.D(1).complex, n, {g.canonical: g.sign}))
-        aug_cols.append(c.to_vector())
-    aug = IntMatrix.from_columns(aug_cols, rows=f.target.n_simplices(n))
+    aug = pushforward_matrix(f, n) @ bases[1].to_raw_matrix
     for delta in f.target.simplices(n):
         lifts = ordered_lifts(f, delta)
         N = len(lifts)

@@ -17,6 +17,7 @@ from icss.alternating import (
 )
 from icss.complexes import Chain, boundary_matrix, pushforward_matrix
 from icss.errors import NotAlternating
+from icss.fixtures import random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
 from icss.multiplicity import Tower, build_D, build_W
 
@@ -74,6 +75,47 @@ def test_alt_basis_round_trip(disc_to_rp2):
         for idx, g in enumerate(basis.gens):
             c = basis.chain(idx)
             assert g.sign * c.terms[g.canonical] == 1
+
+
+def test_alt_basis_matches_alternation(maps):
+    """to_raw_matrix, read off the product records, equals the alternation
+    of each signed product representative."""
+    for f in list(maps.values()) + [random_fixture(seed) for seed in range(40)]:
+        tower = Tower(f)
+        for k in range(1, tower.k_max() + 1):
+            D = tower.D(k)
+            for n in range(f.target.dim + 1):
+                basis = AltBasis(D, n)
+                cols = [
+                    alt_Z(Chain(D.complex, n, {g.canonical: g.sign}), D).to_vector()
+                    for g in basis.gens
+                ]
+                expected = IntMatrix.from_columns(cols, rows=D.n_simplices(n))
+                assert basis.to_raw_matrix == expected
+
+
+def test_coordinates_of_basis_is_identity(disc_to_rp2, deep_map):
+    for f in (disc_to_rp2, deep_map):
+        tower = Tower(f)
+        for k in range(1, tower.k_max() + 1):
+            for n in range(f.target.dim + 1):
+                basis = AltBasis(tower.D(k), n)
+                A = basis.coordinates(basis.to_raw_matrix)
+                assert A == IntMatrix.identity(basis.n_gens)
+
+
+def test_coordinates_rejects_one_bad_column(disc_to_rp2):
+    basis = AltBasis(build_D(disc_to_rp2, 2), 1)
+    R = basis.to_raw_matrix
+    assert R.cols >= 2
+    # a row the selector skips, so only the alternation check sees the change
+    selected = {basis.Z.index(g.canonical) for g in basis.gens}
+    i = min(set(range(R.rows)) - selected)
+    for j in range(R.cols):
+        bad = R.copy()
+        bad.data[i][j] += 1
+        with pytest.raises(NotAlternating):
+            basis.coordinates(bad)
 
 
 def test_raw_to_alt_rejects_non_alternating(double_cover):

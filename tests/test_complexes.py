@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from icss.complexes import (
@@ -144,3 +146,20 @@ def test_projective_plane_homology(disc_to_rp2):
 def test_fixture_maps_valid(maps):
     for name, f in maps.items():
         assert f.valid, name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_maximal_simplices_match_definition(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    tops = [
+        tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        for _ in range(rng.randint(1, 8))
+    ]
+    X = build_complex(tops)
+    every = list(X.all_simplices())
+    expected = sorted(
+        (s for s in every if not any(set(s) < set(t) for t in every)),
+        key=lambda s: (len(s), s),
+    )
+    assert X.maximal_simplices() == expected

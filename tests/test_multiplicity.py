@@ -1,7 +1,8 @@
 import pytest
 
-from icss.complexes import Chain, build_complex, pushforward_matrix
+from icss.complexes import Chain, SimplicialMap, build_complex, pushforward_matrix
 from icss.errors import InvalidIndex, InvalidMultiplicity
+from icss.fixtures import random_fixture
 from icss.multiplicity import (
     SkElement,
     Tower,
@@ -21,6 +22,32 @@ def test_ordered_lifts_fold(fold):
     assert ordered_lifts(fold, (0, 1)) == [(1, 0), (1, 2)]
     assert ordered_lifts(fold, (0,)) == [(1,)]
     assert ordered_lifts(fold, (1,)) == [(0,), (2,)]
+
+
+def brute_force_lifts(f, delta):
+    """Scan every X-simplex of the dimension for the lifts of delta."""
+    lifts = []
+    for s in f.source.simplices(len(delta) - 1):
+        images = [f.vertex_map[v] for v in s]
+        if sorted(images) == list(delta) and len(set(images)) == len(s):
+            lifts.append(tuple(s[images.index(w)] for w in delta))
+    return sorted(lifts)
+
+
+def test_ordered_lifts_match_brute_force(maps):
+    # X-simplex order differs from lift order here: (0, 3) lifts as (3, 0)
+    crossed = SimplicialMap(
+        build_complex([(0, 3), (1, 2)]), build_complex([(0, 1)]), {0: 1, 1: 0, 2: 1, 3: 0}
+    )
+    assert ordered_lifts(crossed, (0, 1)) == [(1, 2), (3, 0)]
+    for f in [crossed, *maps.values(), *(random_fixture(seed) for seed in range(40))]:
+        for delta in f.target.all_simplices():
+            assert ordered_lifts(f, delta) == brute_force_lifts(f, delta)
+        # the index is kept on the map, and callers get their own list
+        assert f.lift_index is not None
+        delta = f.target.simplices(0)[0]
+        ordered_lifts(f, delta).append(None)
+        assert ordered_lifts(f, delta) == brute_force_lifts(f, delta)
 
 
 def test_fold_W2(fold):
