@@ -4,7 +4,7 @@ rank one; the missing generator enters through the double-point column of
 the spectral sequence.  Run with  python demos/figure_eight_columns.py
 """
 
-from icss import get_fixture, homology_of_complex, icss
+from icss import Tower, get_fixture, homology_of_complex, icss
 from icss.verify import check_D2_kernel, check_W_row_exact, run_all
 
 f = get_fixture("figure_eight")
@@ -21,6 +21,6 @@ report = ss.e_infinity(1)
 print("assembled:", report.total_homology, "- converged:", report.converged)
 
 # the structural checks behind the convergence
-print("\nrow exactness (degree 1):", check_W_row_exact(f, 1).passed)
-print("double points span the kernel:", check_D2_kernel(f, 1).passed)
+print("\nrow exactness (degree 1):", check_W_row_exact(Tower(f), 1).passed)
+print("double points span the kernel:", check_D2_kernel(Tower(f), 1).passed)
 print("full verification:", all(r.passed for r in run_all(f)))

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .complexes import homology_of_complex
-from .errors import IcssError, ParseError
+from .errors import DegreeOutOfRange, IcssError, ParseError
 from .fixtures import fixture_names, get_fixture
 from .io import (
     document_from_map,
@@ -79,6 +79,8 @@ def cmd_build(args) -> int:
 def cmd_homology(args) -> int:
     f = _load_map(args.file)
     q_top = args.q_max if args.q_max is not None else max(f.source.dim, f.target.dim)
+    if q_top < 0:
+        raise DegreeOutOfRange(f"--q-max {q_top} must be >= 0")
     payload = {"x": {}, "y": {}}
     for n in range(q_top + 1):
         if n <= f.source.dim:

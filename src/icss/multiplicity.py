@@ -55,12 +55,18 @@ class ProductRecord:
 
 
 class MultiplePointComplex:
-    """W^k(f) or D^k(f) with the triangulation induced by f."""
+    """W^k(f) or D^k(f) with the triangulation induced by f.
 
-    def __init__(self, kind, k, f, complex_, vertex_tuples, products):
+    ``below`` is the same-kind space at multiplicity k-1 (None for k = 1),
+    the target of the slot projections, which are kept in ``eps`` by slot.
+    """
+
+    def __init__(self, kind, k, f, complex_, vertex_tuples, products, below=None):
         self.kind = kind
         self.k = k
         self.f = f
+        self.below = below
+        self.eps: dict = {}
         self.complex = complex_
         self.vertex_tuples = tuple(vertex_tuples)
         self.tuple_index = {t: v for v, t in enumerate(self.vertex_tuples)}
@@ -100,7 +106,7 @@ class MultiplePointComplex:
         return f"MultiplePointComplex(kind={self.kind}, k={self.k}, {self.complex!r})"
 
 
-def _build(f: SimplicialMap, k: int, kind: str) -> MultiplePointComplex:
+def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
     if k < 1:
         raise InvalidMultiplicity(f"multiplicity {k} < 1")
     if not f.valid:
@@ -154,11 +160,15 @@ def _build(f: SimplicialMap, k: int, kind: str) -> MultiplePointComplex:
         products[(delta, combo)] = ProductRecord(
             delta, combo, ids, tuple(sorted(ids)), sort_sign(ids)
         )
-    return MultiplePointComplex(kind, k, f, complex_, vertex_tuples, products)
+    return MultiplePointComplex(kind, k, f, complex_, vertex_tuples, products, below)
 
 
 class Tower:
-    """Cache of the W^k / D^k complexes of one simplicial map."""
+    """The W^k / D^k complexes of one simplicial map, each built once.
+
+    Functions that read several multiplicities of one map take a tower, so
+    they share its spaces; building W^k or D^k builds the spaces below it.
+    """
 
     def __init__(self, f: SimplicialMap):
         if not f.valid:
@@ -176,9 +186,8 @@ class Tower:
     def _get(self, kind, k):
         key = (kind, k)
         if key not in self._cache:
-            mpc = _build(self.f, k, kind)
-            mpc.tower = self
-            self._cache[key] = mpc
+            below = self._get(kind, k - 1) if k > 1 else None
+            self._cache[key] = _build(self.f, k, kind, below)
         return self._cache[key]
 
     def k_max(self) -> int:
@@ -200,28 +209,17 @@ def build_D(f: SimplicialMap, k: int) -> MultiplePointComplex:
 
 
 def projection_eps(Z: MultiplePointComplex, i: int) -> SimplicialMap:
-    """The simplicial projection forgetting the i-th slot (1-based)."""
-    k = Z.k
-    if not 1 <= i <= k:
-        raise InvalidIndex(f"slot {i} outside 1..{k}")
-    if k == 1:
+    """The simplicial projection forgetting the i-th slot (1-based) onto the
+    space one multiplicity down; built once per slot and kept on Z."""
+    if not 1 <= i <= Z.k:
+        raise InvalidIndex(f"slot {i} outside 1..{Z.k}")
+    if Z.k == 1:
         return Z.f  # the convention epsilon^1 = f
-    tower = Z.tower
-    if k == 2:
-        target_complex = Z.f.source
-        target_index = None
-    else:
-        target = tower.W(k - 1) if Z.kind == "W" else tower.D(k - 1)
-        target_complex = target.complex
-        target_index = target.tuple_index
-    vmap = {}
-    for v, t in enumerate(Z.vertex_tuples):
-        dropped = t[: i - 1] + t[i:]
-        if k == 2:
-            vmap[v] = dropped[0]
-        else:
-            vmap[v] = target_index[dropped]
-    return SimplicialMap(Z.complex, target_complex, vmap)
+    if i not in Z.eps:
+        index = Z.below.tuple_index
+        vmap = {v: index[t[: i - 1] + t[i:]] for v, t in enumerate(Z.vertex_tuples)}
+        Z.eps[i] = SimplicialMap(Z.complex, Z.below.complex, vmap)
+    return Z.eps[i]
 
 
 def fk_map(Z: MultiplePointComplex) -> SimplicialMap:

@@ -55,18 +55,24 @@ class DoubleComplex:
 
     ``ranks[(p, q)]`` are the cell ranks; ``d_h[(p, q)]`` maps cell (p, q) to
     (p, q-1) for q >= 1 and ``d_v[(p, q)]`` maps it to (p-1, q) for p >= 1.
+    ``tower`` is the tower of the map the grid was built from, if any: the
+    map, the dimension of Y and the largest multiplicity are read off it.
     """
 
-    def __init__(self, kind, p_max, q_max, ranks, d_h, d_v, meta=None, check=True):
+    def __init__(self, kind, p_max, q_max, ranks, d_h, d_v, tower=None, check=True):
         self.kind = kind
         self.p_max = p_max
         self.q_max = q_max
         self._ranks = dict(ranks)
         self._d_h = dict(d_h)
         self._d_v = dict(d_v)
-        self.meta = meta or {}
+        self.tower = tower
         if check:
             self.verify_identities()
+
+    @property
+    def dim_y(self) -> int:
+        return self.tower.f.target.dim if self.tower is not None else self.q_max
 
     def rank(self, p, q) -> int:
         if 0 <= p <= self.p_max and 0 <= q <= self.q_max:
@@ -97,19 +103,20 @@ class DoubleComplex:
                         raise NotAComplex(f"differentials do not anticommute at {(p, q)}")
 
 
-def build_double(f: SimplicialMap, kind: str, p_max=None, q_max=None) -> DoubleComplex:
-    """Assemble the W-chain ("W") or alternating D-chain ("Alt") double complex.
+def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleComplex:
+    """Assemble the W-chain ("W") or alternating D-chain ("Alt") double complex
+    of the map ``tower.f`` from the spaces of its tower.
 
     Defaults: q_max is the dimension of Y; p_max is the largest multiplicity
     with a nonempty distinct-lift space (mandatory for kind "Alt", where the
-    grid is zero beyond it anyway).
+    grid is zero beyond it anyway).  A negative bound raises DegreeOutOfRange.
     """
-    tower = Tower(f)
-    dim_y = f.target.dim
     if q_max is None:
-        q_max = dim_y
+        q_max = tower.f.target.dim
     if p_max is None:
         p_max = tower.k_max() - 1
+    if p_max < 0 or q_max < 0:
+        raise DegreeOutOfRange(f"grid bounds p_max={p_max}, q_max={q_max} must be >= 0")
     ranks, d_h, d_v = {}, {}, {}
     if kind == "W":
         for p in range(p_max + 1):
@@ -135,14 +142,7 @@ def build_double(f: SimplicialMap, kind: str, p_max=None, q_max=None) -> DoubleC
                     d_v[(p, q)] = alt_veps_matrix(bases[(p, q)], bases[(p - 1, q)])
     else:
         raise ValueError(f"unknown double complex kind {kind!r}")
-    meta = {
-        "f": f,
-        "tower": tower,
-        "kind": kind,
-        "dim_y": dim_y,
-        "k_max": tower.k_max(),
-    }
-    return DoubleComplex(kind, p_max, q_max, ranks, d_h, d_v, meta=meta)
+    return DoubleComplex(kind, p_max, q_max, ranks, d_h, d_v, tower=tower)
 
 
 @dataclass(frozen=True)
@@ -397,13 +397,11 @@ class SpectralSequence:
     def level_complete(self, m: int) -> bool:
         """All cells of total degree m that could be nonzero lie in the grid."""
         dc = self.dc
-        dim_y = dc.meta.get("dim_y", dc.q_max)
-        k_max = dc.meta.get("k_max")
         for p in range(m + 1):
             q = m - p
-            if q > dim_y:
+            if q > dc.dim_y:
                 continue
-            if dc.kind == "Alt" and k_max is not None and p > k_max - 1:
+            if dc.kind == "Alt" and dc.tower is not None and p > dc.tower.k_max() - 1:
                 continue
             if p > dc.p_max or q > dc.q_max:
                 return False
@@ -439,9 +437,8 @@ class SpectralSequence:
             graded.append((cell, gr))
             infinity.append((cell, self.page_group(self._stable_r(n), s, n - s)))
         total = homology_pair(self.D(n), self.D(n + 1))
-        f = dc.meta.get("f")
-        if f is not None and 0 <= n <= f.target.dim:
-            target = homology_of_complex(f.target, n)
+        if dc.tower is not None and 0 <= n <= dc.dim_y:
+            target = homology_of_complex(dc.tower.f.target, n)
         else:
             target = HomologyGroup(0)
         return DegreeReport(
@@ -461,7 +458,7 @@ def icss(f: SimplicialMap, q_max=None) -> SpectralSequence:
     """Column-filtered spectral sequence of the alternating D-chain double
     complex; page one is the alternating homology of the distinct-point
     spaces and the limit is the homology of Y."""
-    dc = build_double(f, "Alt", q_max=q_max)
+    dc = build_double(Tower(f), "Alt", q_max=q_max)
     return SpectralSequence(dc, "columns")
 
 
@@ -473,22 +470,19 @@ def gvzss(f: SimplicialMap, q_max=None) -> SpectralSequence:
     """
     if q_max is None:
         q_max = f.target.dim
-    dc = build_double(f, "W", p_max=q_max + 2, q_max=q_max)
+    dc = build_double(Tower(f), "W", p_max=q_max + 2, q_max=q_max)
     return SpectralSequence(dc, "columns")
 
 
-def first_ss(f: SimplicialMap, kind: str = "Alt") -> SpectralSequence:
+def first_ss(tower: Tower, kind: str = "Alt") -> SpectralSequence:
     """Row-filtered (collapsing) spectral sequence of the same double complex.
 
     The W-chain grid has nonzero columns at every multiplicity, so it is cut
     high enough that every total degree up to the dimension of Y is fully
     supported; the alternating grid is finite on its own.
     """
-    if kind == "W":
-        dc = build_double(f, kind, p_max=f.target.dim + 2)
-    else:
-        dc = build_double(f, kind)
-    return SpectralSequence(dc, "rows")
+    p_max = tower.f.target.dim + 2 if kind == "W" else None
+    return SpectralSequence(build_double(tower, kind, p_max=p_max), "rows")
 
 
 @dataclass(frozen=True)
@@ -503,22 +497,24 @@ class CollapseReport:
         return self.vanishing_above_bottom and self.bottom_matches_target and self.stabilized
 
 
-def check_collapse_first(f: SimplicialMap, kind: str = "Alt", dc=None) -> CollapseReport:
+def check_collapse_first(ss: SpectralSequence) -> CollapseReport:
     """The row filtration degenerates: page one lives on the bottom row and
     page two there is already the homology of Y.
 
-    A prebuilt double complex may be passed in (used by the negative-control
-    tests to confirm that a corrupted cell is flagged).
+    ``ss`` is a row-filtered sequence (``first_ss``) whose double complex
+    carries the tower of its map; the kind is that of the double complex.
     """
-    ss = SpectralSequence(dc, "rows") if dc is not None else first_ss(f, kind)
+    if ss.filtration != "rows":
+        raise ValueError("the collapse check reads the row filtration")
     dc = ss.dc
+    target_complex = dc.tower.f.target
     vanish = True
     bottom = True
     stable = True
     details = []
     for q in range(dc.q_max + 1):
         for p in range(dc.p_max + 1):
-            if kind == "W" and p == dc.p_max:
+            if dc.kind == "W" and p == dc.p_max:
                 # the cut column of the W grid has no incoming transfer, so
                 # its vertical homology is not the page-one value there
                 continue
@@ -528,8 +524,8 @@ def check_collapse_first(f: SimplicialMap, kind: str = "Alt", dc=None) -> Collap
                 details.append(("page1-nonzero", p, q, str(g1)))
         g2 = ss.page_group(2, q, 0)
         target = (
-            homology_of_complex(f.target, q)
-            if 0 <= q <= f.target.dim
+            homology_of_complex(target_complex, q)
+            if q <= target_complex.dim
             else HomologyGroup(0)
         )
         if g2 != target:
@@ -562,7 +558,7 @@ class SpectralSequenceReport:
 def make_report(ss: SpectralSequence, kind_name: str, n_max=None) -> SpectralSequenceReport:
     dc = ss.dc
     if n_max is None:
-        n_max = dc.meta.get("dim_y", dc.q_max)
+        n_max = dc.dim_y
     pages = []
     cross_ok = True
     for p in range(dc.p_max + 1):
@@ -602,7 +598,7 @@ def gvzss_report(f: SimplicialMap, q_max=None, n_max=None) -> SpectralSequenceRe
 def page_one_oracle(ss: SpectralSequence, p: int, q: int) -> HomologyGroup:
     """Independent page-one value: homology (alternating homology for the
     D-chain kind) of the multiplicity p+1 space in degree q."""
-    tower = ss.dc.meta["tower"]
+    tower = ss.dc.tower
     if ss.dc.kind == "Alt":
         return alternating_homology(tower.D(p + 1), q)
     Z = tower.W(p + 1)

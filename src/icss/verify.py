@@ -67,16 +67,17 @@ def _subgroups_equal(A_cols: IntMatrix, B_cols: IntMatrix) -> bool:
     return Subgroup(rows, A_cols) == Subgroup(rows, B_cols)
 
 
-def check_W_row_exact(f: SimplicialMap, n: int, k_cap=None) -> VerificationReport:
-    """Exactness of the multiplicity row of degree-n W-chains augmented by
-    the chains of Y, with explicit contracting homotopies.
+def check_W_row_exact(tower: Tower, n: int, k_cap=None) -> VerificationReport:
+    """Exactness of the multiplicity row of degree-n W-chains of the map
+    ``tower.f`` augmented by the chains of Y, with explicit contracting
+    homotopies.
 
     Chains of a fixed degree split over the Y-simplex underneath, so the row
     is checked block by block in tuple coordinates; the blocks are tied back
     to the honest chain-level transfer matrices at low multiplicity.
     """
     rep = VerificationReport(f"W-row-exact n={n}")
-    tower = Tower(f)
+    f = tower.f
     if k_cap is None:
         k_cap = min(tower.k_max() + 1, 3)
     for delta in f.target.simplices(n):
@@ -120,7 +121,7 @@ def check_W_row_exact(f: SimplicialMap, n: int, k_cap=None) -> VerificationRepor
                 hom = rhos[k + 1] @ S[k] + S[k - 1] @ rhos[k]
                 if hom != IntMatrix.identity(len(combos[k])):
                     rep.fail("homotopy-not-contracting", delta, t, k)
-    _tie_to_chain_level(rep, f, tower, n, min(k_cap, 3))
+    _tie_to_chain_level(rep, tower, n, min(k_cap, 3))
     return rep
 
 
@@ -132,21 +133,18 @@ def _prepend_matrix(combos_k, combos_next, t) -> IntMatrix:
     return M
 
 
-def _tie_to_chain_level(rep, f, tower, n, k_top):
+def _tie_to_chain_level(rep, tower, n, k_top):
     """The tuple-coordinate blocks assemble to the real transfer matrices:
     conjugating by the listing parities must reproduce rho on raw chains."""
+    f = tower.f
     for k in range(1, k_top + 1):
         Zk = tower.W(k)
-        R_src = _listing_to_raw(tower, "W", k, n, f)
+        R_src = _listing_to_raw(Zk, n)
         if k == 1:
-            tgt_rows = f.target.n_simplices(n)
-            R_tgt = IntMatrix.identity(tgt_rows)
-            listing = _global_listing_rho(f, tower, n, 1)
+            R_tgt = IntMatrix.identity(f.target.n_simplices(n))
         else:
-            R_tgt = _listing_to_raw(tower, "W", k - 1, n, f)
-            listing = _global_listing_rho(f, tower, n, k)
-        raw = rho_matrix(Zk, n)
-        if raw @ R_src != R_tgt @ listing:
+            R_tgt = _listing_to_raw(Zk.below, n)
+        if rho_matrix(Zk, n) @ R_src != R_tgt @ _global_listing_rho(f, n, k):
             rep.fail("listing-model-mismatch", k)
     # kernel of the augmentation is exactly the image of the first transfer
     A = pushforward_matrix(f, n)
@@ -155,7 +153,7 @@ def _tie_to_chain_level(rep, f, tower, n, k_top):
         rep.fail("global-kernel-image")
 
 
-def _global_listing_rho(f, tower, n, k) -> IntMatrix:
+def _global_listing_rho(f, n, k) -> IntMatrix:
     """Block diagonal of the per-simplex tuple-coordinate transfers."""
     src_cols, tgt_rows = [], []
     blocks = []
@@ -163,7 +161,7 @@ def _global_listing_rho(f, tower, n, k) -> IntMatrix:
         lifts = ordered_lifts(f, delta)
         ck = list(iproduct(lifts, repeat=k))
         cprev = list(iproduct(lifts, repeat=k - 1)) if k >= 2 else [()]
-        blocks.append(_rho_listing(ck, cprev, k) if k >= 2 else _rho_listing(ck, [()], 1))
+        blocks.append(_rho_listing(ck, cprev, k))
         src_cols.append(len(ck))
         tgt_rows.append(len(cprev))
     M = IntMatrix(sum(tgt_rows), sum(src_cols))
@@ -177,13 +175,12 @@ def _global_listing_rho(f, tower, n, k) -> IntMatrix:
     return M
 
 
-def _listing_to_raw(tower, kind, k, n, f) -> IntMatrix:
-    """Signed bijection from per-simplex tuple coordinates to raw chains."""
-    Z = tower.W(k) if kind == "W" else tower.D(k)
+def _listing_to_raw(Z, n) -> IntMatrix:
+    """Signed bijection from per-simplex tuple coordinates to raw W-chains."""
     cols = []
-    for delta in f.target.simplices(n):
-        lifts = ordered_lifts(f, delta)
-        for T in iproduct(lifts, repeat=k):
+    for delta in Z.f.target.simplices(n):
+        lifts = ordered_lifts(Z.f, delta)
+        for T in iproduct(lifts, repeat=Z.k):
             rec = Z.products[(delta, T)]
             v = [0] * Z.n_simplices(n)
             v[Z.index(rec.canonical)] = rec.sign
@@ -204,8 +201,9 @@ def _std_boundary(N: int, k: int) -> IntMatrix:
     return M
 
 
-def check_D_row_exact(f: SimplicialMap, n: int) -> VerificationReport:
-    """Exactness of the alternating multiplicity row of degree-n chains.
+def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
+    """Exactness of the alternating multiplicity row of degree-n chains of
+    the map ``tower.f``.
 
     Over a Y-simplex with N lifts the alternating generators in multiplicity
     k biject with k-subsets, and the signed vertical transfer is carried to
@@ -213,7 +211,7 @@ def check_D_row_exact(f: SimplicialMap, n: int) -> VerificationReport:
     That boundary complex is acyclic, which is the exactness statement.
     """
     rep = VerificationReport(f"D-row-exact n={n}")
-    tower = Tower(f)
+    f = tower.f
     N_max = tower.k_max()
     bases = {k: AltBasis(tower.D(k), n) for k in range(1, N_max + 1)}
     eps_alt = {
@@ -269,14 +267,15 @@ def check_D_row_exact(f: SimplicialMap, n: int) -> VerificationReport:
 
 
 def check_D2_kernel(
-    f: SimplicialMap, n: int, samples: int = 100, seed: int = 0
+    tower: Tower, n: int, samples: int = 100, seed: int = 0
 ) -> VerificationReport:
-    """The alternating double-point chains project onto exactly the kernel
-    of the induced map on degree-n chains, with the constructive reduction:
-    any kernel element is brought to zero by subtracting projected
-    alternating pair generators, strictly shrinking the coefficient norm."""
+    """The alternating double-point chains of the map ``tower.f`` project onto
+    exactly the kernel of the induced map on degree-n chains, with the
+    constructive reduction: any kernel element is brought to zero by
+    subtracting projected alternating pair generators, strictly shrinking the
+    coefficient norm."""
     rep = VerificationReport(f"D2-kernel n={n}")
-    tower = Tower(f)
+    f = tower.f
     D2 = tower.D(2)
     basis = AltBasis(D2, n)
     A = pushforward_matrix(f, n)
@@ -334,11 +333,11 @@ def check_D2_kernel(
     return rep
 
 
-def check_houston(f: SimplicialMap, k: int, n: int) -> VerificationReport:
+def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
     """Alternating homology agrees between the k-fold fibre product and the
-    distinct-point space, and the inclusion induces the identification."""
+    distinct-point space of the map ``tower.f``, and the inclusion induces the
+    identification."""
     rep = VerificationReport(f"houston k={k} n={n}")
-    tower = Tower(f)
     W, D = tower.W(k), tower.D(k)
     ah_w = alternating_homology_kernel(W, n)
     ah_d = alternating_homology(D, n)
@@ -362,9 +361,10 @@ def check_houston(f: SimplicialMap, k: int, n: int) -> VerificationReport:
 
 
 def run_all(f: SimplicialMap, n_max: int = 2, seed: int = 0) -> list:
-    """Every structural check, plus collapse and cohomology round-trips."""
+    """Every structural check, plus collapse and cohomology round-trips, all
+    reading one tower of f."""
     from .cohomology import alt_star_matrix, theta_matrix
-    from .spectral import check_collapse_first
+    from .spectral import check_collapse_first, first_ss
 
     reports = []
     if not f.valid:
@@ -374,14 +374,14 @@ def run_all(f: SimplicialMap, n_max: int = 2, seed: int = 0) -> list:
     tower = Tower(f)
     top = min(n_max, f.target.dim)
     for n in range(top + 1):
-        reports.append(check_W_row_exact(f, n))
-        reports.append(check_D_row_exact(f, n))
-        reports.append(check_D2_kernel(f, n, samples=25, seed=seed))
+        reports.append(check_W_row_exact(tower, n))
+        reports.append(check_D_row_exact(tower, n))
+        reports.append(check_D2_kernel(tower, n, samples=25, seed=seed))
     for k in range(1, tower.k_max() + 1):
         for n in range(top + 1):
-            reports.append(check_houston(f, k, n))
+            reports.append(check_houston(tower, k, n))
     for kind in ("Alt", "W"):
-        cr = check_collapse_first(f, kind)
+        cr = check_collapse_first(first_ss(tower, kind))
         rep = VerificationReport(f"collapse-first {kind}")
         if not cr.ok:
             rep.fail("collapse", cr.details[:5])

@@ -25,6 +25,7 @@ from icss.spectral import (
     SpectralSequence,
     build_double,
     check_collapse_first,
+    first_ss,
     gvzss_report,
     icss,
     icss_report,
@@ -133,7 +134,7 @@ def test_criterion_4_first_sequence_collapse(capsys):
     def body():
         for name, f in named_maps():
             for kind in ("Alt", "W"):
-                report = check_collapse_first(f, kind)
+                report = check_collapse_first(first_ss(Tower(f), kind))
                 assert report.vanishing_above_bottom, (name, kind, report.details)
                 assert report.bottom_matches_target, (name, kind, report.details)
                 assert report.stabilized, (name, kind, report.details)
@@ -148,9 +149,9 @@ def test_criterion_5_row_exactness(capsys):
         ]
         for name, f in subjects:
             for n in range(min(2, f.target.dim) + 1):
-                rep_w = check_W_row_exact(f, n)
+                rep_w = check_W_row_exact(Tower(f), n)
                 assert rep_w.passed, (name, n, rep_w.details)
-                rep_d = check_D_row_exact(f, n)
+                rep_d = check_D_row_exact(Tower(f), n)
                 assert rep_d.passed, (name, n, rep_d.details)
 
     criterion(capsys, 5, "exact rows with explicit homotopies", body)
@@ -160,7 +161,7 @@ def test_criterion_6_double_point_kernel(capsys):
     def body():
         for name, f in named_maps():
             for n in range(min(2, f.target.dim) + 1):
-                rep = check_D2_kernel(f, n, samples=100, seed=0)
+                rep = check_D2_kernel(Tower(f), n, samples=100, seed=0)
                 assert rep.passed, (name, n, rep.details)
 
     criterion(capsys, 6, "double points project onto the chain kernel", body)
@@ -172,7 +173,7 @@ def test_criterion_7_houston(capsys):
             tower = Tower(f)
             for k in range(1, tower.k_max() + 1):
                 for n in range(min(2, f.target.dim) + 1):
-                    rep = check_houston(f, k, n)
+                    rep = check_houston(tower, k, n)
                     assert rep.passed, (name, k, n, rep.details)
 
     criterion(capsys, 7, "alternating homology agrees on W and D", body)
@@ -220,7 +221,7 @@ def test_criterion_9_engine_postconditions(capsys):
         assert time.monotonic() - start < 30.0
         for name, f in named_maps():
             for kind in ("Alt", "W"):
-                dc = build_double(f, kind, p_max=2)
+                dc = build_double(Tower(f), kind, p_max=2)
                 dc.verify_identities()
                 ss = SpectralSequence(dc, "columns")
                 for deg in range(1, ss.n_top + 1):

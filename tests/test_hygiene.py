@@ -1,9 +1,12 @@
-"""Static checks on the package source: no unused imports, no asserts.
+"""Static checks on the package source: no unused imports, no asserts, and
+one tower per map-level call.
 
 An ``assert`` vanishes under ``python -O``, so internal invariants raise
 typed errors instead.  The scan is a plain AST walk because no linter is a
 dependency of the project.  ``__init__.py`` is skipped for unused imports,
-since its imports are the public re-exports.
+since its imports are the public re-exports.  A ``Tower`` is built only by
+the map-level entry points, which hand it down, and no space points back at
+its tower, so a dropped tower is freed without the cycle collector.
 """
 
 import ast
@@ -55,3 +58,39 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+# the functions that take a map and build the one tower of the call
+TOWER_OWNERS = {"icss", "gvzss", "run_all", "cmd_build", "build_W", "build_D"}
+
+
+def tower_misuse(tree) -> list:
+    """``Tower(...)`` outside TOWER_OWNERS, and any ``.tower`` assignment
+    other than ``self.tower`` on a DoubleComplex."""
+    found = []
+
+    def visit(node, func, cls):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        elif isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name == "Tower" and func not in TOWER_OWNERS:
+                found.append(f"{node.lineno}: Tower() in {func}")
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+            if node.attr == "tower" and not (on_self and cls == "DoubleComplex"):
+                found.append(f"{node.lineno}: .tower assigned in {func}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, cls)
+
+    visit(tree, None, None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_tower_per_call(path):
+    misuse = tower_misuse(ast.parse(path.read_text()))
+    assert not misuse, f"{path.name} builds or attaches towers: {misuse}"

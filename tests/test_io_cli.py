@@ -172,3 +172,12 @@ def test_cli_output_is_deterministic(tmp_path, capsys, fold):
         assert main(["--format", "json", "icss", path]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["icss", "gvzss", "homology"])
+def test_cli_negative_q_max_exits_2(tmp_path, capsys, fold, command):
+    path = write_doc(tmp_path, fold_text(fold))
+    assert main([command, path, "--q-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "-1 must be >= 0" in captured.err

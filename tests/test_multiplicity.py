@@ -184,3 +184,34 @@ def test_bar_sigma_fixes_slot():
     for j in (1, 2, 3):
         bar = bar_sigma(sigma, j, 3)
         assert bar.perm[j - 1] == j - 1
+
+
+def test_dropped_tower_is_freed_by_reference_counting(disc_to_rp2):
+    import gc
+    import weakref
+
+    from icss.alternating import rho_matrix
+
+    gc.disable()
+    try:
+        tower = Tower(disc_to_rp2)
+        tower.W(2)
+        tower.D(2)
+        rho_matrix(tower.W(3), 1)
+        ref = weakref.ref(tower.W(2).complex)
+        del tower
+        assert ref() is None  # no reference cycle keeps the spaces alive
+    finally:
+        gc.enable()
+
+
+def test_projections_are_kept_and_drop_one_slot(deep_map):
+    tower = Tower(deep_map)
+    D3, D2 = tower.D(3), tower.D(2)
+    for i in (1, 2, 3):
+        eps = projection_eps(D3, i)
+        assert projection_eps(D3, i) is eps
+        assert eps.source is D3.complex and eps.target is D2.complex
+        for v, t in enumerate(D3.vertex_tuples):
+            dropped = tuple(x for slot, x in enumerate(t) if slot != i - 1)
+            assert D2.vertex_tuples[eps.vertex_map[v]] == dropped

@@ -3,6 +3,7 @@ import pytest
 from icss.complexes import homology_of_complex
 from icss.errors import NotAComplex, TruncationInsufficient
 from icss.intlinalg import HomologyGroup
+from icss.multiplicity import Tower
 from icss.spectral import (
     DoubleComplex,
     SpectralSequence,
@@ -24,34 +25,34 @@ def ranks_by_column(dc):
 
 
 def test_build_double_fold_W(fold):
-    dc = build_double(fold, "W", p_max=1)
+    dc = build_double(Tower(fold), "W", p_max=1)
     assert (dc.p_max, dc.q_max) == (1, 1)
     assert ranks_by_column(dc) == {0: [3, 2], 1: [5, 4]}
 
 
 def test_build_double_double_cover_alt(double_cover):
-    dc = build_double(double_cover, "Alt", p_max=2)
+    dc = build_double(Tower(double_cover), "Alt", p_max=2)
     assert ranks_by_column(dc) == {0: [2], 1: [1], 2: [0]}
 
 
 def test_build_double_identity(identity_map):
-    dc = build_double(identity_map, "Alt")
+    dc = build_double(Tower(identity_map), "Alt")
     assert dc.p_max == 0
     assert ranks_by_column(dc) == {0: [3, 3]}
     # the multiplicity-two column of the distinct-point grid is genuinely zero
-    dc2 = build_double(identity_map, "Alt", p_max=1)
+    dc2 = build_double(Tower(identity_map), "Alt", p_max=1)
     assert dc2.rank(1, 0) == 0 and dc2.d_v(1, 0).is_zero()
 
 
 def test_double_complex_identities(maps):
     for name, f in maps.items():
         for kind in ("Alt", "W"):
-            dc = build_double(f, kind, p_max=2)
+            dc = build_double(Tower(f), kind, p_max=2)
             dc.verify_identities()  # raises on failure
 
 
 def test_corrupted_cell_is_rejected(fold):
-    dc = build_double(fold, "Alt")
+    dc = build_double(Tower(fold), "Alt")
     d_v = {k: v.copy() for k, v in dc._d_v.items()}
     d_v[(1, 1)].data[0][0] += 1
     with pytest.raises(NotAComplex):
@@ -59,22 +60,27 @@ def test_corrupted_cell_is_rejected(fold):
 
 
 def test_corrupted_cell_breaks_collapse(fold):
-    dc = build_double(fold, "Alt")
+    dc = build_double(Tower(fold), "Alt")
     # severing every vertical transfer still satisfies the complex identities
     # but destroys the collapse, and the checker must notice
     d_v = {k: v.scaled(0) for k, v in dc._d_v.items()}
     bad = DoubleComplex(
-        "Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v, meta=dc.meta, check=False
+        "Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v, tower=dc.tower, check=False
     )
-    report = check_collapse_first(fold, "Alt", dc=bad)
+    report = check_collapse_first(SpectralSequence(bad, "rows"))
     assert not report.ok
-    assert not check_collapse_first(fold, "Alt").details  # the honest one passes
+    assert not check_collapse_first(first_ss(Tower(fold), "Alt")).details  # the honest one passes
+
+
+def test_collapse_check_needs_the_row_filtration(fold):
+    with pytest.raises(ValueError):
+        check_collapse_first(icss(fold))
 
 
 def test_first_sequence_collapses(maps):
     for name, f in maps.items():
         for kind in ("Alt", "W"):
-            report = check_collapse_first(f, kind)
+            report = check_collapse_first(first_ss(Tower(f), kind))
             assert report.ok, (name, kind, report.details)
 
 
@@ -139,7 +145,7 @@ def test_gvzss_truncation_stability(fold, figure_eight):
         for n in range(f.target.dim + 1):
             groups = []
             for p_max in (n + 2, n + 3):
-                dc = build_double(f, "W", p_max=p_max, q_max=f.target.dim)
+                dc = build_double(Tower(f), "W", p_max=p_max, q_max=f.target.dim)
                 ss = SpectralSequence(dc, "columns")
                 groups.append(ss.homology_total(n))
             assert groups[0] == groups[1]
@@ -147,7 +153,7 @@ def test_gvzss_truncation_stability(fold, figure_eight):
 
 
 def test_truncation_insufficient(fold):
-    dc = build_double(fold, "W", p_max=0, q_max=1)
+    dc = build_double(Tower(fold), "W", p_max=0, q_max=1)
     ss = SpectralSequence(dc, "columns")
     with pytest.raises(TruncationInsufficient):
         ss.homology_total(1)
@@ -164,7 +170,7 @@ def test_reports_converge(fold, disc_to_rp2):
 
 def test_row_filtration_page_one_bottom_row(fold):
     """Under the row filtration the bottom-row page two is H_*(Y)."""
-    ss = first_ss(fold, "Alt")
+    ss = first_ss(Tower(fold), "Alt")
     for q in range(fold.target.dim + 1):
         assert ss.page_group(2, q, 0) == homology_of_complex(fold.target, q)
 

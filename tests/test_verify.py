@@ -12,27 +12,27 @@ from icss.verify import (
 def test_w_row_exact(maps):
     for name, f in maps.items():
         for n in range(f.target.dim + 1):
-            rep = check_W_row_exact(f, n)
+            rep = check_W_row_exact(Tower(f), n)
             assert rep.passed, (name, n, rep.details)
 
 
 def test_d_row_exact(maps):
     for name, f in maps.items():
         for n in range(f.target.dim + 1):
-            rep = check_D_row_exact(f, n)
+            rep = check_D_row_exact(Tower(f), n)
             assert rep.passed, (name, n, rep.details)
 
 
 def test_rows_exact_on_deeper_fibres(deep_map):
     for n in range(min(deep_map.target.dim, 1) + 1):
-        assert check_W_row_exact(deep_map, n).passed
-        assert check_D_row_exact(deep_map, n).passed
+        assert check_W_row_exact(Tower(deep_map), n).passed
+        assert check_D_row_exact(Tower(deep_map), n).passed
 
 
 def test_d2_kernel(maps):
     for name, f in maps.items():
         for n in range(f.target.dim + 1):
-            rep = check_D2_kernel(f, n, samples=20, seed=1)
+            rep = check_D2_kernel(Tower(f), n, samples=20, seed=1)
             assert rep.passed, (name, n, rep.details)
 
 
@@ -41,7 +41,7 @@ def test_houston(maps):
         tower = Tower(f)
         for k in range(1, tower.k_max() + 1):
             for n in range(f.target.dim + 1):
-                rep = check_houston(f, k, n)
+                rep = check_houston(tower, k, n)
                 assert rep.passed, (name, k, n, rep.details)
 
 
@@ -63,3 +63,20 @@ def test_run_all_gates_on_validity():
     reports = run_all(f)
     assert len(reports) == 1
     assert reports[0].name == "validate" and not reports[0].passed
+
+
+def test_run_all_builds_each_space_once(disc_to_rp2, monkeypatch):
+    from collections import Counter
+
+    import icss.multiplicity as multiplicity
+
+    built = Counter()
+    real = multiplicity._build
+
+    def counting(f, k, kind, *rest):
+        built[(kind, k)] += 1
+        return real(f, k, kind, *rest)
+
+    monkeypatch.setattr(multiplicity, "_build", counting)
+    assert all(r.passed for r in run_all(disc_to_rp2))
+    assert built and max(built.values()) == 1, built
