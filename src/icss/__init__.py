@@ -2,24 +2,15 @@
 sequences computing the homology of their images, over the integers."""
 
 from .complexes import (
-    Chain,
     SimplicialComplex,
     SimplicialMap,
-    boundary_chain,
     boundary_matrix,
     build_complex,
     homology_of_complex,
-    pushforward,
     pushforward_matrix,
     validate_map,
 )
-from .alternating import (
-    AltBasis,
-    alt_Z,
-    alternating_homology,
-    alternating_homology_kernel,
-    is_alternating,
-)
+from .alternating import AltBasis, alternating_homology, alternating_homology_kernel
 from .cohomology import (
     alt_star_matrix,
     alternating_cochain_homology,
@@ -47,7 +38,6 @@ from .multiplicity import (
     Tower,
     build_D,
     build_W,
-    fk_map,
     ordered_lifts,
     projection_eps,
 )
@@ -70,4 +60,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

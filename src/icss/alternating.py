@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Chain, boundary_matrix, pushforward_matrix
+from .complexes import boundary_matrix, pushforward_matrix
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
 from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, restrict
 from .multiplicity import (
@@ -21,26 +21,8 @@ from .multiplicity import (
     SkElement,
     ordered_lifts,
     projection_eps,
-    sk_act,
     sk_matrix,
 )
-
-
-def alt_Z(c: Chain, Z: MultiplePointComplex) -> Chain:
-    """Alternation: the signed sum of all slot permutations of c."""
-    out = Chain.zero(c.complex, c.degree)
-    for sigma in SkElement.all(Z.k):
-        out = out + sk_act(sigma, c, Z).scaled(sigma.sign)
-    return out
-
-
-def is_alternating(c: Chain, Z: MultiplePointComplex) -> bool:
-    """Adjacent slot swaps generate, so checking them suffices."""
-    for i in range(Z.k - 1):
-        sigma = SkElement.transposition(Z.k, i, i + 1)
-        if sk_act(sigma, c, Z) != c.scaled(-1):
-            return False
-    return True
 
 
 def alternating_kernel(Z: MultiplePointComplex, n: int) -> IntMatrix:
@@ -122,18 +104,6 @@ class AltBasis:
         if self.to_raw_matrix @ A != R:
             raise NotAlternating("a column is not an alternating chain")
         return A
-
-    def alt_to_raw(self, a) -> list:
-        return self.to_raw_matrix.mul_vec(a)
-
-    def raw_to_alt(self, vec) -> list:
-        """Coordinates of an alternating raw vector; raises otherwise."""
-        return self.coordinates(IntMatrix.from_columns([vec])).column(0)
-
-    def chain(self, idx: int) -> Chain:
-        a = [0] * self.n_gens
-        a[idx] = 1
-        return Chain.from_vector(self.Z.complex, self.n, self.alt_to_raw(a))
 
 
 def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:

@@ -11,11 +11,10 @@ representatives the other.
 
 from __future__ import annotations
 
-from .alternating import AltBasis, alt_Z, alt_differentials, alternating_kernel
-from .complexes import Chain, boundary_matrix
-from .errors import NotAlternating
+from .alternating import AltBasis, alt_differentials, alternating_kernel
+from .complexes import boundary_matrix, sort_sign
 from .intlinalg import HomologyGroup, IntMatrix, homology_pair, restrict
-from .multiplicity import MultiplePointComplex, SkElement, sk_matrix
+from .multiplicity import MultiplePointComplex
 
 
 def dualize(diffs: list) -> list:
@@ -35,13 +34,19 @@ def alt_star_matrix(basis: AltBasis) -> IntMatrix:
     alternating basis becomes an alternating functional on raw chains.
 
     Returns the raw_rank x basis_rank matrix applied to coordinate vectors
-    of such functionals.
+    of such functionals.  Alternating the product simplex of the lifts L
+    gives the generator of sorted(L), up to the listing parity and the sign
+    of the sort, so each product record over a degree-n Y-simplex fills one
+    entry and every other raw simplex alternates to zero.
     """
     Z, n = basis.Z, basis.n
-    cols = [alt_Z(Chain(Z.complex, n, {s: 1}), Z).to_vector() for s in Z.simplices(n)]
-    # coords of Alt on each raw generator
-    T = basis.coordinates(IntMatrix.from_columns(cols, rows=Z.n_simplices(n)))
-    return T.transpose()
+    col = {(g.delta, g.lifts): j for j, g in enumerate(basis.gens)}
+    T = IntMatrix(Z.n_simplices(n), basis.n_gens)
+    for (delta, lifts), rec in Z.products.items():
+        if len(delta) == n + 1:
+            j = col[(delta, tuple(sorted(lifts)))]
+            T.data[Z.index(rec.canonical)][j] = rec.sign * sort_sign(lifts)
+    return T
 
 
 def theta_matrix(basis: AltBasis) -> IntMatrix:
@@ -50,50 +55,29 @@ def theta_matrix(basis: AltBasis) -> IntMatrix:
     return basis.selector()
 
 
-def is_alternating_cochain(Z: MultiplePointComplex, n: int, phi) -> bool:
-    """Adjacent slot swaps act on functionals by the transposed matrices."""
-    for i in range(Z.k - 1):
-        sigma = SkElement.transposition(Z.k, i, i + 1)
-        P = sk_matrix(Z, sigma, n)
-        if P.transpose().mul_vec(list(phi)) != [-x for x in phi]:
-            return False
-    return True
-
-
-def theta_apply(basis: AltBasis, phi) -> list:
-    """theta on a concrete functional; rejects non-alternating input."""
-    if not is_alternating_cochain(basis.Z, basis.n, phi):
-        raise NotAlternating("functional is not alternating")
-    return theta_matrix(basis).mul_vec(list(phi))
-
-
-def alternating_cochain_basis(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """Basis of the alternating functionals on raw degree-n chains.
-
-    The slot permutations act by signed involutions, so the transposed
-    conditions coincide with the chain-level ones.
-    """
-    return alternating_kernel(Z, n)
-
-
 def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
     """Degree-n cohomology of the alternating-cochain subcomplex of the
-    raw dual complex."""
+    raw dual complex.
+
+    The slot permutations act by signed involutions, so the transposed
+    swap conditions are the chain-level ones: ``alternating_kernel`` is
+    also a basis of the alternating functionals.
+    """
     if Z.dim < 0 or n > Z.dim:
         return HomologyGroup(0)
-    A_n = alternating_cochain_basis(Z, n)
+    A_n = alternating_kernel(Z, n)
     if n + 1 <= Z.dim:
         delta_n = restrict(
             boundary_matrix(Z.complex, n + 1).transpose(),
             A_n,
-            alternating_cochain_basis(Z, n + 1),
+            alternating_kernel(Z, n + 1),
         )
     else:
         delta_n = IntMatrix(0, A_n.cols)
     if n >= 1:
         delta_prev = restrict(
             boundary_matrix(Z.complex, n).transpose(),
-            alternating_cochain_basis(Z, n - 1),
+            alternating_kernel(Z, n - 1),
             A_n,
         )
     else:

@@ -1,4 +1,4 @@
-"""Abstract simplicial complexes, oriented chains, boundary maps and
+"""Abstract simplicial complexes, boundary and pushforward matrices and
 validated simplicial maps.
 
 Vertices are dense integer indices; the canonical representative of a
@@ -133,91 +133,6 @@ def build_complex(maximal_simplices, labels=None) -> SimplicialComplex:
     return SimplicialComplex(n_vertices, by_dim, labels=labels)
 
 
-class Chain:
-    """Sparse integer combination of canonical simplices in a fixed degree."""
-
-    __slots__ = ("complex", "degree", "terms")
-
-    def __init__(self, complex_, degree: int, terms=None):
-        self.complex = complex_
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for s, m in terms.items():
-                s = tuple(s)
-                if m == 0:
-                    continue
-                if len(s) - 1 != degree:
-                    raise InvalidSimplex(f"simplex {s!r} has wrong dimension")
-                if not complex_.has_simplex(s):
-                    raise ComplexMismatch(f"simplex {s!r} not in complex")
-                self.terms[s] = m
-
-    @staticmethod
-    def zero(complex_, degree: int) -> "Chain":
-        return Chain(complex_, degree)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        if self.degree != other.degree or (
-            self.complex is not other.complex and self.complex != other.complex
-        ):
-            raise ComplexMismatch("chain addition across complexes/degrees")
-        terms = dict(self.terms)
-        for s, m in other.terms.items():
-            terms[s] = terms.get(s, 0) + m
-        return Chain(self.complex, self.degree, terms)
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + other.scaled(-1)
-
-    def scaled(self, a: int) -> "Chain":
-        return Chain(self.complex, self.degree, {s: a * m for s, m in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def norm(self) -> int:
-        return sum(abs(m) for m in self.terms.values())
-
-    def to_vector(self) -> list:
-        basis = self.complex.simplices(self.degree)
-        v = [0] * len(basis)
-        for s, m in self.terms.items():
-            v[self.complex.index(s)] = m
-        return v
-
-    @staticmethod
-    def from_vector(complex_, degree: int, vec) -> "Chain":
-        basis = complex_.simplices(degree)
-        return Chain(complex_, degree, {s: m for s, m in zip(basis, vec) if m})
-
-    def __repr__(self):
-        body = " + ".join(f"{m}*{s}" for s, m in sorted(self.terms.items()))
-        return f"Chain({body or '0'})"
-
-
-def boundary_chain(c: Chain) -> Chain:
-    terms: dict = {}
-    for s, m in c.terms.items():
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if not face:
-                continue
-            sign = -1 if i % 2 else 1
-            terms[face] = terms.get(face, 0) + sign * m
-    return Chain(c.complex, c.degree - 1, terms)
-
-
 def boundary_matrix(X, n: int) -> IntMatrix:
     """Matrix of the alternating-sum face map C_n -> C_{n-1} in canonical bases.
 
@@ -312,18 +227,6 @@ def pushforward_simplex(vertex_map, s):
     image = tuple(vertex_map[v] for v in s)
     sign = sort_sign(image)
     return sign, tuple(sorted(image))
-
-
-def pushforward(f: SimplicialMap, c: Chain) -> Chain:
-    """Chain-level pushforward with permutation-sign bookkeeping."""
-    if c.complex is not f.source and c.complex != f.source:
-        raise ComplexMismatch("chain does not live on the source complex")
-    terms: dict = {}
-    for s, m in c.terms.items():
-        sign, image = pushforward_simplex(f.vertex_map, s)
-        if sign:
-            terms[image] = terms.get(image, 0) + sign * m
-    return Chain(f.target, c.degree, terms)
 
 
 def pushforward_matrix(f: SimplicialMap, n: int) -> IntMatrix:

@@ -40,10 +40,6 @@ class IntMatrix:
         return m
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols)
-
-    @staticmethod
     def from_rows(rows_list, cols: int | None = None) -> "IntMatrix":
         rows_list = [list(r) for r in rows_list]
         if cols is None:
@@ -72,9 +68,6 @@ class IntMatrix:
 
     def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         t = IntMatrix(self.cols, self.rows)
@@ -523,12 +516,3 @@ def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
     if rel is None:  # cannot happen for a genuine complex with saturated kernel
         raise NotAComplex("boundary not inside the kernel lattice")
     return group_from_presentation(K.cols, invariant_factors(rel))
-
-
-def preimage_subgroup(M: IntMatrix, S: Subgroup) -> IntMatrix:
-    """Columns generating {x : M @ x lies in S}."""
-    if M.rows != S.ambient_rank:
-        raise ValueError("ambient mismatch")
-    stacked = M.hstack(S.basis.scaled(-1))
-    K = kernel_basis(stacked)
-    return IntMatrix.from_rows(K.data[: M.cols], K.cols) if M.cols else IntMatrix(0, K.cols)

@@ -3,8 +3,8 @@
 For a finite surjective simplicial map f: X -> Y, the k-fold fibre product
 W^k carries a triangulation whose top simplices are products of k ordered
 lifts of a common Y-simplex; D^k is the sub-triangulation coming from
-pairwise distinct lifts.  Both come with component-forgetting projections,
-the induced map down to Y, and the symmetric-group action permuting slots.
+pairwise distinct lifts.  Both come with component-forgetting projections
+and the symmetric-group action permuting slots.
 """
 
 from __future__ import annotations
@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct, permutations
 
-from .complexes import (
-    Chain,
-    SimplicialComplex,
-    SimplicialMap,
-    face_closure,
-    sort_sign,
-)
-from .errors import ComplexMismatch, InvalidIndex, InvalidMultiplicity, InvalidSimplex
+from .complexes import SimplicialComplex, SimplicialMap, face_closure, sort_sign
+from .errors import ComplexMismatch, InvalidIndex, InvalidMultiplicity
+from .intlinalg import IntMatrix
 
 
 def ordered_lifts(f: SimplicialMap, delta) -> list:
@@ -57,8 +52,9 @@ class ProductRecord:
 class MultiplePointComplex:
     """W^k(f) or D^k(f) with the triangulation induced by f.
 
-    ``below`` is the same-kind space at multiplicity k-1 (None for k = 1),
-    the target of the slot projections, which are kept in ``eps`` by slot.
+    ``below`` is the same-kind space at multiplicity k-1 (X for k = 2, None
+    for k = 1), the target of the slot projections, which are kept in
+    ``eps`` by slot.
     """
 
     def __init__(self, kind, k, f, complex_, vertex_tuples, products, below=None):
@@ -72,11 +68,6 @@ class MultiplePointComplex:
         self.tuple_index = {t: v for v, t in enumerate(self.vertex_tuples)}
         # products keyed by (delta, lifts)
         self.products = products
-        self._by_delta: dict = {}
-        for rec in products.values():
-            self._by_delta.setdefault(rec.delta, []).append(rec)
-        for recs in self._by_delta.values():
-            recs.sort(key=lambda r: r.lifts)
 
     # chain-facing delegation
     def simplices(self, dim):
@@ -85,19 +76,12 @@ class MultiplePointComplex:
     def n_simplices(self, dim):
         return self.complex.n_simplices(dim)
 
-    def has_simplex(self, s):
-        return self.complex.has_simplex(s)
-
     def index(self, s):
         return self.complex.index(s)
 
     @property
     def dim(self):
         return self.complex.dim
-
-    def products_over(self, delta) -> list:
-        """Product simplices lying over the canonical Y-simplex delta."""
-        return self._by_delta.get(tuple(delta), [])
 
     def is_empty(self) -> bool:
         return self.complex.dim < 0
@@ -168,6 +152,7 @@ class Tower:
 
     Functions that read several multiplicities of one map take a tower, so
     they share its spaces; building W^k or D^k builds the spaces below it.
+    W^1 = D^1 = X is one space, of kind "D" whichever was asked for.
     """
 
     def __init__(self, f: SimplicialMap):
@@ -184,10 +169,10 @@ class Tower:
         return self._get("D", k)
 
     def _get(self, kind, k):
-        key = (kind, k)
+        key = ("D" if k == 1 else kind, k)
         if key not in self._cache:
             below = self._get(kind, k - 1) if k > 1 else None
-            self._cache[key] = _build(self.f, k, kind, below)
+            self._cache[key] = _build(self.f, k, key[0], below)
         return self._cache[key]
 
     def k_max(self) -> int:
@@ -222,20 +207,6 @@ def projection_eps(Z: MultiplePointComplex, i: int) -> SimplicialMap:
     return Z.eps[i]
 
 
-def fk_map(Z: MultiplePointComplex) -> SimplicialMap:
-    """The induced map down to Y: apply f to any slot (all slots agree)."""
-    f = Z.f
-    if Z.k == 1:
-        return f
-    vmap = {}
-    for v, t in enumerate(Z.vertex_tuples):
-        images = {f.vertex_map[x] for x in t}
-        if len(images) != 1:
-            raise ComplexMismatch(f"slots of vertex {t} disagree under f")
-        vmap[v] = images.pop()
-    return SimplicialMap(Z.complex, f.target, vmap)
-
-
 @dataclass(frozen=True)
 class SkElement:
     """Element of the symmetric group on the k slots, with its sign."""
@@ -260,10 +231,6 @@ class SkElement:
             inv[j] = i
         return SkElement(tuple(inv))
 
-    def compose(self, other: "SkElement") -> "SkElement":
-        """self after other."""
-        return SkElement(tuple(self.perm[other.perm[i]] for i in range(self.k)))
-
     def apply_tuple(self, t: tuple) -> tuple:
         """Left action on slot tuples: slot i of the result is slot sigma^-1(i)."""
         inv = self.inverse().perm
@@ -284,25 +251,6 @@ class SkElement:
         return [SkElement(p) for p in permutations(range(k))]
 
 
-def bar_sigma(sigma: SkElement, j: int, k: int) -> SkElement:
-    """The element of S_k fixing slot j (1-based) that shadows sigma in S_{k-1},
-    so that permuting slots commutes with forgetting slot j."""
-    j0 = j - 1
-
-    def d(i):
-        return i if i < j0 else i + 1
-
-    perm = []
-    for i in range(k):
-        if i < j0:
-            perm.append(d(sigma.perm[i]))
-        elif i == j0:
-            perm.append(j0)
-        else:
-            perm.append(d(sigma.perm[i - 1]))
-    return SkElement(tuple(perm))
-
-
 def sk_vertex_map(Z: MultiplePointComplex, sigma: SkElement) -> dict:
     if sigma.k != Z.k:
         raise InvalidIndex(f"permutation degree {sigma.k} != multiplicity {Z.k}")
@@ -315,24 +263,8 @@ def sk_vertex_map(Z: MultiplePointComplex, sigma: SkElement) -> dict:
     return vmap
 
 
-def sk_act(sigma: SkElement, c: Chain, Z: MultiplePointComplex) -> Chain:
-    """Pushforward of a chain along the slot permutation sigma."""
-    vmap = sk_vertex_map(Z, sigma)
-    terms: dict = {}
-    for s, m in c.terms.items():
-        image = tuple(vmap[v] for v in s)
-        sign = sort_sign(image)
-        if sign == 0:
-            raise InvalidSimplex(f"slot permutation collapses the simplex {s}")
-        key = tuple(sorted(image))
-        terms[key] = terms.get(key, 0) + sign * m
-    return Chain(c.complex, c.degree, terms)
-
-
 def sk_matrix(Z: MultiplePointComplex, sigma: SkElement, n: int):
     """Matrix of the sigma-action on degree-n chains in the canonical basis."""
-    from .intlinalg import IntMatrix
-
     vmap = sk_vertex_map(Z, sigma)
     basis = Z.simplices(n)
     M = IntMatrix(len(basis), len(basis))

@@ -43,7 +43,6 @@ from .intlinalg import (
     Subgroup,
     homology_pair,
     kernel_basis,
-    preimage_subgroup,
     solve_columns,
     subgroup_quotient,
 )
@@ -355,44 +354,6 @@ class SpectralSequence:
             raise NotAComplex("page-one differential image is not a cycle")
         return d1
 
-    def page_one_homology(self, p: int, q: int) -> HomologyGroup:
-        """Homology of (page 1, its differential) at cell (p, q), computed
-        from the presented page-one groups; must agree with page 2."""
-        s, t = self._to_st(p, q)
-        gens = self._d0_kernel(p, q)
-        rels = self._d0_rels(p, q)
-        out = self._d1_matrix(p, q, gens)
-        if self.filtration == "columns":
-            sp, sq, tp, tq = p + 1, q, p - 1, q
-        else:
-            sp, sq, tp, tq = p, q + 1, p, q - 1
-        src_gens = self._d0_kernel(sp, sq) if self.dc.rank(sp, sq) else IntMatrix(
-            self.dc.rank(sp, sq), 0
-        )
-        incoming = (
-            self._d1_matrix(sp, sq, src_gens)
-            if src_gens.cols
-            else IntMatrix(gens.cols, 0)
-        )
-        tgt_rels = self._d0_rels(tp, tq) if tp >= 0 and tq >= 0 else IntMatrix(0, 0)
-        # cycles: generator combinations whose page-one image is a relation
-        ambient = gens.cols
-        cyc = Subgroup(ambient, preimage_subgroup(out, Subgroup(out.rows, tgt_rels)))
-        bnd = Subgroup(ambient, incoming.hstack(rels))
-        return subgroup_quotient(cyc, bnd)
-
-    def _d0_rels(self, p, q) -> IntMatrix:
-        """Page-zero boundaries at cell (p, q) expressed in its cycle basis."""
-        gens = self._d0_kernel(p, q)
-        if self.filtration == "columns":
-            up = self.dc.d_h(p, q + 1)
-        else:
-            up = self.dc.d_v(p + 1, q)
-        rels = solve_columns(gens, up)
-        if rels is None:
-            raise NotAComplex("page-zero boundary is not a cycle")
-        return rels
-
     # convergence
     def level_complete(self, m: int) -> bool:
         """All cells of total degree m that could be nonzero lie in the grid."""
@@ -413,10 +374,6 @@ class SpectralSequence:
                 raise TruncationInsufficient(
                     f"grid truncation cannot support total degree {n}"
                 )
-
-    def homology_total(self, n: int) -> HomologyGroup:
-        self._require_complete(n)
-        return homology_pair(self.D(n), self.D(n + 1))
 
     def e_infinity(self, n: int) -> DegreeReport:
         """Graded comparison of the limit page with the filtration on the

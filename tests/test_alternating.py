@@ -1,21 +1,20 @@
 import random
 
 import pytest
+from reference import alt_matrix, is_alternating
 
 from icss.alternating import (
     AltBasis,
-    alt_Z,
     alt_boundary_matrix,
     alt_veps_matrix,
     alternating_homology,
     alternating_homology_kernel,
     alternating_kernel,
     eps_last_matrix,
-    is_alternating,
     rho_matrix,
     varrho_matrix,
 )
-from icss.complexes import Chain, boundary_matrix, pushforward_matrix
+from icss.complexes import boundary_matrix, pushforward_matrix
 from icss.errors import NotAlternating
 from icss.fixtures import random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
@@ -24,18 +23,17 @@ from icss.multiplicity import Tower, build_D, build_W
 
 def test_alt_Z_double_cover(double_cover):
     D2 = build_D(double_cover, 2)
-    ab = D2.tuple_index[(0, 1)]
-    ba = D2.tuple_index[(1, 0)]
-    c = alt_Z(Chain(D2.complex, 0, {(ab,): 1}), D2)
-    assert c.terms == {(ab,): 1, (ba,): -1}
-    assert is_alternating(c, D2)
-    assert alt_Z(Chain.zero(D2.complex, 0), D2).is_zero()
+    ab = D2.index((D2.tuple_index[(0, 1)],))
+    ba = D2.index((D2.tuple_index[(1, 0)],))
+    c = alt_matrix(D2, 0).column(ab)
+    assert (c[ab], c[ba]) == (1, -1) and sum(map(abs, c)) == 2
+    assert is_alternating(D2, 0, c)
 
 
 def test_alt_Z_kills_diagonal(fold):
     W2 = build_W(fold, 2)
-    zz = W2.tuple_index[(1, 1)]
-    assert alt_Z(Chain(W2.complex, 0, {(zz,): 1}), W2).is_zero()
+    zz = W2.index((W2.tuple_index[(1, 1)],))
+    assert not any(alt_matrix(W2, 0).column(zz))
 
 
 def test_alternating_characterization(fold):
@@ -47,12 +45,9 @@ def test_alternating_characterization(fold):
         span = Subgroup(A.rows, A)
         for _ in range(20):
             v = [rng.randint(-2, 2) for _ in range(D2.n_simplices(n))]
-            c = Chain.from_vector(D2.complex, n, v)
-            assert is_alternating(c, D2) == span.contains(v)
+            assert is_alternating(D2, n, v) == span.contains(v)
         # image of the alternation operator lands in the kernel span
-        for s in D2.simplices(n):
-            w = alt_Z(Chain(D2.complex, n, {s: 1}), D2).to_vector()
-            assert span.contains(w)
+        assert span.contains_subgroup(Subgroup(A.rows, alt_matrix(D2, n)))
 
 
 def test_alt_basis_counts(fold, identity_map, double_cover):
@@ -67,14 +62,9 @@ def test_alt_basis_round_trip(disc_to_rp2):
     D2 = build_D(disc_to_rp2, 2)
     for n in range(D2.dim + 1):
         basis = AltBasis(D2, n)
-        for idx in range(basis.n_gens):
-            a = [0] * basis.n_gens
-            a[idx] = 1
-            assert basis.raw_to_alt(basis.alt_to_raw(a)) == a
         # generators contain their product representative with coefficient 1
         for idx, g in enumerate(basis.gens):
-            c = basis.chain(idx)
-            assert g.sign * c.terms[g.canonical] == 1
+            assert g.sign * basis.to_raw_matrix.data[D2.index(g.canonical)][idx] == 1
 
 
 def test_alt_basis_matches_alternation(maps):
@@ -86,11 +76,7 @@ def test_alt_basis_matches_alternation(maps):
             D = tower.D(k)
             for n in range(f.target.dim + 1):
                 basis = AltBasis(D, n)
-                cols = [
-                    alt_Z(Chain(D.complex, n, {g.canonical: g.sign}), D).to_vector()
-                    for g in basis.gens
-                ]
-                expected = IntMatrix.from_columns(cols, rows=D.n_simplices(n))
+                expected = alt_matrix(D, n) @ basis.selector().transpose()
                 assert basis.to_raw_matrix == expected
 
 
@@ -121,7 +107,7 @@ def test_coordinates_rejects_one_bad_column(disc_to_rp2):
 def test_raw_to_alt_rejects_non_alternating(double_cover):
     basis = AltBasis(build_D(double_cover, 2), 0)
     with pytest.raises(NotAlternating):
-        basis.raw_to_alt([1, 0])
+        basis.coordinates(IntMatrix.from_columns([[1, 0]]))
 
 
 def test_rho_is_a_chain_differential(fold, deep_map):

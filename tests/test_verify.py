@@ -80,3 +80,9 @@ def test_run_all_builds_each_space_once(disc_to_rp2, monkeypatch):
     monkeypatch.setattr(multiplicity, "_build", counting)
     assert all(r.passed for r in run_all(disc_to_rp2))
     assert built and max(built.values()) == 1, built
+    # W^1 = D^1 = X is one space, the same whichever is asked for first
+    assert sum(n for (kind, k), n in built.items() if k == 1) == 1, built
+    w_first, d_first = (multiplicity.Tower(disc_to_rp2) for _ in range(2))
+    assert w_first.W(1) is w_first.D(1)
+    assert d_first.D(1) is d_first.W(1)
+    assert w_first.W(1).kind == d_first.D(1).kind
