@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import boundary_matrix, pushforward_matrix
+from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
 from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, restrict
 from .multiplicity import (
@@ -113,12 +113,16 @@ def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
     """
     if Z.k == 1:
         return pushforward_matrix(Z.f, n)
-    total = None
+    below = Z.below.complex
+    M = IntMatrix(below.n_simplices(n), Z.n_simplices(n))
     for i in range(1, Z.k + 1):
-        P = pushforward_matrix(projection_eps(Z, i), n)
-        P = P if i % 2 else P.scaled(-1)
-        total = P if total is None else total + P
-    return total
+        vertex_map = projection_eps(Z, i).vertex_map
+        slot_sign = 1 if i % 2 else -1
+        for j, s in enumerate(Z.simplices(n)):
+            sign, image = pushforward_simplex(vertex_map, s)
+            if sign:
+                M.data[below.index(image)][j] += slot_sign * sign
+    return M
 
 
 def varrho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:

@@ -3,7 +3,8 @@
 Everything downstream (boundary maps, alternation conditions, spectral
 sequence pages) reduces to Smith/Hermite normal forms, integer kernels,
 integral solves and subgroup quotients, all computed here with Python's
-arbitrary-precision ints.  No floating point anywhere.
+arbitrary-precision ints, after a chain complex has been cut down by
+cancelling its unit pairs.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -505,12 +506,111 @@ def subgroup_quotient(A: Subgroup, B: Subgroup) -> HomologyGroup:
     return group_from_presentation(A.basis.cols, invariant_factors(rel))
 
 
+def sparse_columns(M: IntMatrix) -> list:
+    """The nonzero entries of each column of M, as {row: entry} dicts."""
+    cols = [{} for _ in range(M.cols)]
+    for i, row in enumerate(M.data):
+        for j, a in enumerate(row):
+            if a:
+                cols[j][i] = a
+    return cols
+
+
+def reduce_complex(columns: list, levels: list) -> tuple:
+    """Cancel the unit pairs of a filtered chain complex of free groups.
+
+    ``columns[n][j]`` is the boundary of cell j of degree n, a dict
+    {cell of degree n-1: nonzero entry} (the dicts of degree 0 are empty),
+    and ``levels[n][j]`` is the filtration level of that cell; no boundary
+    entry may run from a cell to one of a higher level.  The dicts are
+    consumed.
+
+    From the top degree down, each cell sigma still present is paired with
+    a cell tau of its boundary whose entry phi is +-1 and whose level equals
+    sigma's (among several, the tau in the fewest other boundaries), and
+    the pair is eliminated: writing d_n = [[phi, delta], [gamma, eps]] with
+    sigma and tau split off, d_n becomes eps - gamma phi^-1 delta, d_{n+1}
+    loses the row of sigma and d_{n-1} the column of tau.  This is a
+    chain homotopy equivalence (algebraic discrete Morse reduction), and
+    because the pair shares a level it is a filtered one that is an
+    isomorphism on the associated graded homology, so the homology and
+    every page r >= 1 of the filtration spectral sequence are unchanged.
+
+    Returns ``(D, kept)``: ``D[n]`` is the reduced differential from degree
+    n to degree n-1 as a matrix (``D[0]`` has no rows) and ``kept[n]`` the
+    levels of the surviving degree-n cells, in their original order.
+    """
+    top = len(columns) - 1
+    rows = [[set() for _ in lev] for lev in levels]  # the columns holding each cell
+    for n in range(1, top + 1):
+        for j, col in enumerate(columns[n]):
+            for i in col:
+                rows[n - 1][i].add(j)
+    alive = [[True] * len(lev) for lev in levels]
+    for n in range(top, 0, -1):
+        cols, below = columns[n], rows[n - 1]
+        level, level_below = levels[n], levels[n - 1]
+        for sigma, dsig in enumerate(cols):
+            if not alive[n][sigma]:
+                continue
+            tau = None
+            for i, a in dsig.items():
+                if (a == 1 or a == -1) and level_below[i] == level[sigma]:
+                    if tau is None or len(below[i]) < len(below[tau]):
+                        tau = i
+            if tau is None:
+                continue
+            phi = dsig[tau]
+            for x in list(below[tau]):
+                if x == sigma:
+                    continue
+                dx = cols[x]
+                q = dx[tau] * phi  # phi is its own inverse
+                for i, a in dsig.items():
+                    v = dx.get(i, 0) - q * a
+                    if v:
+                        if i not in dx:
+                            below[i].add(x)
+                        dx[i] = v
+                    else:
+                        del dx[i]
+                        below[i].discard(x)
+            for i in dsig:
+                below[i].discard(sigma)
+            if n < top:
+                for z in rows[n][sigma]:
+                    del columns[n + 1][z][sigma]
+            if n > 1:
+                for i in columns[n - 1][tau]:
+                    rows[n - 2][i].discard(tau)
+            alive[n][sigma] = alive[n - 1][tau] = False
+    survivors = [[j for j, a in enumerate(al) if a] for al in alive]
+    D = []
+    for n, cells in enumerate(survivors):
+        pos = {j: c for c, j in enumerate(survivors[n - 1])} if n else {}
+        M = IntMatrix(len(pos), len(cells))
+        for c, j in enumerate(cells):
+            for i, a in columns[n][j].items():
+                M.data[pos[i]][c] = a
+        D.append(M)
+    kept = [[levels[n][j] for j in cells] for n, cells in enumerate(survivors)]
+    return D, kept
+
+
 def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
-    """Invariant factors of ker(d_n) / im(d_next), given d_n @ d_next == 0."""
+    """Invariant factors of ker(d_n) / im(d_next), given d_n @ d_next == 0.
+
+    The three-term complex is first cut down by ``reduce_complex`` with one
+    filtration level, so the kernel, solve and Smith steps see only the
+    cells no unit entry cancels.
+    """
     if d_n.cols != d_next.rows:
         raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
     if not (d_n @ d_next).is_zero():
         raise NotAComplex("d_n @ d_next != 0")
+    bottom = [{} for _ in range(d_n.rows)]  # degree n-1 has no boundary here
+    columns = [bottom, sparse_columns(d_n), sparse_columns(d_next)]
+    (_, d_n, d_next), _ = reduce_complex(columns, [[0] * len(c) for c in columns])
     K = kernel_basis(d_n)
     rel = solve_columns(K, d_next)
     if rel is None:  # cannot happen for a genuine complex with saturated kernel

@@ -44,9 +44,8 @@ class ProductRecord:
 
     delta: tuple  # canonical Y-simplex
     lifts: tuple  # k ordered lifts of delta
-    listing: tuple  # vertex ids listed in the order of delta's vertices
-    canonical: tuple  # the same vertex set, sorted (the chain-basis simplex)
-    sign: int  # parity relating listing order to canonical order
+    canonical: tuple  # the product's vertex ids, sorted (the chain-basis simplex)
+    sign: int  # parity of the vertex listing in delta's order against canonical
 
 
 class MultiplePointComplex:
@@ -101,9 +100,8 @@ def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
         products = {}
         for delta in f.target.all_simplices():
             for lift in ordered_lifts(f, delta):
-                canonical = tuple(sorted(lift))
                 products[(delta, (lift,))] = ProductRecord(
-                    delta, (lift,), lift, canonical, sort_sign(lift)
+                    delta, (lift,), tuple(sorted(lift)), sort_sign(lift)
                 )
         return MultiplePointComplex(
             kind, 1, f, f.source, [(v,) for v in range(f.source.n_vertices)], products
@@ -142,7 +140,7 @@ def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
     for delta, combo, listing in raw_products:
         ids = tuple(tuple_index[t] for t in listing)
         products[(delta, combo)] = ProductRecord(
-            delta, combo, ids, tuple(sorted(ids)), sort_sign(ids)
+            delta, combo, tuple(sorted(ids)), sort_sign(ids)
         )
     return MultiplePointComplex(kind, k, f, complex_, vertex_tuples, products, below)
 

@@ -9,14 +9,18 @@ differentials anticommute, so the total complex squares to zero.
 
 Filtering the total complex by columns (p) gives the multiple-point spectral
 sequences; filtering by rows (q) gives the collapsing one whose second page
-is already the homology of the image.  Pages are computed from the generic
-filtered-complex formula with exact integer arithmetic.
+is already the homology of the image.  Pages come from the reduced total
+complex: pairs of cells of one filtration level joined by a boundary entry
++-1 are cancelled (``intlinalg.reduce_complex``), which changes no page
+r >= 1, no limit and no homology, and the cycle and boundary subgroups of
+the pages are then taken there, with exact integer arithmetic.
 
 How the usual symbols of the subject map onto this module:
 
-- Tot(C)_n: the blocks of total degree n (``tot_rank``, ``_offsets``)
-- D_n: ``SpectralSequence.D(n)``, the assembled total differential
-- F^s: the coordinate set ``SpectralSequence._coords_leq(n, s)``
+- Tot(C)_n: the blocks of total degree n; ``tot_rank`` is the rank of the
+  reduced total complex
+- D_n: ``SpectralSequence.D(n)``, the differential of the reduced total complex
+- F^s: the reduced cells ``SpectralSequence._coords_leq(n, s)``
 - Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r)``
 - E^r_{p,q}: ``SpectralSequence.page`` / ``page_group`` at the cell (p, q)
 - d^r: ``PageEntry.d_matrix`` for r in {0, 1}; not emitted for r >= 2
@@ -43,7 +47,9 @@ from .intlinalg import (
     Subgroup,
     homology_pair,
     kernel_basis,
+    reduce_complex,
     solve_columns,
+    sparse_columns,
     subgroup_quotient,
 )
 from .multiplicity import Tower
@@ -177,7 +183,13 @@ class DegreeReport:
 
 class SpectralSequence:
     """Spectral sequence of the total complex of a double complex, filtered
-    by columns (p) or rows (q)."""
+    by columns (p) or rows (q).
+
+    The total complex is reduced once, when the sequence is made, by
+    cancelling its unit pairs of equal filtration level
+    (``intlinalg.reduce_complex``); every page r >= 1, the limit page and the
+    homology are read off the reduced complex, which has the same ones.
+    """
 
     def __init__(self, dc: DoubleComplex, filtration: str = "columns"):
         if filtration not in ("columns", "rows"):
@@ -186,74 +198,60 @@ class SpectralSequence:
         self.filtration = filtration
         self.n_top = dc.p_max + dc.q_max
         self._blocks = {}
-        self._offsets = {}
-        self._tot_rank = {}
+        columns, levels, prev = [], [], {}
         for n in range(self.n_top + 1):
             blocks = [
                 (p, n - p)
                 for p in range(max(0, n - dc.q_max), min(dc.p_max, n) + 1)
             ]
             self._blocks[n] = blocks
-            off, total = {}, 0
+            off, level = {}, []
             for cell in blocks:
-                off[cell] = total
-                total += dc.rank(*cell)
-            self._offsets[n] = off
-            self._tot_rank[n] = total
-        self._D = {}
+                off[cell] = len(level)
+                level.extend([self._filt_index(cell)] * dc.rank(*cell))
+            # the total differential's columns, read off the blocks' nonzeros
+            cols = [{} for _ in level]
+            for (p, q), co in off.items():
+                for target, block in (
+                    ((p, q - 1), dc.d_h(p, q)),
+                    ((p - 1, q), dc.d_v(p, q)),
+                ):
+                    if target in prev:
+                        ro = prev[target]
+                        for j, col in enumerate(sparse_columns(block)):
+                            cols[co + j].update((ro + i, a) for i, a in col.items())
+            columns.append(cols)
+            levels.append(level)
+            prev = off
+        self._D, self._levels = reduce_complex(columns, levels)
         self._cycles = {}
         self._d0_kernels = {}
         self._pages = {}
 
-    # total complex
+    # reduced total complex
     def tot_rank(self, n: int) -> int:
-        return self._tot_rank.get(n, 0)
+        """Rank in degree n of the reduced total complex."""
+        return len(self._levels[n]) if 0 <= n <= self.n_top else 0
 
     def D(self, n: int) -> IntMatrix:
-        """Total differential from degree n to degree n-1."""
-        if n not in self._D:
-            self._D[n] = self._assemble_D(n)
-        return self._D[n]
-
-    def _assemble_D(self, n):
-        dc = self.dc
-        M = IntMatrix(self.tot_rank(n - 1), self.tot_rank(n))
-        if n < 1 or n > self.n_top:
-            return M
-        src_off = self._offsets[n]
-        tgt_off = self._offsets[n - 1]
-        for (p, q), co in src_off.items():
-            for target, block in (
-                ((p, q - 1), dc.d_h(p, q)),
-                ((p - 1, q), dc.d_v(p, q)),
-            ):
-                if target not in tgt_off:
-                    continue
-                ro = tgt_off[target]
-                for i in range(block.rows):
-                    row = block.data[i]
-                    out = M.data[ro + i]
-                    for j in range(block.cols):
-                        if row[j]:
-                            out[co + j] += row[j]
-        return M
+        """Differential of the reduced total complex from degree n to n-1."""
+        if 0 <= n <= self.n_top:
+            return self._D[n]
+        return IntMatrix(self.tot_rank(n - 1), self.tot_rank(n))
 
     def _filt_index(self, cell) -> int:
         p, q = cell
         return p if self.filtration == "columns" else q
 
     def _coords_leq(self, n: int, s: int) -> list:
-        """Coordinate indices of the filtration-level-s subspace in degree n."""
-        out = []
-        for cell in self._blocks.get(n, []):
-            if self._filt_index(cell) <= s:
-                off = self._offsets[n][cell]
-                out.extend(range(off, off + self.dc.rank(*cell)))
-        return out
+        """Reduced cells of degree n with filtration level at most s."""
+        if not 0 <= n <= self.n_top:
+            return []
+        return [j for j, level in enumerate(self._levels[n]) if level <= s]
 
     def cycle_subgroup(self, n: int, s: int, r: int) -> Subgroup:
-        """Elements of filtration level s in degree n whose total boundary
-        drops by at least r filtration levels."""
+        """Elements of filtration level s in degree n of the reduced total
+        complex whose boundary drops by at least r filtration levels."""
         r = min(r, s + 1)  # no level lies below 0, so a larger r is the same
         key = (n, s, r)
         if key in self._cycles:
@@ -278,8 +276,9 @@ class SpectralSequence:
         return sub
 
     def page_group(self, r: int, s: int, t: int) -> HomologyGroup:
-        """The group at filtration spot (s, t) of page r via the generic
-        filtered-complex formula."""
+        """The group at filtration spot (s, t) of page r: the cell rank on
+        page 0, and Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}) on the
+        reduced total complex from page 1 on."""
         if r < 0:
             raise DegreeOutOfRange("page index must be nonnegative")
         n = s + t
@@ -300,11 +299,17 @@ class SpectralSequence:
         self._pages[key] = grp
         return grp
 
-    def _stable_r(self, n: int) -> int:
-        return n + 3
+    def _stable_r(self) -> int:
+        """First page index at which every spot has stabilized.
+
+        d^r lowers the filtration level by r, and the levels of the grid run
+        from 0 to its largest one L (p_max for columns, q_max for rows), so
+        every d^r with r > L leaves the grid: page L + 1 is the limit page.
+        """
+        return (self.dc.p_max if self.filtration == "columns" else self.dc.q_max) + 1
 
     def infinity_group(self, s: int, t: int) -> HomologyGroup:
-        return self.page_group(self._stable_r(s + t), s, t)
+        return self.page_group(self._stable_r(), s, t)
 
     # cell-indexed access
     def _to_st(self, p, q):
@@ -392,7 +397,7 @@ class SpectralSequence:
             prev = S_s
             cell = (s, n - s) if self.filtration == "columns" else (n - s, s)
             graded.append((cell, gr))
-            infinity.append((cell, self.page_group(self._stable_r(n), s, n - s)))
+            infinity.append((cell, self.infinity_group(s, n - s)))
         total = homology_pair(self.D(n), self.D(n + 1))
         if dc.tower is not None and 0 <= n <= dc.dim_y:
             target = homology_of_complex(dc.tower.f.target, n)

@@ -55,11 +55,13 @@ def _drop_matrix(combos_k, combos_prev, i: int) -> IntMatrix:
 
 
 def _rho_listing(combos_k, combos_prev, k: int) -> IntMatrix:
-    total = IntMatrix(len(combos_prev), len(combos_k))
-    for i in range(1, k + 1):
-        M = _drop_matrix(combos_k, combos_prev, i)
-        total = total + (M if i % 2 else M.scaled(-1))
-    return total
+    """Alternating-signed sum of the k slot-forgetting maps."""
+    idx = _combo_index(combos_prev)
+    M = IntMatrix(len(combos_prev), len(combos_k))
+    for j, T in enumerate(combos_k):
+        for i in range(k):
+            M.data[idx[T[:i] + T[i + 1 :]]][j] += -1 if i % 2 else 1
+    return M
 
 
 def _subgroups_equal(A_cols: IntMatrix, B_cols: IntMatrix) -> bool:

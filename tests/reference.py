@@ -8,12 +8,19 @@ that compares the two checks the package:
   ``AltBasis`` and ``alt_star_matrix`` read.
 - ``page_one_homology`` takes the homology of page one under its
   differential from the presented page-one groups; page two must equal it.
+- ``GenericSequence`` computes every page, the graded limit pieces and the
+  total homology by the generic filtered-complex formula on the dense,
+  unreduced total complex, where ``SpectralSequence`` reads them off the
+  unit-pair reduction.
 """
 
 from icss.errors import NotAComplex
 from icss.intlinalg import (
+    HomologyGroup,
     IntMatrix,
     Subgroup,
+    group_from_presentation,
+    invariant_factors,
     kernel_basis,
     solve_columns,
     subgroup_quotient,
@@ -101,3 +108,119 @@ def page_one_homology(ss, p: int, q: int):
     cyc = Subgroup(gens.cols, preimage_subgroup(out, Subgroup(out.rows, tgt_rels)))
     bnd = Subgroup(gens.cols, incoming.hstack(d0_rels(ss, p, q)))
     return subgroup_quotient(cyc, bnd)
+
+
+class GenericSequence:
+    """The spectral sequence of ``ss`` (its double complex and filtration)
+    by the generic formula on the dense, unreduced total complex."""
+
+    def __init__(self, ss):
+        self.dc = ss.dc
+        self.columns = ss.filtration == "columns"
+        self.n_top = self.dc.p_max + self.dc.q_max
+        self.offsets, self.ranks = {}, {}
+        for n in range(self.n_top + 1):
+            off, total = {}, 0
+            for p in range(max(0, n - self.dc.q_max), min(self.dc.p_max, n) + 1):
+                off[(p, n - p)] = total
+                total += self.dc.rank(p, n - p)
+            self.offsets[n], self.ranks[n] = off, total
+        self._D, self._cycles, self._pages = {}, {}, {}
+
+    def tot_rank(self, n):
+        return self.ranks.get(n, 0)
+
+    def D(self, n):
+        """The total differential from degree n to n-1, assembled densely."""
+        if n not in self._D:
+            M = IntMatrix(self.tot_rank(n - 1), self.tot_rank(n))
+            for (p, q), co in self.offsets.get(n, {}).items():
+                for target, block in (
+                    ((p, q - 1), self.dc.d_h(p, q)),
+                    ((p - 1, q), self.dc.d_v(p, q)),
+                ):
+                    ro = self.offsets.get(n - 1, {}).get(target)
+                    if ro is None:
+                        continue
+                    for i, row in enumerate(block.data):
+                        for j, a in enumerate(row):
+                            M.data[ro + i][co + j] += a
+            self._D[n] = M
+        return self._D[n]
+
+    def levels(self, n):
+        return {(p if self.columns else q) for p, q in self.offsets.get(n, {})}
+
+    def cycle_key(self, n, s, r):
+        """(n, a, b) naming the level-s elements of degree n whose boundary
+        drops by at least r levels: columns of level <= a whose boundary has
+        no entry above level b, with a and b clipped to the levels present."""
+        r = min(r, s + 1)  # no level lies below 0
+        a = min(s, max(self.levels(n), default=-1))
+        if a < 0:
+            return (n, -1, -1)
+        return (n, a, min(s - r, max(self.levels(n - 1), default=-1)))
+
+    def cycles(self, key):
+        """Basis (columns) of the cycle group named by ``cycle_key``."""
+        if key not in self._cycles:
+            n, a, b = key
+            cols, rows = [], []
+            for (p, q), off in self.offsets.get(n, {}).items():
+                if (p if self.columns else q) <= a:
+                    cols.extend(range(off, off + self.dc.rank(p, q)))
+            for (p, q), off in self.offsets.get(n - 1, {}).items():
+                if (p if self.columns else q) > b:
+                    rows.extend(range(off, off + self.dc.rank(p, q)))
+            D = self.D(n)
+            restricted = IntMatrix(
+                len(rows), len(cols), [[D.data[i][j] for j in cols] for i in rows]
+            )
+            K = kernel_basis(restricted)
+            emb = IntMatrix(self.tot_rank(n), K.cols)
+            for local, coord in enumerate(cols):
+                emb.data[coord] = K.data[local]
+            self._cycles[key] = emb
+        return self._cycles[key]
+
+    def page_group(self, r, s, t):
+        """Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}) for r >= 1."""
+        n = s + t
+        if s < 0 or t < 0 or n > self.n_top:
+            return HomologyGroup(0)
+        keys = (
+            self.cycle_key(n, s, r),
+            self.cycle_key(n, s - 1, r - 1),
+            self.cycle_key(n + 1, s + r - 1, r - 1),
+        )
+        if keys not in self._pages:
+            Z, below, up = map(self.cycles, keys)
+            self._pages[keys] = quotient(Z, below.hstack(self.D(n + 1) @ up))
+        return self._pages[keys]
+
+    def infinity_group(self, s, t):
+        return self.page_group(s + t + 3, s, t)
+
+    def graded(self, n):
+        """F_s H_n / F_{s-1} H_n for each filtration level s of degree n."""
+        boundaries = Subgroup(self.tot_rank(n), self.D(n + 1))
+        out, prev = [], boundaries
+        for s in range(max(self.levels(n), default=-1) + 1):
+            cyc = self.cycles(self.cycle_key(n, s, s + 1))
+            S_s = Subgroup(self.tot_rank(n), cyc).sum(boundaries)
+            out.append(subgroup_quotient(S_s, prev))
+            prev = S_s
+        return out
+
+    def total_homology(self, n):
+        """ker D(n) / im D(n+1) by kernel, solve and Smith, unreduced."""
+        return quotient(kernel_basis(self.D(n)), self.D(n + 1))
+
+
+def quotient(A: IntMatrix, B: IntMatrix):
+    """The group span(A) / span(B), for independent columns A whose span
+    holds every column of B."""
+    rel = solve_columns(A, B)
+    if rel is None:
+        raise NotAComplex("the relations do not lie in the group")
+    return group_from_presentation(A.cols, invariant_factors(rel))

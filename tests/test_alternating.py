@@ -18,7 +18,7 @@ from icss.complexes import boundary_matrix, pushforward_matrix
 from icss.errors import NotAlternating
 from icss.fixtures import random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
-from icss.multiplicity import Tower, build_D, build_W
+from icss.multiplicity import Tower, build_D, build_W, projection_eps
 
 
 def test_alt_Z_double_cover(double_cover):
@@ -122,6 +122,19 @@ def test_rho_is_a_chain_differential(fold, deep_map):
             if k_top >= 2:
                 r2 = rho_matrix(tower.W(2), n)
                 assert (pushforward_matrix(f, n) @ r2).is_zero()
+
+
+def test_rho_is_the_signed_sum_of_projections(maps):
+    for name, f in maps.items():
+        tower = Tower(f)
+        for Z in [tower.W(k) for k in (1, 2, 3)] + [tower.D(k) for k in (2, 3)]:
+            for n in range(Z.dim + 1):
+                total = None
+                for i in range(1, Z.k + 1):
+                    P = pushforward_matrix(projection_eps(Z, i), n)
+                    P = P if i % 2 else P.scaled(-1)
+                    total = P if total is None else total + P
+                assert rho_matrix(Z, n) == total, (name, Z, n)
 
 
 def test_varrho_anticommutes_with_boundary(fold):

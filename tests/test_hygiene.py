@@ -8,6 +8,8 @@ since its imports are the public re-exports.  A ``Tower`` is built only by
 the map-level entry points, which hand it down, and no space points back at
 its tower, so a dropped tower is freed without the cycle collector.  A
 helper nothing calls is dead code, and chains are coordinate vectors only.
+Pages and homology come from one unit-pair reduction, so no module builds
+the dense total differential the reduction replaced.
 """
 
 import ast
@@ -146,3 +148,19 @@ def test_no_chain_object(path):
             if any("Chain" in (alias.name, alias.asname) for alias in node.names):
                 found.append(node.lineno)
     assert not found, f"{path.name} defines or imports Chain at lines {found}"
+
+
+def test_one_unit_pair_reduction():
+    """``reduce_complex`` is defined once, in intlinalg, and nothing defines
+    or names an assembler of the dense total differential."""
+    defined, assemblers = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            name = name or getattr(node, "attr", None)
+            if isinstance(node, ast.FunctionDef) and name == "reduce_complex":
+                defined.append(path.name)
+            if isinstance(name, str) and "assemble" in name.lower():
+                assemblers.append(f"{path.name}:{node.lineno} {name}")
+    assert defined == ["intlinalg.py"], defined
+    assert not assemblers, assemblers

@@ -411,6 +411,10 @@ def test_solve_columns_sparse(case):
 
 
 def test_invariant_factors_match_sympy():
+    """Invariant factors, and the homology of a three-term complex whose
+    second differential is the same matrix, against sympy's Smith form:
+    H = ker(d_n) / im(M) has rank nullity(d_n) - rank(M), and its torsion is
+    that of M because the kernel is a direct summand."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -429,3 +433,15 @@ def test_invariant_factors_match_sympy():
         S = sympy_snf(sympy.Matrix(M.data), domain=sympy.ZZ)
         expected = sorted(abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i])
         assert invariant_factors(M) == expected, M.data
+        # d_n: random combinations of the rows annihilating M
+        left = kernel_basis(M.transpose()).transpose()
+        mix = IntMatrix.from_rows(
+            [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(left.rows)] for _ in range(3)],
+            cols=left.rows,
+        )
+        d_n = mix @ left
+        nullity = m - sympy.Matrix(d_n.data).rank()
+        torsion = tuple(d for d in expected if d > 1)
+        assert homology_pair(d_n, M) == HomologyGroup(
+            nullity - len(expected), torsion
+        ), (d_n.data, M.data)

@@ -1,9 +1,10 @@
 import pytest
-from reference import page_one_homology
+from reference import GenericSequence, page_one_homology
 
 from icss.complexes import homology_of_complex
 from icss.errors import NotAComplex, TruncationInsufficient
-from icss.intlinalg import HomologyGroup
+from icss.fixtures import FIXTURES, get_fixture
+from icss.intlinalg import HomologyGroup, IntMatrix, reduce_complex, sparse_columns
 from icss.multiplicity import Tower
 from icss.spectral import (
     DoubleComplex,
@@ -190,3 +191,101 @@ def test_page_zero_kernels_are_cached(disc_to_rp2, monkeypatch):
             page_one_homology(ss, p, q)
     # one kernel per distinct page-zero block, however often it is asked for
     assert len(blocks) == len(set(blocks)) == 6
+
+
+def four_sequences(f):
+    """icss, gvzss and both first_ss kinds of f, on one tower: icss and
+    gvzss filter by columns the very grids that first_ss filters by rows."""
+    tower = Tower(f)
+    for kind in ("Alt", "W"):
+        rows = first_ss(tower, kind)
+        yield kind, SpectralSequence(rows.dc, "columns")
+        yield kind, rows
+
+
+# the random map of seed 13 has four lifts, and its W grid alone takes seconds
+DIFFERENTIAL_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
+    ("random", seed) for seed in range(25) if seed != 13
+]
+
+
+@pytest.mark.parametrize("name, seed", DIFFERENTIAL_MAPS)
+def test_reduced_sequence_matches_generic_formula(name, seed):
+    """Pages 1, 2, 3 and the limit, the graded limit pieces and the total
+    homology of the reduced total complex equal the generic formula on the
+    unreduced one, in every degree up to the dimension of Y."""
+    totals = {}  # both filtrations of a grid have one total complex
+    for kind, ss in four_sequences(get_fixture(name, seed)):
+        ref = GenericSequence(ss)
+        label = (name, seed, kind, ss.filtration)
+        for n in range(ss.dc.dim_y + 1):
+            for s in range(n + 1):
+                for r in (1, 2, 3):
+                    assert ss.page_group(r, s, n - s) == ref.page_group(r, s, n - s), (
+                        label, r, s
+                    )
+                assert ss.infinity_group(s, n - s) == ref.infinity_group(s, n - s), (
+                    label, s
+                )
+            report = ss.e_infinity(n)
+            assert [g for _, g in report.graded] == ref.graded(n), (label, n)
+            if (kind, n) not in totals:
+                totals[kind, n] = ref.total_homology(n)
+            assert report.total_homology == totals[kind, n], (label, n)
+
+
+def test_stable_page_is_reached(maps):
+    """The limit page, read at the largest filtration level + 1, is the page
+    at r = n + 3 that the limit used to be read from."""
+    for name, f in maps.items():
+        for kind, ss in four_sequences(f):
+            for n in range(ss.n_top + 1):
+                for s in range(n + 1):
+                    limit = ss.infinity_group(s, n - s)
+                    assert limit == ss.page_group(n + 3, s, n - s), (name, kind, s, n)
+
+
+def total_complex(ref):
+    """Sparse columns and filtration levels of the unreduced total complex."""
+    columns = [sparse_columns(ref.D(n)) for n in range(ref.n_top + 1)]
+    levels = []
+    for n in range(ref.n_top + 1):
+        level = []
+        for p, q in ref.offsets[n]:
+            level += [p if ref.columns else q] * ref.dc.rank(p, q)
+        levels.append(level)
+    return columns, levels
+
+
+def euler_by_level(levels) -> dict:
+    out: dict = {}
+    for n, level in enumerate(levels):
+        for s in level:
+            out[s] = out.get(s, 0) + (-1) ** n
+    return {s: e for s, e in out.items() if e}
+
+
+def test_reduction_is_filtered(maps):
+    """Cancelled pairs share a level (so each level keeps its Euler
+    characteristic), no surviving entry raises the level, and the reduced
+    total complex is a complex."""
+    for name, f in maps.items():
+        for kind, ss in four_sequences(f):
+            columns, levels = total_complex(GenericSequence(ss))
+            D, kept = reduce_complex(columns, levels)
+            assert euler_by_level(kept) == euler_by_level(levels), (name, kind)
+            for n in range(1, len(D)):
+                for i, row in enumerate(D[n].data):
+                    for j, a in enumerate(row):
+                        assert not a or kept[n - 1][i] <= kept[n][j], (name, kind, n)
+                if n + 1 < len(D):
+                    assert (D[n] @ D[n + 1]).is_zero(), (name, kind, n)
+
+
+def test_reduction_pairs_only_equal_levels():
+    """An edge cancels against its endpoint of the same level and against
+    no endpoint of a lower one."""
+    D, kept = reduce_complex([[{}, {}], [{0: -1, 1: 1}]], [[0, 1], [1]])
+    assert kept == [[0], []] and D[1] == IntMatrix(1, 0)
+    D, kept = reduce_complex([[{}, {}], [{0: -1, 1: 1}]], [[0, 0], [1]])
+    assert kept == [[0, 0], [1]] and D[1] == IntMatrix.from_rows([[-1], [1]])
