@@ -168,22 +168,20 @@ def validate_map(vertex_map, X: SimplicialComplex, Y: SimplicialComplex) -> MapR
     failures = []
     simplicial = True
     finite_to_one = True
+    hit = set()
     for s in X.all_simplices():
-        image = tuple(sorted(set(vertex_map[v] for v in s)))
+        image = tuple(sorted({vertex_map[v] for v in s}))
         if len(image) != len(s):
             finite_to_one = False
             failures.append(("collapsed", s))
-        if not Y.has_simplex(image):
-            simplicial = False
-            failures.append(("not-a-simplex", s))
-    hit = set()
-    for s in X.all_simplices():
-        image = tuple(sorted(set(vertex_map[v] for v in s)))
         if Y.has_simplex(image):
             hit.add(image)
-    surjective = all(s in hit for s in Y.all_simplices())
-    if not surjective:
-        failures.extend(("missed", s) for s in Y.all_simplices() if s not in hit)
+        else:
+            simplicial = False
+            failures.append(("not-a-simplex", s))
+    missed = [("missed", s) for s in Y.all_simplices() if s not in hit]
+    surjective = not missed
+    failures.extend(missed)
     return MapReport(simplicial, finite_to_one, surjective, tuple(failures))
 
 

@@ -77,6 +77,8 @@ def _check_side(obj, side: str):
         if not isinstance(s, list) or not s:
             raise ParseError(f"{side}.simplices: expected nonempty vertex lists")
         for v in s:
+            if not isinstance(v, str):
+                raise ParseError(f"{side}.simplices: vertex names must be strings, got {v!r}")
             if v not in known:
                 raise ParseError(f"{side}.simplices: unknown vertex {v!r}")
         if len(set(s)) != len(s):
@@ -101,10 +103,13 @@ def parse_map(text: str) -> MapDocument:
     vmap = obj["map"]
     if not isinstance(vmap, dict):
         raise ParseError("map: expected an object of vertex-name pairs")
+    known_x, known_y = set(xv), set(yv)
     for a, b in vmap.items():
-        if a not in set(xv):
+        if a not in known_x:
             raise ParseError(f"map: unknown source vertex {a!r}")
-        if b not in set(yv):
+        if not isinstance(b, str):
+            raise ParseError(f"map: image of {a!r} must be a vertex name, got {b!r}")
+        if b not in known_y:
             raise ParseError(f"map: unknown target vertex {b!r}")
     missing = [v for v in xv if v not in vmap]
     if missing:

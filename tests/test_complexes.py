@@ -105,6 +105,28 @@ def test_validate_map_reports():
     assert ("collapsed", (0, 1)) in rep2.failures
 
 
+def test_validate_map_failure_order():
+    """Failures follow X's simplex order (collapse before non-simplex within a
+    simplex), then the missed simplices of Y in Y's order."""
+    X = build_complex([(0, 1), (2, 3), (4, 5, 6)])
+    Y = build_complex([(0,), (1,), (2,), (3, 4)])
+    vertex_map = {0: 0, 1: 0, 2: 1, 3: 2, 4: 1, 5: 1, 6: 2}
+    rep = validate_map(vertex_map, X, Y)
+    assert (rep.simplicial, rep.finite_to_one, rep.surjective) == (False, False, False)
+    assert rep.failures == (
+        ("collapsed", (0, 1)),
+        ("not-a-simplex", (2, 3)),
+        ("collapsed", (4, 5)),
+        ("not-a-simplex", (4, 6)),
+        ("not-a-simplex", (5, 6)),
+        ("collapsed", (4, 5, 6)),
+        ("not-a-simplex", (4, 5, 6)),
+        ("missed", (3,)),
+        ("missed", (4,)),
+        ("missed", (3, 4)),
+    )
+
+
 def test_non_simplicial_map_rejected():
     X = build_complex([(0, 1)])
     Y = build_complex([(0,), (1,)])  # two isolated points, no edge

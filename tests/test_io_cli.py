@@ -101,6 +101,28 @@ def test_cli_empty_target_exits_2(tmp_path, capsys, command, doc):
     assert err.count("\n") == 1 and "y.simplices" in err
 
 
+NON_STRING_NAMES = {
+    "list_image": {
+        "x": {"vertices": ["a"], "simplices": [["a"]]},
+        "y": {"vertices": ["u"], "simplices": [["u"]]},
+        "map": {"a": ["u"]},
+    },
+    "nested_simplex": {
+        "x": {"vertices": ["a"], "simplices": [[["a"]]]},
+        "y": {"vertices": ["u"], "simplices": [["u"]]},
+        "map": {"a": "u"},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", sorted(NON_STRING_NAMES))
+def test_cli_non_string_name_exits_2(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, json.dumps(NON_STRING_NAMES[doc]))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 # y lists a vertex "q" that lies in no simplex: it is a point of Y that
 # nothing maps onto
 ISOLATED_TARGET_VERTEX = {

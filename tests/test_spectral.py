@@ -1,6 +1,7 @@
 import pytest
 from reference import GenericSequence, page_one_homology
 
+from icss.alternating import alternating_homology
 from icss.complexes import homology_of_complex
 from icss.errors import NotAComplex, TruncationInsufficient
 from icss.fixtures import FIXTURES, get_fixture
@@ -66,9 +67,7 @@ def test_corrupted_cell_breaks_collapse(fold):
     # severing every vertical transfer still satisfies the complex identities
     # but destroys the collapse, and the checker must notice
     d_v = {k: v.scaled(0) for k, v in dc._d_v.items()}
-    bad = DoubleComplex(
-        "Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v, tower=dc.tower, check=False
-    )
+    bad = DoubleComplex("Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v, tower=dc.tower)
     report = check_collapse_first(SpectralSequence(bad, "rows"))
     assert not report.ok
     assert not check_collapse_first(first_ss(Tower(fold), "Alt")).details  # the honest one passes
@@ -95,16 +94,38 @@ def test_double_cover_icss_pages(double_cover):
 
 
 def test_page_one_matches_direct_homology(maps):
+    """Page one is the (alternating) homology of the multiple-point spaces,
+    computed here from the spaces themselves rather than from the grid."""
     for name, f in maps.items():
-        ss = icss(f)
-        dc = ss.dc
-        for p in range(dc.p_max + 1):
-            for q in range(dc.q_max + 1):
-                assert ss.page_group(1, p, q) == page_one_oracle(ss, p, q), (
-                    name,
-                    p,
-                    q,
-                )
+        for ss in (icss(f), gvzss(f)):
+            dc = ss.dc
+            for p in range(dc.p_max + 1):
+                for q in range(dc.q_max + 1):
+                    if dc.kind == "Alt":
+                        direct = alternating_homology(dc.tower.D(p + 1), q)
+                    else:
+                        W = dc.tower.W(p + 1)
+                        direct = (
+                            homology_of_complex(W.complex, q)
+                            if q <= W.dim
+                            else HomologyGroup(0)
+                        )
+                    where = (name, dc.kind, p, q)
+                    assert ss.page_group(1, p, q) == direct, where
+                    assert page_one_oracle(ss, p, q) == direct, where
+
+
+def test_page_one_cross_check_catches_a_broken_reduction(double_cover, monkeypatch):
+    import icss.spectral as spectral
+
+    real = spectral.reduce_complex
+
+    def one_level(columns, levels):
+        # cancelling across filtration levels keeps the homology but not the pages
+        return real(columns, [[0] * len(level) for level in levels])
+
+    monkeypatch.setattr(spectral, "reduce_complex", one_level)
+    assert not icss_report(double_cover).page_one_cross_checked
 
 
 def test_page_two_is_page_one_homology(fold, figure_eight):
