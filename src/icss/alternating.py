@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import neg
 
 from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
@@ -99,8 +100,15 @@ class AltBasis:
 
     def coordinates(self, R: IntMatrix) -> IntMatrix:
         """Alternating coordinates of the raw columns of R; raises
-        NotAlternating unless every column is an alternating chain."""
-        A = self.selector() @ R
+        NotAlternating unless every column is an alternating chain.
+
+        Row g is R's row at g's product simplex times ``g.sign``: the rows of
+        ``selector() @ R``, gathered without the product."""
+        rows = []
+        for g in self.gens:
+            row = R.data[self.Z.index(g.canonical)]
+            rows.append(row if g.sign == 1 else list(map(neg, row)))
+        A = IntMatrix(self.n_gens, R.cols, rows)
         if self.to_raw_matrix @ A != R:
             raise NotAlternating("a column is not an alternating chain")
         return A

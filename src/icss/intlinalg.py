@@ -10,7 +10,8 @@ cancelling its unit pairs.  No floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from operator import add, itemgetter, mul
 
 from .errors import NotAComplex, NotASubgroup
 
@@ -18,7 +19,10 @@ from .errors import NotAComplex, NotASubgroup
 class IntMatrix:
     """Integer matrix with explicit shape (so 0xN and Nx0 make sense).
 
-    Storage is dense rows; products and elimination steps skip zero entries.
+    Storage is dense rows of Python ints.  Products, sums, transposes and
+    ``sparse_columns`` find the nonzeros of a row by C-level iteration
+    (``itertools.compress``, ``map``, ``zip``), so they pay Python work per
+    nonzero entry only; elimination steps skip zero entries.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -29,9 +33,9 @@ class IntMatrix:
         if data is None:
             self.data = [[0] * cols for _ in range(rows)]
         else:
-            if len(data) != rows or any(len(r) != cols for r in data):
+            if len(data) != rows or any(map(cols.__ne__, map(len, data))):
                 raise ValueError("shape mismatch")
-            self.data = [list(r) for r in data]
+            self.data = list(map(list, data))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -56,46 +60,44 @@ class IntMatrix:
             if not cols_list:
                 raise ValueError("rows required for empty matrix")
             rows = len(cols_list[0])
-        m = IntMatrix(rows, len(cols_list))
-        for j, col in enumerate(cols_list):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i in range(rows):
-                m.data[i][j] = col[i]
-        return m
+        if any(map(rows.__ne__, map(len, cols_list))):
+            raise ValueError("column length mismatch")
+        if not cols_list:
+            return IntMatrix(rows, 0)
+        return IntMatrix(rows, len(cols_list), list(zip(*cols_list)))
 
     def copy(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, self.data)
 
     def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return list(map(itemgetter(j), self.data))
 
     def transpose(self) -> "IntMatrix":
-        t = IntMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            row = self.data[i]
-            for j in range(self.cols):
-                t.data[j][i] = row[j]
-        return t
+        if not self.rows:
+            return IntMatrix(self.cols, 0)
+        return IntMatrix(self.cols, self.rows, list(zip(*self.data)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         out = IntMatrix(self.rows, other.cols)
         # (column, entry) pairs of the nonzeros in each row of other
-        support = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        cols = range(other.cols)
+        support = [[(j, row[j]) for j in compress(cols, row)] for row in other.data]
+        inner = range(self.cols)
         for arow, orow in zip(self.data, out.data):
-            for a, brow in zip(arow, support):
-                if a:
-                    for j, b in brow:
-                        orow[j] += a * b
+            for k in compress(inner, arow):
+                a = arow[k]
+                for j, b in support[k]:
+                    orow[j] += a * b
         return out
 
     def mul_vec(self, v) -> list:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        nonzero = [(k, x) for k, x in enumerate(v) if x]
-        return [sum(row[k] * x for k, x in nonzero) for row in self.data]
+        ks = list(compress(range(self.cols), v))
+        xs = [v[k] for k in ks]
+        return [sum(map(mul, map(row.__getitem__, ks), xs)) for row in self.data]
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -113,12 +115,7 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix(
-            self.rows,
-            self.cols,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+            self.rows, self.cols, [list(map(add, r, s)) for r, s in zip(self.data, other.data)]
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -136,7 +133,7 @@ class IntMatrix:
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -179,11 +176,10 @@ def smith_normal_form(M: IntMatrix):
 
     def row_sub(i, j, q):
         # row_i -= q * row_j, over the nonzero entries of row_j
-        for A in (S, U):
-            Ai = A[i]
-            for c, x in enumerate(A[j]):
-                if x:
-                    Ai[c] -= q * x
+        for A, width in ((S, range(n)), (U, range(m))):
+            Ai, Aj = A[i], A[j]
+            for c in compress(width, Aj):
+                Ai[c] -= q * Aj[c]
 
     def col_sub(i, j, q):
         # col_i -= q * col_j, over the rows where col_j is nonzero
@@ -295,7 +291,8 @@ def column_echelon(M: IntMatrix, reduce: bool = False):
 
     def support(j, top):
         # the rows of H (from row top on) and of T with a nonzero in column j
-        return [row for row in chain(islice(H, top, None), T) if row[j]]
+        rows = H[top:] + T
+        return list(compress(rows, map(itemgetter(j), rows)))
 
     def col_sub(i, j, q, rows):
         # col_i -= q * col_j, over the support rows of col_j
@@ -507,13 +504,27 @@ def subgroup_quotient(A: Subgroup, B: Subgroup) -> HomologyGroup:
 
 
 def sparse_columns(M: IntMatrix) -> list:
-    """The nonzero entries of each column of M, as {row: entry} dicts."""
+    """The nonzero entries of each column of M, as {row: entry} dicts with
+    the rows in increasing order."""
     cols = [{} for _ in range(M.cols)]
+    width = range(M.cols)
     for i, row in enumerate(M.data):
-        for j, a in enumerate(row):
-            if a:
-                cols[j][i] = a
+        for j in compress(width, row):
+            cols[j][i] = row[j]
     return cols
+
+
+def compose(a_cols: list, b_cols: list) -> list:
+    """The columns of A @ B as {row: entry} dicts without zero entries,
+    from those of A and of B (as ``sparse_columns`` gives them)."""
+    out = []
+    for b in b_cols:
+        col: dict = {}
+        for k, x in b.items():
+            for i, a in a_cols[k].items():
+                col[i] = col.get(i, 0) + x * a
+        out.append({i: v for i, v in col.items() if v})
+    return out
 
 
 def reduce_complex(columns: list, levels: list) -> tuple:
@@ -606,10 +617,10 @@ def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
     """
     if d_n.cols != d_next.rows:
         raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
-    if not (d_n @ d_next).is_zero():
-        raise NotAComplex("d_n @ d_next != 0")
     bottom = [{} for _ in range(d_n.rows)]  # degree n-1 has no boundary here
     columns = [bottom, sparse_columns(d_n), sparse_columns(d_next)]
+    if any(compose(columns[1], columns[2])):
+        raise NotAComplex("d_n @ d_next != 0")
     (_, d_n, d_next), _ = reduce_complex(columns, [[0] * len(c) for c in columns])
     K = kernel_basis(d_n)
     rel = solve_columns(K, d_next)

@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct, permutations
 
-from .complexes import SimplicialComplex, SimplicialMap, face_closure, sort_sign
+from .complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    face_closure,
+    homology_of_complex,
+    sort_sign,
+)
 from .errors import ComplexMismatch, InvalidIndex, InvalidMultiplicity
-from .intlinalg import IntMatrix
+from .intlinalg import HomologyGroup, IntMatrix
 
 
 def ordered_lifts(f: SimplicialMap, delta) -> list:
@@ -111,10 +117,7 @@ def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
     raw_products = []  # (delta, lifts, listing of vertex tuples)
     for delta in f.target.all_simplices():
         lifts = ordered_lifts(f, delta)
-        if kind == "D":
-            combos = [c for c in iproduct(lifts, repeat=k) if len(set(c)) == k]
-        else:
-            combos = list(iproduct(lifts, repeat=k))
+        combos = permutations(lifts, k) if kind == "D" else iproduct(lifts, repeat=k)
         for combo in combos:
             listing = tuple(
                 tuple(combo[ell][j] for ell in range(k)) for j in range(len(delta))
@@ -146,7 +149,8 @@ def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
 
 
 class Tower:
-    """The W^k / D^k complexes of one simplicial map, each built once.
+    """The W^k / D^k complexes of one simplicial map, each built once, and
+    the homology of its target, computed once per degree.
 
     Functions that read several multiplicities of one map take a tower, so
     they share its spaces; building W^k or D^k builds the spaces below it.
@@ -159,6 +163,7 @@ class Tower:
         self.f = f
         self._cache: dict = {}
         self._k_max = None
+        self._target_homology: dict = {}
 
     def W(self, k: int) -> MultiplePointComplex:
         return self._get("W", k)
@@ -172,6 +177,12 @@ class Tower:
             below = self._get(kind, k - 1) if k > 1 else None
             self._cache[key] = _build(self.f, k, key[0], below)
         return self._cache[key]
+
+    def target_homology(self, n: int) -> HomologyGroup:
+        """H_n(Y) of the map's target, computed once per degree."""
+        if n not in self._target_homology:
+            self._target_homology[n] = homology_of_complex(self.f.target, n)
+        return self._target_homology[n]
 
     def k_max(self) -> int:
         """Largest k with D^k nonempty: the maximal lift count of a Y-simplex."""
@@ -230,9 +241,11 @@ class SkElement:
         return SkElement(tuple(inv))
 
     def apply_tuple(self, t: tuple) -> tuple:
-        """Left action on slot tuples: slot i of the result is slot sigma^-1(i)."""
-        inv = self.inverse().perm
-        return tuple(t[inv[i]] for i in range(self.k))
+        """Left action on slot tuples: slot sigma(i) of the result is slot i."""
+        out = [None] * self.k
+        for i, j in enumerate(self.perm):
+            out[j] = t[i]
+        return tuple(out)
 
     @staticmethod
     def identity(k: int) -> "SkElement":

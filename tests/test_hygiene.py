@@ -164,3 +164,23 @@ def test_one_unit_pair_reduction():
                 assemblers.append(f"{path.name}:{node.lineno} {name}")
     assert defined == ["intlinalg.py"], defined
     assert not assemblers, assemblers
+
+
+def test_blocks_become_sparse_columns_once():
+    """``spectral`` converts a block to sparse columns only when its
+    ``DoubleComplex`` is made; the identity checks and the total complex
+    read those columns."""
+    outside = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "sparse_columns" and cls != "DoubleComplex":
+                outside.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse((SRC / "spectral.py").read_text()), None)
+    assert not outside, f"spectral.py calls sparse_columns outside DoubleComplex: {outside}"

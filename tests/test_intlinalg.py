@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from icss.intlinalg import (
     IntMatrix,
     Subgroup,
     column_echelon,
+    compose,
     group_from_presentation,
     homology_pair,
     invariant_factors,
@@ -20,6 +22,7 @@ from icss.intlinalg import (
     smith_normal_form,
     solve,
     solve_columns,
+    sparse_columns,
     subgroup_quotient,
 )
 
@@ -240,6 +243,21 @@ def test_homology_pair_rejects_noncomplex():
         homology_pair(d1, d1)
 
 
+def test_homology_pair_rejects_a_single_nonzero_composite():
+    """Sparse boundaries whose product is zero but for one entry."""
+    d_n, d_next = IntMatrix(20, 30), IntMatrix(30, 25)
+    for i, j, x in ((0, 1, 1), (3, 7, 2), (5, 12, -1)):
+        d_n.data[i][j] = x
+    for i, j, x in ((2, 4, 1), (20, 0, 3), (7, 11, 5)):
+        d_next.data[i][j] = x
+    assert reference_product(d_n, d_next)[3][11] == 10
+    with pytest.raises(NotAComplex):
+        homology_pair(d_n, d_next)
+    d_next.data[7][11] = 0
+    # ker d_n drops the three columns d_n reads; im d_next is e_2 and 3 e_20
+    assert homology_pair(d_n, d_next) == HomologyGroup(30 - 3 - 2, (3,))
+
+
 def test_subgroup_quotient_examples():
     A = Subgroup.full(2)
     B = Subgroup(2, IntMatrix.from_rows([[2, 0], [0, 3]], cols=2))
@@ -359,6 +377,80 @@ def test_products_with_big_entries():
     B = IntMatrix.from_rows([[BIG], [5], [2**65]], cols=1)
     assert (A @ B).data == [[BIG * BIG - 2**65], [0]]
     assert A.mul_vec([BIG, 0, 1]) == [BIG * BIG - 1, 0]
+
+
+@st.composite
+def same_shape_pairs(draw):
+    dense = draw(st.booleans())
+    size = st.integers(0, 6) if dense else st.integers(0, 16)
+    m, n = draw(size), draw(size)
+    return draw(int_matrices(m, n, dense)), draw(int_matrices(m, n, dense))
+
+
+def reference_columns(M):
+    """Per-entry loop: the nonzeros of each column, rows in increasing order."""
+    cols = []
+    for j in range(M.cols):
+        col = {}
+        for i in range(M.rows):
+            if M.data[i][j] != 0:
+                col[i] = M.data[i][j]
+        cols.append(col)
+    return cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_shape_pairs())
+def test_elementwise_kernels_match_loops(case):
+    A, B = case
+    before = (A.copy(), B.copy())
+    T = A.transpose()
+    assert (T.rows, T.cols) == (A.cols, A.rows)
+    assert T.data == [[A.data[i][j] for i in range(A.rows)] for j in range(A.cols)]
+    S, D = A + B, A - B
+    for op, C in ((operator.add, S), (operator.sub, D)):
+        assert (C.rows, C.cols) == (A.rows, A.cols)
+        assert C.data == [
+            [op(A.data[i][j], B.data[i][j]) for j in range(A.cols)] for i in range(A.rows)
+        ]
+    for M in (A, B, S, D, T):
+        assert M.is_zero() == all(x == 0 for row in M.data for x in row)
+        assert [list(c.items()) for c in sparse_columns(M)] == [
+            list(c.items()) for c in reference_columns(M)
+        ]
+    assert (A, B) == before
+    for C in (T, S, D, IntMatrix(A.rows, A.cols, A.data)):
+        assert not shares_rows(C, A, B)
+        assert len({id(r) for r in C.data}) == C.rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_cases())
+def test_compose_matches_the_product(case):
+    A, B = case
+    a_cols, b_cols = sparse_columns(A), sparse_columns(B)
+    expected = reference_columns(IntMatrix(A.rows, B.cols, reference_product(A, B)))
+    assert compose(a_cols, b_cols) == expected
+    assert (sparse_columns(A), sparse_columns(B)) == (a_cols, b_cols)  # not consumed
+
+
+def test_elementwise_kernels_on_empty_shapes_and_big_entries():
+    assert IntMatrix(0, 3).transpose() == IntMatrix(3, 0)
+    assert IntMatrix(3, 0).transpose() == IntMatrix(0, 3)
+    assert len({id(r) for r in IntMatrix(0, 3).transpose().data}) == 3
+    assert IntMatrix(0, 3).is_zero() and IntMatrix(3, 0).is_zero()
+    assert (IntMatrix(2, 0) + IntMatrix(2, 0)) == IntMatrix(2, 0)
+    assert sparse_columns(IntMatrix(0, 3)) == [{}, {}, {}]
+    assert sparse_columns(IntMatrix(3, 0)) == []
+    assert compose([{}, {}], [{}, {}, {}]) == [{}, {}, {}]
+    assert compose([], [{}]) == [{}]
+    A = IntMatrix.from_rows([[BIG, 0], [0, -(2**65)]], cols=2)
+    assert (A - A).is_zero() and not (A + A).is_zero()
+    assert sparse_columns(A) == [{0: BIG}, {1: -(2**65)}]
+    # BIG * 1 - BIG * 1 cancels: the zero sum is dropped, not kept as 0
+    assert compose([{0: BIG, 1: 1}, {0: BIG}], [{0: 1, 1: -1}]) == [{1: 1}]
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, [[1, 2], [3]])
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from reference import bar_sigma, compose
 
@@ -153,6 +155,32 @@ def test_sk_group_laws():
                 assert st.apply_tuple(x) == s.apply_tuple(t.apply_tuple(x))
     with pytest.raises(InvalidIndex):
         SkElement((0, 0))
+
+
+def test_apply_tuple_matches_the_inverse_definition():
+    """Slot i of sigma(t) is slot sigma^-1(i) of t, on all of S_1 .. S_4."""
+    for k in range(1, 5):
+        t = tuple(range(10, 10 + k))
+        for sigma in SkElement.all(k):
+            inv = sigma.inverse().perm
+            assert sigma.apply_tuple(t) == tuple(t[inv[i]] for i in range(k))
+
+
+def test_distinct_lift_spaces_past_the_lift_count_are_empty(fold):
+    """D^k for k above the largest lift count is empty and is found so
+    without walking the N^k lift tuples (the alarm fails a walk that hangs)."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("building D^40 of the fold did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        D = Tower(fold).D(40)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert D.is_empty() and D.k == 40 and not D.products
 
 
 def test_sk_action_is_signed_involution(fold):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from reference import GenericSequence, page_one_homology
 
@@ -60,6 +62,31 @@ def test_corrupted_cell_is_rejected(fold):
     d_v[(1, 1)].data[0][0] += 1
     with pytest.raises(NotAComplex):
         DoubleComplex("Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v)
+
+
+@pytest.mark.parametrize(
+    "family, cell, left, message",
+    [
+        ("d_h", (0, 2), ("d_h", (0, 1)), "horizontal square nonzero at (0, 2)"),
+        ("d_v", (2, 0), ("d_v", (1, 0)), "vertical square nonzero at (2, 0)"),
+        ("d_v", (1, 1), ("d_h", (0, 1)), "differentials do not anticommute at (1, 1)"),
+    ],
+)
+def test_each_identity_rejects_its_corrupted_block(disc_to_rp2, family, cell, left, message):
+    """One entry changed in one block of the GVZSS W grid of disc_to_rp2
+    (p_max = 4, q_max = 2, so every identity is checked) breaks the identity
+    that block meets first, and the error names it."""
+    dc = gvzss(disc_to_rp2).dc
+    assert (dc.p_max, dc.q_max) == (4, 2)
+    blocks = {"d_h": dict(dc._d_h), "d_v": dict(dc._d_v)}
+    bad = blocks[family][cell].copy()
+    # the changed row meets a nonzero column of the block composed after it
+    i = next(i for i, col in enumerate(sparse_columns(blocks[left[0]][left[1]])) if col)
+    bad.data[i][0] += 1
+    blocks[family][cell] = bad
+    with pytest.raises(NotAComplex, match=re.escape(message)):
+        DoubleComplex("W", dc.p_max, dc.q_max, dc._ranks, blocks["d_h"], blocks["d_v"])
+    DoubleComplex("W", dc.p_max, dc.q_max, dc._ranks, dc._d_h, dc._d_v)  # the honest grid
 
 
 def test_corrupted_cell_breaks_collapse(fold):

@@ -86,3 +86,20 @@ def test_run_all_builds_each_space_once(disc_to_rp2, monkeypatch):
     assert w_first.W(1) is w_first.D(1)
     assert d_first.D(1) is d_first.W(1)
     assert w_first.W(1).kind == d_first.D(1).kind
+
+
+def test_run_all_computes_each_target_homology_once(disc_to_rp2, monkeypatch):
+    """Both collapse checks read H_n(Y) off the one tower, which computes it
+    once per degree."""
+    import icss.multiplicity as multiplicity
+
+    calls = []
+    real = multiplicity.homology_of_complex
+
+    def counting(X, n):
+        calls.append((X, n))
+        return real(X, n)
+
+    monkeypatch.setattr(multiplicity, "homology_of_complex", counting)
+    assert all(r.passed for r in run_all(disc_to_rp2))
+    assert calls == [(disc_to_rp2.target, n) for n in range(disc_to_rp2.target.dim + 1)]
