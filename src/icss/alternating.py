@@ -23,6 +23,7 @@ from .multiplicity import (
     ordered_lifts,
     projection_eps,
     sk_matrix,
+    slot_drop,
 )
 
 
@@ -114,28 +115,59 @@ class AltBasis:
         return A
 
 
-def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """The alternating-signed sum of the k slot projections, raw bases.
+def varrho_columns(Z: MultiplePointComplex, n: int) -> list:
+    """Columns of the transfer (-1)^n rho on the degree-n chains of Z, as
+    {row: entry} dicts without zero entries, rows increasing.
 
-    For k = 1 this is the induced map down to Y itself.
+    rho is the sum over the slots i of (-1)^(i+1) times the pushforward by
+    ``slot_drop(Z, i)``, onto ``Z.below``; for k = 1 it is the pushforward
+    by f, onto Y.  A face of a product simplex over a Y-simplex delta drops
+    in each slot to the product of the remaining lifts over a face of delta,
+    a simplex of ``Z.below``, so no slot map needs validating.
     """
     if Z.k == 1:
-        return pushforward_matrix(Z.f, n)
-    below = Z.below.complex
-    M = IntMatrix(below.n_simplices(n), Z.n_simplices(n))
-    for i in range(1, Z.k + 1):
-        vertex_map = projection_eps(Z, i).vertex_map
-        slot_sign = 1 if i % 2 else -1
-        for j, s in enumerate(Z.simplices(n)):
-            sign, image = pushforward_simplex(vertex_map, s)
+        drops = [Z.f.vertex_map]
+    else:
+        drops = [slot_drop(Z, i) for i in range(1, Z.k + 1)]
+    index = _transfer_target(Z).index
+    twist = 1 if n % 2 == 0 else -1
+    simplices = Z.simplices(n)
+    columns = [{} for _ in simplices]
+    for i, vertex_map in enumerate(drops):
+        slot_sign = twist if i % 2 == 0 else -twist
+        for col, s in zip(columns, simplices):
+            if i:
+                # Vertex ids follow the order of the vertex tuples, and the
+                # first slots of a simplex's vertices lie over distinct
+                # Y-vertices, so they order the simplex.  A drop that keeps
+                # the first slot keeps that order: the image is increasing.
+                sign, image = 1, tuple(map(vertex_map.__getitem__, s))
+            else:
+                sign, image = pushforward_simplex(vertex_map, s)
             if sign:
-                M.data[below.index(image)][j] += slot_sign * sign
-    return M
+                row = index(image)
+                col[row] = col.get(row, 0) + slot_sign * sign
+    return [{row: a for row, a in sorted(col.items()) if a} for col in columns]
+
+
+def _transfer_target(Z: MultiplePointComplex):
+    """The complex rho lands in: ``Z.below``, or Y when k = 1."""
+    return Z.f.target if Z.k == 1 else Z.below.complex
 
 
 def varrho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """Degree-sign twist of :func:`rho_matrix`, anticommuting with the boundary."""
-    M = rho_matrix(Z, n)
+    """Dense form of :func:`varrho_columns`: the transfer with the degree
+    sign that makes it anticommute with the boundary."""
+    return IntMatrix.from_sparse(varrho_columns(Z, n), _transfer_target(Z).n_simplices(n))
+
+
+def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
+    """The alternating-signed sum of the k slot projections, raw bases: the
+    dense :func:`varrho_columns` with the degree sign taken off.
+
+    For k = 1 this is the induced map down to Y itself.
+    """
+    M = varrho_matrix(Z, n)
     return M if n % 2 == 0 else M.scaled(-1)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ComplexMismatch, DegreeOutOfRange, InvalidSimplex
-from .intlinalg import HomologyGroup, IntMatrix, homology_pair
+from .intlinalg import HomologyGroup, IntMatrix, column_homology
 
 Simplex = tuple  # strictly increasing tuple of vertex ids
 
@@ -133,22 +133,26 @@ def build_complex(maximal_simplices, labels=None) -> SimplicialComplex:
     return SimplicialComplex(n_vertices, by_dim, labels=labels)
 
 
-def boundary_matrix(X, n: int) -> IntMatrix:
-    """Matrix of the alternating-sum face map C_n -> C_{n-1} in canonical bases.
+def boundary_columns(X, n: int) -> list:
+    """Columns of the alternating-sum face map C_n -> C_{n-1} in canonical
+    bases, as {row: +-1} dicts with the rows in increasing order.
 
-    n = 0 returns the 0 x (#vertices) matrix.
+    n = 0 gives one empty column per vertex.
     """
     if n < 0 or n > X.dim:
         raise DegreeOutOfRange(f"degree {n} outside 0..{X.dim}")
-    cols = X.simplices(n)
-    rows = X.simplices(n - 1) if n > 0 else ()
-    M = IntMatrix(len(rows), len(cols))
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face:
-                M.data[X.index(face)][j] += -1 if i % 2 else 1
-    return M
+    if n == 0:
+        return [{} for _ in X.simplices(0)]
+    # dropping a later vertex gives an earlier face in the lexicographic basis
+    signs = [(i, -1 if i % 2 else 1) for i in range(n, -1, -1)]
+    index = X.index
+    return [{index(s[:i] + s[i + 1 :]): a for i, a in signs} for s in X.simplices(n)]
+
+
+def boundary_matrix(X, n: int) -> IntMatrix:
+    """Dense form of :func:`boundary_columns`; n = 0 gives the
+    0 x (#vertices) matrix."""
+    return IntMatrix.from_sparse(boundary_columns(X, n), X.n_simplices(n - 1))
 
 
 @dataclass(frozen=True)
@@ -243,9 +247,5 @@ def homology_of_complex(X: SimplicialComplex, n: int) -> HomologyGroup:
     """H_n(X) = ker d_n / im d_{n+1} in invariant-factor form."""
     if n < 0 or n > X.dim:
         raise DegreeOutOfRange(f"degree {n} outside 0..{X.dim}")
-    d_n = boundary_matrix(X, n)
-    if n + 1 <= X.dim:
-        d_next = boundary_matrix(X, n + 1)
-    else:
-        d_next = IntMatrix(X.n_simplices(n), 0)
-    return homology_pair(d_n, d_next)
+    d_next = boundary_columns(X, n + 1) if n < X.dim else []
+    return column_homology(X.n_simplices(n - 1), boundary_columns(X, n), d_next)

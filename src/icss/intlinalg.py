@@ -66,6 +66,15 @@ class IntMatrix:
             return IntMatrix(rows, 0)
         return IntMatrix(rows, len(cols_list), list(zip(*cols_list)))
 
+    @staticmethod
+    def from_sparse(cols_list, rows: int) -> "IntMatrix":
+        """The dense form of {row: entry} columns (``sparse_columns``'s form)."""
+        M = IntMatrix(rows, len(cols_list))
+        for j, col in enumerate(cols_list):
+            for i, a in col.items():
+                M.data[i][j] = a
+        return M
+
     def copy(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, self.data)
 
@@ -435,14 +444,26 @@ def group_from_presentation(ambient_rank: int, relation_factors) -> HomologyGrou
     return HomologyGroup(ambient_rank - len(relation_factors), tor)
 
 
-class Subgroup:
-    """Subgroup of Z^ambient_rank spanned by integer generator columns.
+def hermite_basis(M: IntMatrix) -> IntMatrix:
+    """The nonzero columns of the reduced column Hermite form of M: a basis
+    of the column span, canonical for it."""
+    H, _, pivots = column_echelon(M, reduce=True)
+    k = len(pivots)  # the pivot columns are 0, 1, ..., k-1
+    return IntMatrix(M.rows, k, [row[:k] for row in H.data])
 
-    Canonicalized by reduced column Hermite form, so two subgroups are equal
-    iff their canonical bases coincide syntactically.
+
+class Subgroup:
+    """Subgroup of Z^ambient_rank with a basis of integer columns.
+
+    ``Subgroup(ambient, generators)`` echelons a generator set, which may be
+    dependent, into its reduced column Hermite form, canonical for the span.
+    ``Subgroup.of_basis`` keeps independent columns, such as a kernel basis,
+    as they are; their canonical form is computed only if the subgroup is
+    compared or hashed.  Equality compares canonical forms, so it is exact
+    whatever bases the two subgroups hold.
     """
 
-    __slots__ = ("ambient_rank", "basis")
+    __slots__ = ("ambient_rank", "basis", "_hnf")
 
     def __init__(self, ambient_rank: int, generators: IntMatrix | list):
         if isinstance(generators, IntMatrix):
@@ -451,18 +472,25 @@ class Subgroup:
             gens = IntMatrix.from_columns(generators, rows=ambient_rank)
         if gens.rows != ambient_rank:
             raise ValueError("generator length mismatch")
-        H, _, pivots = column_echelon(gens, reduce=True)
         self.ambient_rank = ambient_rank
-        k = len(pivots)  # the pivot columns are 0, 1, ..., k-1
-        self.basis = IntMatrix(ambient_rank, k, [row[:k] for row in H.data])
+        self.basis = self._hnf = hermite_basis(gens)
+
+    @staticmethod
+    def of_basis(ambient_rank: int, basis: IntMatrix) -> "Subgroup":
+        """The span of the independent columns of ``basis``, kept as its basis."""
+        if basis.rows != ambient_rank:
+            raise ValueError("generator length mismatch")
+        sub = object.__new__(Subgroup)
+        sub.ambient_rank, sub.basis, sub._hnf = ambient_rank, basis, None
+        return sub
 
     @staticmethod
     def zero(ambient_rank: int) -> "Subgroup":
-        return Subgroup(ambient_rank, IntMatrix(ambient_rank, 0))
+        return Subgroup.of_basis(ambient_rank, IntMatrix(ambient_rank, 0))
 
     @staticmethod
     def full(ambient_rank: int) -> "Subgroup":
-        return Subgroup(ambient_rank, IntMatrix.identity(ambient_rank))
+        return Subgroup.of_basis(ambient_rank, IntMatrix.identity(ambient_rank))
 
     @property
     def rank(self) -> int:
@@ -479,15 +507,22 @@ class Subgroup:
             raise ValueError("ambient mismatch")
         return Subgroup(self.ambient_rank, self.basis.hstack(other.basis))
 
+    def _canonical(self) -> IntMatrix:
+        """``hermite_basis`` of the basis, made on first use (the basis of a
+        generator set is already in that form)."""
+        if self._hnf is None:
+            self._hnf = hermite_basis(self.basis)
+        return self._hnf
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.ambient_rank == other.ambient_rank
-            and self.basis == other.basis
+            and self._canonical() == other._canonical()
         )
 
     def __hash__(self):
-        return hash((self.ambient_rank, self.basis))
+        return hash((self.ambient_rank, self._canonical()))
 
     def __repr__(self):
         return f"Subgroup(rank {self.rank} of Z^{self.ambient_rank})"
@@ -599,27 +634,29 @@ def reduce_complex(columns: list, levels: list) -> tuple:
     D = []
     for n, cells in enumerate(survivors):
         pos = {j: c for c, j in enumerate(survivors[n - 1])} if n else {}
-        M = IntMatrix(len(pos), len(cells))
-        for c, j in enumerate(cells):
-            for i, a in columns[n][j].items():
-                M.data[pos[i]][c] = a
-        D.append(M)
+        cols = [{pos[i]: a for i, a in columns[n][j].items()} for j in cells]
+        D.append(IntMatrix.from_sparse(cols, len(pos)))
     kept = [[levels[n][j] for j in cells] for n, cells in enumerate(survivors)]
     return D, kept
 
 
 def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
-    """Invariant factors of ker(d_n) / im(d_next), given d_n @ d_next == 0.
+    """Invariant factors of ker(d_n) / im(d_next), given d_n @ d_next == 0."""
+    if d_n.cols != d_next.rows:
+        raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
+    return column_homology(d_n.rows, sparse_columns(d_n), sparse_columns(d_next))
+
+
+def column_homology(rows: int, d_n: list, d_next: list) -> HomologyGroup:
+    """``homology_pair`` of the sparse columns of d_n, which lands in a
+    degree of ``rows`` cells, and of d_next; the dicts are consumed.
 
     The three-term complex is first cut down by ``reduce_complex`` with one
     filtration level, so the kernel, solve and Smith steps see only the
     cells no unit entry cancels.
     """
-    if d_n.cols != d_next.rows:
-        raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
-    bottom = [{} for _ in range(d_n.rows)]  # degree n-1 has no boundary here
-    columns = [bottom, sparse_columns(d_n), sparse_columns(d_next)]
-    if any(compose(columns[1], columns[2])):
+    columns = [[{} for _ in range(rows)], d_n, d_next]  # degree n-1 has no boundary here
+    if any(compose(d_n, d_next)):
         raise NotAComplex("d_n @ d_next != 0")
     (_, d_n, d_next), _ = reduce_complex(columns, [[0] * len(c) for c in columns])
     K = kernel_basis(d_n)

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import AltBasis, alt_boundary_matrix, alt_veps_matrix, varrho_matrix
-from .complexes import SimplicialMap, boundary_matrix
+from .alternating import AltBasis, alt_boundary_matrix, alt_veps_matrix, varrho_columns
+from .complexes import SimplicialMap, boundary_columns
 from .errors import DegreeOutOfRange, NotAComplex, TruncationInsufficient
 from .intlinalg import (
     HomologyGroup,
     IntMatrix,
     Subgroup,
+    column_homology,
     compose,
     homology_pair,
     kernel_basis,
@@ -53,24 +54,23 @@ from .multiplicity import Tower
 class DoubleComplex:
     """First-quadrant double complex with anticommuting differentials.
 
-    ``ranks[(p, q)]`` are the cell ranks; ``d_h[(p, q)]`` maps cell (p, q) to
-    (p, q-1) for q >= 1 and ``d_v[(p, q)]`` maps it to (p-1, q) for p >= 1.
-    ``tower`` is the tower of the map the grid was built from, if any: the
-    map, the dimension of Y and the largest multiplicity are read off it.
-
-    Each block is also kept as sparse ``{row: entry}`` columns, made once;
-    the identity checks and the total complex read those.
+    ``ranks[(p, q)]`` are the cell ranks.  Each block is held once, as
+    sparse ``{row: entry}`` columns without zero entries: ``h_cols[(p, q)]``
+    maps cell (p, q) to (p, q-1) for q >= 1 and ``v_cols[(p, q)]`` maps it
+    to (p-1, q) for p >= 1; a block that is not given is zero.  The identity
+    checks, the total complex and the page-one oracle read the columns;
+    ``d_h`` and ``d_v`` make a block's dense matrix on demand.  ``tower`` is
+    the tower of the map the grid was built from, if any: the map, the
+    dimension of Y and the largest multiplicity are read off it.
     """
 
-    def __init__(self, kind, p_max, q_max, ranks, d_h, d_v, tower=None):
+    def __init__(self, kind, p_max, q_max, ranks, h_cols, v_cols, tower=None):
         self.kind = kind
         self.p_max = p_max
         self.q_max = q_max
         self._ranks = dict(ranks)
-        self._d_h = dict(d_h)
-        self._d_v = dict(d_v)
-        self._h_cols = {cell: sparse_columns(M) for cell, M in self._d_h.items()}
-        self._v_cols = {cell: sparse_columns(M) for cell, M in self._d_v.items()}
+        self._h_cols = dict(h_cols)
+        self._v_cols = dict(v_cols)
         self.tower = tower
         self.verify_identities()
 
@@ -84,12 +84,10 @@ class DoubleComplex:
         return 0
 
     def d_h(self, p, q) -> IntMatrix:
-        M = self._d_h.get((p, q))
-        return M if M is not None else IntMatrix(self.rank(p, q - 1), self.rank(p, q))
+        return IntMatrix.from_sparse(self.h_columns(p, q), self.rank(p, q - 1))
 
     def d_v(self, p, q) -> IntMatrix:
-        M = self._d_v.get((p, q))
-        return M if M is not None else IntMatrix(self.rank(p - 1, q), self.rank(p, q))
+        return IntMatrix.from_sparse(self.v_columns(p, q), self.rank(p - 1, q))
 
     def h_columns(self, p, q) -> list:
         """Sparse columns of ``d_h(p, q)``."""
@@ -125,6 +123,10 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
     Defaults: q_max is the dimension of Y; p_max is the largest multiplicity
     with a nonempty distinct-lift space (mandatory for kind "Alt", where the
     grid is zero beyond it anyway).  A negative bound raises DegreeOutOfRange.
+
+    The W blocks are built as sparse columns, off the face index and the
+    slot-drop vertex maps; the Alt blocks are alternating matrices, each
+    converted to columns once.
     """
     if q_max is None:
         q_max = tower.f.target.dim
@@ -132,16 +134,16 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
         p_max = tower.k_max() - 1
     if p_max < 0 or q_max < 0:
         raise DegreeOutOfRange(f"grid bounds p_max={p_max}, q_max={q_max} must be >= 0")
-    ranks, d_h, d_v = {}, {}, {}
+    ranks, h_cols, v_cols = {}, {}, {}
     if kind == "W":
         for p in range(p_max + 1):
             Z = tower.W(p + 1)
             for q in range(q_max + 1):
                 ranks[(p, q)] = Z.n_simplices(q)
-                if q >= 1 and q <= Z.dim:
-                    d_h[(p, q)] = boundary_matrix(Z.complex, q)
+                if 1 <= q <= Z.dim:
+                    h_cols[(p, q)] = boundary_columns(Z.complex, q)
                 if p >= 1:
-                    d_v[(p, q)] = varrho_matrix(Z, q)
+                    v_cols[(p, q)] = varrho_columns(Z, q)
     elif kind == "Alt":
         bases = {}
         for p in range(p_max + 1):
@@ -152,12 +154,14 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
         for p in range(p_max + 1):
             for q in range(q_max + 1):
                 if q >= 1:
-                    d_h[(p, q)] = alt_boundary_matrix(bases[(p, q)], bases[(p, q - 1)])
+                    d_h = alt_boundary_matrix(bases[(p, q)], bases[(p, q - 1)])
+                    h_cols[(p, q)] = sparse_columns(d_h)
                 if p >= 1:
-                    d_v[(p, q)] = alt_veps_matrix(bases[(p, q)], bases[(p - 1, q)])
+                    d_v = alt_veps_matrix(bases[(p, q)], bases[(p - 1, q)])
+                    v_cols[(p, q)] = sparse_columns(d_v)
     else:
         raise ValueError(f"unknown double complex kind {kind!r}")
-    return DoubleComplex(kind, p_max, q_max, ranks, d_h, d_v, tower=tower)
+    return DoubleComplex(kind, p_max, q_max, ranks, h_cols, v_cols, tower=tower)
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,8 @@ class SpectralSequence:
 
     def cycle_subgroup(self, n: int, s: int, r: int) -> Subgroup:
         """Elements of filtration level s in degree n of the reduced total
-        complex whose boundary drops by at least r filtration levels."""
+        complex whose boundary drops by at least r filtration levels, with
+        the saturated kernel basis kept as the subgroup's basis."""
         r = min(r, s + 1)  # no level lies below 0, so a larger r is the same
         key = (n, s, r)
         if key in self._cycles:
@@ -281,7 +286,7 @@ class SpectralSequence:
             emb = IntMatrix(ambient, K.cols)
             for local, coord in enumerate(cols):
                 emb.data[coord] = K.data[local]
-            sub = Subgroup(ambient, emb)
+            sub = Subgroup.of_basis(ambient, emb)
         self._cycles[key] = sub
         return sub
 
@@ -565,6 +570,10 @@ def gvzss_report(f: SimplicialMap, q_max=None, n_max=None) -> SpectralSequenceRe
 def page_one_oracle(ss: SpectralSequence, p: int, q: int) -> HomologyGroup:
     """Independent page-one value: the homology in degree q of column p of the
     grid under d_h alone, which is the (alternating, for the D-chain kind)
-    chain complex of the multiplicity p+1 space.  It reads the grid's blocks
-    and nothing of the reduced total complex it cross-checks."""
-    return homology_pair(ss.dc.d_h(p, q), ss.dc.d_h(p, q + 1))
+    chain complex of the multiplicity p+1 space.  It reads copies of the
+    grid's block columns and nothing of the reduced total complex it
+    cross-checks."""
+    dc = ss.dc
+    d_n = [dict(col) for col in dc.h_columns(p, q)]
+    d_next = [dict(col) for col in dc.h_columns(p, q + 1)]
+    return column_homology(dc.rank(p, q - 1), d_n, d_next)

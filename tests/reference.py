@@ -8,6 +8,10 @@ that compares the two checks the package:
   ``AltBasis`` and ``alt_star_matrix`` read.
 - ``page_one_homology`` takes the homology of page one under its
   differential from the presented page-one groups; page two must equal it.
+- ``boundary_from_faces`` and ``transfer_from_projections`` build the
+  blocks of the W grid as dense matrices, face by face and from the
+  validated slot projections, where ``build_double`` reads sparse columns
+  off the face index and the slot-drop vertex maps.
 - ``GenericSequence`` computes every page, the graded limit pieces and the
   total homology by the generic filtered-complex formula on the dense,
   unreduced total complex, where ``SpectralSequence`` reads them off the
@@ -25,7 +29,8 @@ from icss.intlinalg import (
     solve_columns,
     subgroup_quotient,
 )
-from icss.multiplicity import SkElement, sk_matrix
+from icss.complexes import pushforward_matrix
+from icss.multiplicity import SkElement, projection_eps, sk_matrix
 
 
 def alt_matrix(Z, n: int) -> IntMatrix:
@@ -35,6 +40,31 @@ def alt_matrix(Z, n: int) -> IntMatrix:
     total = IntMatrix(m, m)
     for sigma in SkElement.all(Z.k):
         total = total + sk_matrix(Z, sigma, n).scaled(sigma.sign)
+    return total
+
+
+def boundary_from_faces(K, n: int) -> IntMatrix:
+    """The boundary of the degree-n chains of the complex K: each simplex
+    goes to the alternating sum of its faces."""
+    rows = K.simplices(n - 1) if n else ()
+    position = {face: i for i, face in enumerate(rows)}
+    M = IntMatrix(len(rows), K.n_simplices(n))
+    for j, s in enumerate(K.simplices(n)):
+        for i in range(len(s) if n else 0):
+            M.data[position[s[:i] + s[i + 1 :]]][j] += (-1) ** i
+    return M
+
+
+def transfer_from_projections(Z, n: int) -> IntMatrix:
+    """(-1)^n times the sum over the slots i of (-1)^(i+1) times the
+    pushforward by the validated projection ``projection_eps(Z, i)``."""
+    terms = [
+        pushforward_matrix(projection_eps(Z, i), n).scaled((-1) ** (i + 1 + n))
+        for i in range(1, Z.k + 1)
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total
 
 

@@ -166,21 +166,62 @@ def test_one_unit_pair_reduction():
     assert not assemblers, assemblers
 
 
-def test_blocks_become_sparse_columns_once():
-    """``spectral`` converts a block to sparse columns only when its
-    ``DoubleComplex`` is made; the identity checks and the total complex
-    read those columns."""
-    outside = []
+def calls_named(tree, names) -> list:
+    """(line, enclosing function, name) of each call of one of ``names``."""
+    found = []
 
-    def visit(node, cls):
-        if isinstance(node, ast.ClassDef):
-            cls = node.name
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
         elif isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "sparse_columns" and cls != "DoubleComplex":
+            if name in names:
+                found.append((node.lineno, func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_blocks_become_sparse_columns_once():
+    """A dense block is converted to sparse columns at most once, in
+    ``build_double``'s Alt branch; the W blocks are built as columns, and
+    the identity checks, the total complex and the page-one oracle read
+    the columns."""
+    outside = []
+
+    def visit(node, func, alt):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        elif isinstance(node, ast.If):
+            tests_alt = any(
+                isinstance(n, ast.Constant) and n.value == "Alt" for n in ast.walk(node.test)
+            )
+            for child in node.body:
+                visit(child, func, alt or tests_alt)
+            for child in node.orelse:
+                visit(child, func, alt)
+            return
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "sparse_columns" and not (func == "build_double" and alt):
                 outside.append(node.lineno)
         for child in ast.iter_child_nodes(node):
-            visit(child, cls)
+            visit(child, func, alt)
 
-    visit(ast.parse((SRC / "spectral.py").read_text()), None)
-    assert not outside, f"spectral.py calls sparse_columns outside DoubleComplex: {outside}"
+    visit(ast.parse((SRC / "spectral.py").read_text()), None, False)
+    assert not outside, f"spectral.py calls sparse_columns outside the Alt branch: {outside}"
+
+
+def test_w_blocks_are_built_as_columns():
+    """``spectral`` makes no dense boundary or transfer, and the only
+    ``SimplicialMap`` that ``multiplicity`` makes is the validated
+    ``projection_eps``: the transfer reads the slot-drop vertex maps."""
+    dense = calls_named(
+        ast.parse((SRC / "spectral.py").read_text()),
+        {"boundary_matrix", "rho_matrix", "varrho_matrix"},
+    )
+    assert not dense, f"spectral.py builds dense blocks: {dense}"
+    maps = calls_named(ast.parse((SRC / "multiplicity.py").read_text()), {"SimplicialMap"})
+    assert [func for _, func, _ in maps] == ["projection_eps"], maps

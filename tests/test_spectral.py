@@ -1,13 +1,26 @@
 import re
 
 import pytest
-from reference import GenericSequence, page_one_homology
+from reference import (
+    GenericSequence,
+    boundary_from_faces,
+    page_one_homology,
+    transfer_from_projections,
+)
 
+from icss import complexes
 from icss.alternating import alternating_homology
 from icss.complexes import homology_of_complex
 from icss.errors import NotAComplex, TruncationInsufficient
 from icss.fixtures import FIXTURES, get_fixture
-from icss.intlinalg import HomologyGroup, IntMatrix, reduce_complex, sparse_columns
+from icss.intlinalg import (
+    HomologyGroup,
+    IntMatrix,
+    Subgroup,
+    reduce_complex,
+    sparse_columns,
+    subgroup_quotient,
+)
 from icss.multiplicity import Tower
 from icss.spectral import (
     DoubleComplex,
@@ -56,12 +69,22 @@ def test_double_complex_identities(maps):
             dc.verify_identities()  # raises on failure
 
 
+def bump(block, i, j):
+    """A copy of the sparse columns ``block`` with 1 added at row i of
+    column j, a zero result dropped."""
+    cols = [dict(col) for col in block]
+    cols[j][i] = cols[j].get(i, 0) + 1
+    if not cols[j][i]:
+        del cols[j][i]
+    return cols
+
+
 def test_corrupted_cell_is_rejected(fold):
     dc = build_double(Tower(fold), "Alt")
-    d_v = {k: v.copy() for k, v in dc._d_v.items()}
-    d_v[(1, 1)].data[0][0] += 1
+    v_cols = dict(dc._v_cols)
+    v_cols[(1, 1)] = bump(v_cols[(1, 1)], 0, 0)
     with pytest.raises(NotAComplex):
-        DoubleComplex("Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v)
+        DoubleComplex("Alt", dc.p_max, dc.q_max, dc._ranks, dc._h_cols, v_cols)
 
 
 @pytest.mark.parametrize(
@@ -78,23 +101,21 @@ def test_each_identity_rejects_its_corrupted_block(disc_to_rp2, family, cell, le
     that block meets first, and the error names it."""
     dc = gvzss(disc_to_rp2).dc
     assert (dc.p_max, dc.q_max) == (4, 2)
-    blocks = {"d_h": dict(dc._d_h), "d_v": dict(dc._d_v)}
-    bad = blocks[family][cell].copy()
+    blocks = {"d_h": dict(dc._h_cols), "d_v": dict(dc._v_cols)}
     # the changed row meets a nonzero column of the block composed after it
-    i = next(i for i, col in enumerate(sparse_columns(blocks[left[0]][left[1]])) if col)
-    bad.data[i][0] += 1
-    blocks[family][cell] = bad
+    i = next(i for i, col in enumerate(blocks[left[0]][left[1]]) if col)
+    blocks[family][cell] = bump(blocks[family][cell], i, 0)
     with pytest.raises(NotAComplex, match=re.escape(message)):
         DoubleComplex("W", dc.p_max, dc.q_max, dc._ranks, blocks["d_h"], blocks["d_v"])
-    DoubleComplex("W", dc.p_max, dc.q_max, dc._ranks, dc._d_h, dc._d_v)  # the honest grid
+    DoubleComplex("W", dc.p_max, dc.q_max, dc._ranks, dc._h_cols, dc._v_cols)  # the honest grid
 
 
 def test_corrupted_cell_breaks_collapse(fold):
     dc = build_double(Tower(fold), "Alt")
     # severing every vertical transfer still satisfies the complex identities
     # but destroys the collapse, and the checker must notice
-    d_v = {k: v.scaled(0) for k, v in dc._d_v.items()}
-    bad = DoubleComplex("Alt", dc.p_max, dc.q_max, dc._ranks, dc._d_h, d_v, tower=dc.tower)
+    v_cols = {k: [{} for _ in cols] for k, cols in dc._v_cols.items()}
+    bad = DoubleComplex("Alt", dc.p_max, dc.q_max, dc._ranks, dc._h_cols, v_cols, tower=dc.tower)
     report = check_collapse_first(SpectralSequence(bad, "rows"))
     assert not report.ok
     assert not check_collapse_first(first_ss(Tower(fold), "Alt")).details  # the honest one passes
@@ -280,6 +301,66 @@ def test_reduced_sequence_matches_generic_formula(name, seed):
             if (kind, n) not in totals:
                 totals[kind, n] = ref.total_homology(n)
             assert report.total_homology == totals[kind, n], (label, n)
+
+
+W_BLOCK_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
+    ("random", seed) for seed in range(25)
+]
+
+
+@pytest.mark.parametrize("name, seed", W_BLOCK_MAPS)
+def test_w_blocks_match_an_independent_construction(name, seed):
+    """Every block of the gvzss and first_ss W grids is the boundary read
+    face by face, or the degree-twisted transfer summed from the validated
+    slot projections."""
+    f = get_fixture(name, seed)
+    for dc in (gvzss(f).dc, first_ss(Tower(f), "W").dc):
+        for p in range(dc.p_max + 1):
+            Z = dc.tower.W(p + 1)
+            for q in range(dc.q_max + 1):
+                assert dc.d_h(p, q) == boundary_from_faces(Z.complex, q), (p, q)
+                if p >= 1:
+                    assert dc.d_v(p, q) == transfer_from_projections(Z, q), (p, q)
+                blocks = dc.h_columns(p, q) + dc.v_columns(p, q)
+                assert all(all(col.values()) for col in blocks), (p, q)  # no zero entries
+
+
+def test_w_grid_validates_no_map(disc_to_rp2, monkeypatch):
+    """The W grid's transfers read the slot-drop vertex maps, so building
+    the GVZSS of disc_to_rp2 (W^1 .. W^5) validates no slot projection."""
+    calls = []
+    real = complexes.validate_map
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "validate_map", counting)
+    gvzss(disc_to_rp2)
+    assert len(calls) == 0
+
+
+def test_cycle_subgroups_keep_their_kernel_basis(maps):
+    """A cycle subgroup holds its kernel basis as it is: it equals the
+    subgroup its columns generate, and each page quotient read off it is
+    the one read off that canonical subgroup."""
+    kept = 0
+    for name, f in maps.items():
+        for kind, ss in four_sequences(f):
+            for n in range(ss.dc.dim_y + 1):
+                for s in range(n + 1):
+                    for r in (1, 2, 3):
+                        Z = ss.cycle_subgroup(n, s, r)
+                        canonical = Subgroup(Z.ambient_rank, Z.basis)
+                        assert Z == canonical and hash(Z) == hash(canonical)
+                        kept += Z.basis != canonical.basis
+                        below = ss.cycle_subgroup(n, s - 1, r - 1)
+                        up = ss.cycle_subgroup(n + 1, s + r - 1, r - 1)
+                        B = Subgroup(Z.ambient_rank, below.basis.hstack(ss.D(n + 1) @ up.basis))
+                        label = (name, kind, ss.filtration, r, s, n)
+                        assert subgroup_quotient(Z, B) == subgroup_quotient(canonical, B), label
+                        assert subgroup_quotient(Z, B) == ss.page_group(r, s, n - s), label
+    assert kept  # some kernel basis is not in canonical form, and was kept
 
 
 def test_stable_page_is_reached(maps):
