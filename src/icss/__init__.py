@@ -6,6 +6,7 @@ from .complexes import (
     SimplicialMap,
     boundary_matrix,
     build_complex,
+    homology_groups,
     homology_of_complex,
     pushforward_matrix,
     validate_map,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ComplexMismatch, DegreeOutOfRange, InvalidSimplex
-from .intlinalg import HomologyGroup, IntMatrix, column_homology
+from .intlinalg import HomologyGroup, IntMatrix, chain_homology, column_homology
 
 Simplex = tuple  # strictly increasing tuple of vertex ids
 
@@ -249,3 +249,10 @@ def homology_of_complex(X: SimplicialComplex, n: int) -> HomologyGroup:
         raise DegreeOutOfRange(f"degree {n} outside 0..{X.dim}")
     d_next = boundary_columns(X, n + 1) if n < X.dim else []
     return column_homology(X.n_simplices(n - 1), boundary_columns(X, n), d_next)
+
+
+def homology_groups(X: SimplicialComplex) -> list:
+    """[H_0(X), ..., H_dim(X)], off one reduction of X's whole chain complex."""
+    degrees = range(X.dim + 1)
+    groups = chain_homology([boundary_columns(X, n) for n in degrees], degrees)
+    return [groups[n] for n in degrees]

@@ -164,41 +164,42 @@ def _find_pivot(S, t: int, m: int, n: int):
     return best
 
 
-def smith_normal_form(M: IntMatrix):
-    """Return (U, S, V) with U @ M @ V == S, U and V unimodular, S diagonal
-    with nonnegative entries in a divisibility chain d1 | d2 | ...
-    """
+def _smith(M: IntMatrix, transforms: bool):
+    """Smith elimination of M: (U, S, V) with U @ M @ V == S, or (None, S,
+    None) when ``transforms`` is false, so that no step touches U or V."""
     m, n = M.rows, M.cols
     S = [list(r) for r in M.data]
-    U = IntMatrix.identity(m).data
-    V = IntMatrix.identity(n).data
+    U = IntMatrix.identity(m).data if transforms else None
+    V = IntMatrix.identity(n).data if transforms else None
+    # the matrices row steps act on, with their widths, and the rows column
+    # steps act on (rows change places but are never replaced)
+    row_mats = [(S, range(n)), (U, range(m))] if transforms else [(S, range(n))]
+    col_mats = S + V if transforms else S
 
     def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+        for A, _ in row_mats:
+            A[i], A[j] = A[j], A[i]
 
     def swap_cols(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
+        for r in col_mats:
             r[i], r[j] = r[j], r[i]
 
     def row_sub(i, j, q):
         # row_i -= q * row_j, over the nonzero entries of row_j
-        for A, width in ((S, range(n)), (U, range(m))):
+        for A, width in row_mats:
             Ai, Aj = A[i], A[j]
             for c in compress(width, Aj):
                 Ai[c] -= q * Aj[c]
 
     def col_sub(i, j, q):
         # col_i -= q * col_j, over the rows where col_j is nonzero
-        for r in chain(S, V):
+        for r in col_mats:
             if r[j]:
                 r[i] -= q * r[j]
 
     def neg_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
+        for A, _ in row_mats:
+            A[i][:] = [-x for x in A[i]]
 
     t = 0
     while True:
@@ -256,21 +257,24 @@ def smith_normal_form(M: IntMatrix):
             row_sub(t, bad, -1)  # row_t += row_bad
         t += 1
 
-    return (
-        IntMatrix(m, m, U),
-        IntMatrix(m, n, S),
-        IntMatrix(n, n, V),
-    )
+    S = IntMatrix(m, n, S)
+    if not transforms:
+        return None, S, None
+    return IntMatrix(m, m, U), S, IntMatrix(n, n, V)
+
+
+def smith_normal_form(M: IntMatrix):
+    """Return (U, S, V) with U @ M @ V == S, U and V unimodular, S diagonal
+    with nonnegative entries in a divisibility chain d1 | d2 | ...
+    """
+    return _smith(M, True)
 
 
 def invariant_factors(M: IntMatrix) -> list:
-    """Nonzero diagonal entries of the Smith form of M."""
-    _, S, _ = smith_normal_form(M)
-    out = []
-    for t in range(min(M.rows, M.cols)):
-        if S.data[t][t]:
-            out.append(S.data[t][t])
-    return out
+    """Nonzero diagonal entries of the Smith form of M, from an elimination
+    that carries S alone."""
+    S = _smith(M, False)[1].data
+    return [S[t][t] for t in range(min(M.rows, M.cols)) if S[t][t]]
 
 
 def column_echelon(M: IntMatrix, reduce: bool = False):
@@ -562,8 +566,36 @@ def compose(a_cols: list, b_cols: list) -> list:
     return out
 
 
-def reduce_complex(columns: list, levels: list) -> tuple:
-    """Cancel the unit pairs of a filtered chain complex of free groups.
+class Differentials:
+    """The differentials of a chain complex of free groups, held as sparse
+    columns: ``columns[n]`` are the {row: entry} columns of the map from
+    degree n to degree n-1 (one empty dict per cell of degree 0).  ``D[n]``
+    is that map as an ``IntMatrix``, made the first time it is read."""
+
+    __slots__ = ("columns", "_dense")
+
+    def __init__(self, columns: list):
+        self.columns = columns
+        self._dense = [None] * len(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, n: int) -> IntMatrix:
+        if not 0 <= n < len(self.columns):
+            raise IndexError(n)
+        if self._dense[n] is None:
+            rows = len(self.columns[n - 1]) if n else 0
+            self._dense[n] = IntMatrix.from_sparse(self.columns[n], rows)
+        return self._dense[n]
+
+    def is_zero(self, n: int) -> bool:
+        return not any(self.columns[n])
+
+
+def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
+    """Cancel the admissible unit pairs of a filtered chain complex of free
+    groups.
 
     ``columns[n][j]`` is the boundary of cell j of degree n, a dict
     {cell of degree n-1: nonzero entry} (the dicts of degree 0 are empty),
@@ -572,18 +604,40 @@ def reduce_complex(columns: list, levels: list) -> tuple:
     consumed.
 
     From the top degree down, each cell sigma still present is paired with
-    a cell tau of its boundary whose entry phi is +-1 and whose level equals
-    sigma's (among several, the tau in the fewest other boundaries), and
-    the pair is eliminated: writing d_n = [[phi, delta], [gamma, eps]] with
-    sigma and tau split off, d_n becomes eps - gamma phi^-1 delta, d_{n+1}
-    loses the row of sigma and d_{n-1} the column of tau.  This is a
-    chain homotopy equivalence (algebraic discrete Morse reduction), and
-    because the pair shares a level it is a filtered one that is an
-    isomorphism on the associated graded homology, so the homology and
-    every page r >= 1 of the filtration spectral sequence are unchanged.
+    a cell tau of its boundary d(sigma) when the pair is admissible at
+    ``gap``, that is when
 
-    Returns ``(D, kept)``: ``D[n]`` is the reduced differential from degree
-    n to degree n-1 as a matrix (``D[0]`` has no rows) and ``kept[n]`` the
+    1. the entry phi of tau in d(sigma) is +-1,
+    2. 0 <= level(sigma) - level(tau) <= gap,
+    3. every other entry of d(sigma) lies at a level <= level(tau), and
+    4. every other cell whose boundary holds tau lies at a level
+       >= level(sigma);
+
+    among several, the tau in the fewest other boundaries is taken.  The
+    pair is eliminated: writing d_n = [[phi, delta], [gamma, eps]] with
+    sigma and tau split off, d_n becomes eps - gamma phi^-1 delta, d_{n+1}
+    loses the row of sigma and d_{n-1} the column of tau.
+
+    Lemma.  The projection f (tau -> tau - phi d(sigma), sigma -> 0) and
+    the inclusion g (x -> x - phi [d(x) : tau] sigma) are chain maps with
+    f g = 1 and g f - 1 = d h + h d, where h(tau) = -phi sigma (algebraic
+    discrete Morse reduction).  Condition 3 makes f filtered, condition 4
+    makes g filtered, and with them the reduced differential f d g; h
+    raises the level by level(sigma) - level(tau) <= gap.  So f and g are
+    gap-homotopy equivalences: they induce isomorphisms on every page
+    r >= gap + 1 of the filtration spectral sequence, on its limit and on
+    the filtered homology (Cirici, Egas Santander, Livernet and Whitehouse,
+    "Model category structures and spectral sequences", 2020; Romero,
+    Rubio and Sergeraert, "Computing spectral sequences", JSC 2006).  At
+    gap 0 conditions 3 and 4 follow from condition 2 and the filtration,
+    so every unit pair of equal level is cancelled and every page r >= 1
+    is kept.  Conditions 3 and 4 are needed from gap 1 on: if
+    d(sigma) = 2 rho + tau with sigma and rho at level 1 and tau at level
+    0, page two is Z/2 at level 1 plus Z at level 0, but cancelling
+    (sigma, tau) would leave rho alone and read Z.
+
+    Returns ``(D, kept)``: ``D`` holds the reduced differentials as
+    ``Differentials`` (sparse columns, dense on read) and ``kept[n]`` the
     levels of the surviving degree-n cells, in their original order.
     """
     top = len(columns) - 1
@@ -597,13 +651,20 @@ def reduce_complex(columns: list, levels: list) -> tuple:
         cols, below = columns[n], rows[n - 1]
         level, level_below = levels[n], levels[n - 1]
         for sigma, dsig in enumerate(cols):
-            if not alive[n][sigma]:
+            if not alive[n][sigma] or not dsig:
+                continue
+            # conditions 2 and 3: tau lies at the top level of d(sigma)
+            lev = level[sigma]
+            head = max(map(level_below.__getitem__, dsig))
+            if lev - head > gap:
                 continue
             tau = None
             for i, a in dsig.items():
-                if (a == 1 or a == -1) and level_below[i] == level[sigma]:
+                if (a == 1 or a == -1) and level_below[i] == head:
                     if tau is None or len(below[i]) < len(below[tau]):
-                        tau = i
+                        # condition 4, which the filtration gives at equal levels
+                        if head == lev or all(level[x] >= lev for x in below[i]):
+                            tau = i
             if tau is None:
                 continue
             phi = dsig[tau]
@@ -634,10 +695,40 @@ def reduce_complex(columns: list, levels: list) -> tuple:
     D = []
     for n, cells in enumerate(survivors):
         pos = {j: c for c, j in enumerate(survivors[n - 1])} if n else {}
-        cols = [{pos[i]: a for i, a in columns[n][j].items()} for j in cells]
-        D.append(IntMatrix.from_sparse(cols, len(pos)))
+        D.append([{pos[i]: a for i, a in columns[n][j].items()} for j in cells])
     kept = [[levels[n][j] for j in cells] for n, cells in enumerate(survivors)]
-    return D, kept
+    return Differentials(D), kept
+
+
+def chain_homology(columns: list, degrees) -> dict:
+    """{n: H_n} for each n in ``degrees`` of the chain complex whose degree-n
+    boundary has the sparse columns ``columns[n]`` (one empty dict per cell
+    of degree 0, and no cells above the last degree); the dicts are
+    consumed.
+
+    Each adjacent pair of differentials is checked to compose to zero.  One
+    ``reduce_complex`` call with one filtration level then cancels the unit
+    pairs of the whole complex, so the kernel, solve and Smith steps see
+    only the cells no unit entry cancels, and a zero differential needs no
+    kernel.
+    """
+    for n in range(1, len(columns) - 1):
+        if any(compose(columns[n], columns[n + 1])):
+            raise NotAComplex("d_n @ d_next != 0")
+    D, _ = reduce_complex(columns, [[0] * len(c) for c in columns])
+    out = {}
+    for n in degrees:
+        d_next = D[n + 1] if n + 1 < len(D) else IntMatrix(len(D.columns[n]), 0)
+        if D.is_zero(n):
+            cycles, rel = d_next.rows, d_next
+        else:
+            K = kernel_basis(D[n])
+            rel = solve_columns(K, d_next)
+            if rel is None:  # cannot happen for a genuine complex with saturated kernel
+                raise NotAComplex("boundary not inside the kernel lattice")
+            cycles = K.cols
+        out[n] = group_from_presentation(cycles, invariant_factors(rel))
+    return out
 
 
 def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
@@ -649,18 +740,6 @@ def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
 
 def column_homology(rows: int, d_n: list, d_next: list) -> HomologyGroup:
     """``homology_pair`` of the sparse columns of d_n, which lands in a
-    degree of ``rows`` cells, and of d_next; the dicts are consumed.
-
-    The three-term complex is first cut down by ``reduce_complex`` with one
-    filtration level, so the kernel, solve and Smith steps see only the
-    cells no unit entry cancels.
-    """
-    columns = [[{} for _ in range(rows)], d_n, d_next]  # degree n-1 has no boundary here
-    if any(compose(d_n, d_next)):
-        raise NotAComplex("d_n @ d_next != 0")
-    (_, d_n, d_next), _ = reduce_complex(columns, [[0] * len(c) for c in columns])
-    K = kernel_basis(d_n)
-    rel = solve_columns(K, d_next)
-    if rel is None:  # cannot happen for a genuine complex with saturated kernel
-        raise NotAComplex("boundary not inside the kernel lattice")
-    return group_from_presentation(K.cols, invariant_factors(rel))
+    degree of ``rows`` cells, and of d_next; the dicts are consumed.  It is
+    ``chain_homology`` of the three-term complex they make."""
+    return chain_homology([[{} for _ in range(rows)], d_n, d_next], [1])[1]

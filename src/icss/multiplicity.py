@@ -16,10 +16,10 @@ from .complexes import (
     SimplicialComplex,
     SimplicialMap,
     face_closure,
-    homology_of_complex,
+    homology_groups,
     sort_sign,
 )
-from .errors import ComplexMismatch, InvalidIndex, InvalidMultiplicity
+from .errors import ComplexMismatch, DegreeOutOfRange, InvalidIndex, InvalidMultiplicity
 from .intlinalg import HomologyGroup, IntMatrix
 
 
@@ -150,7 +150,7 @@ def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
 
 class Tower:
     """The W^k / D^k complexes of one simplicial map, each built once, and
-    the homology of its target, computed once per degree.
+    the homology of its target, computed once for every degree.
 
     Functions that read several multiplicities of one map take a tower, so
     they share its spaces; building W^k or D^k builds the spaces below it.
@@ -163,7 +163,7 @@ class Tower:
         self.f = f
         self._cache: dict = {}
         self._k_max = None
-        self._target_homology: dict = {}
+        self._target_homology = None
 
     def W(self, k: int) -> MultiplePointComplex:
         return self._get("W", k)
@@ -179,9 +179,13 @@ class Tower:
         return self._cache[key]
 
     def target_homology(self, n: int) -> HomologyGroup:
-        """H_n(Y) of the map's target, computed once per degree."""
-        if n not in self._target_homology:
-            self._target_homology[n] = homology_of_complex(self.f.target, n)
+        """H_n(Y) of the map's target; the first call computes every degree,
+        off one reduction of Y's chain complex."""
+        Y = self.f.target
+        if n < 0 or n > Y.dim:
+            raise DegreeOutOfRange(f"degree {n} outside 0..{Y.dim}")
+        if self._target_homology is None:
+            self._target_homology = homology_groups(Y)
         return self._target_homology[n]
 
     def k_max(self) -> int:

@@ -9,22 +9,27 @@ differentials anticommute, so the total complex squares to zero.
 
 Filtering the total complex by columns (p) gives the multiple-point spectral
 sequences; filtering by rows (q) gives the collapsing one whose second page
-is already the homology of the image.  Pages come from the reduced total
-complex: pairs of cells of one filtration level joined by a boundary entry
-+-1 are cancelled (``intlinalg.reduce_complex``), which changes no page
-r >= 1, no limit and no homology, and the cycle and boundary subgroups of
-the pages are then taken there, with exact integer arithmetic.
+is already the homology of the image.  Pages are read off a ladder of
+reductions of the total complex (``intlinalg.reduce_complex``): rung g
+cancels the unit pairs admissible at level gap g, which changes no page
+r >= g + 1, no limit and no homology.  Page 1 is read off rung 0 (only
+pairs of equal level cancelled), page r off rung r - 1, and the limit page,
+its graded pieces and the total homology off the top rung, where the gap is
+the largest level L and every admissible pair is cancelled.  The cycle and
+boundary subgroups of a page are taken on its rung, with exact integer
+arithmetic.
 
 How the usual symbols of the subject map onto this module:
 
-- Tot(C)_n: the blocks of total degree n; ``tot_rank`` is the rank of the
-  reduced total complex
-- D_n: ``SpectralSequence.D(n)``, the differential of the reduced total complex
-- F^s: the reduced cells ``SpectralSequence._coords_leq(n, s)``
-- Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r)``
-- E^r_{p,q}: ``SpectralSequence.page`` / ``page_group`` at the cell (p, q)
+- Tot(C)_n: the blocks of total degree n; ``tot_rank(n, g)`` is the rank of
+  rung g
+- D_n: ``SpectralSequence.D(n, g)``, the differential of rung g
+- F^s: the cells ``SpectralSequence._coords_leq(n, s, g)`` of rung g
+- Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r, g)``, on rung g
+- E^r_{p,q}: ``SpectralSequence.page`` / ``page_group`` at the cell (p, q),
+  read off rung min(r - 1, L)
 - d^r: ``PageEntry.d_matrix`` for r in {0, 1}; not emitted for r >= 2
-- E^infinity_{p,q}: ``SpectralSequence.infinity_group`` (stable page)
+- E^infinity_{p,q}: ``SpectralSequence.infinity_group`` (page L + 1)
 - F_p H_n: the filtration levels inside ``SpectralSequence.e_infinity``
 """
 
@@ -39,9 +44,8 @@ from .intlinalg import (
     HomologyGroup,
     IntMatrix,
     Subgroup,
-    column_homology,
+    chain_homology,
     compose,
-    homology_pair,
     kernel_basis,
     reduce_complex,
     solve_columns,
@@ -199,10 +203,10 @@ class SpectralSequence:
     """Spectral sequence of the total complex of a double complex, filtered
     by columns (p) or rows (q).
 
-    The total complex is reduced once, when the sequence is made, by
-    cancelling its unit pairs of equal filtration level
-    (``intlinalg.reduce_complex``); every page r >= 1, the limit page and the
-    homology are read off the reduced complex, which has the same ones.
+    Pages are read off a ladder of reductions of the total complex
+    (``rung``): page r off rung min(r - 1, ``top_gap``), and the limit page,
+    the graded limit and the total homology off the top rung.  Rung 0 is
+    built when the sequence is made, every other rung when first read.
     """
 
     def __init__(self, dc: DoubleComplex, filtration: str = "columns"):
@@ -211,16 +215,28 @@ class SpectralSequence:
         self.dc = dc
         self.filtration = filtration
         self.n_top = dc.p_max + dc.q_max
-        self._blocks = {}
+        self._blocks = {
+            n: [(p, n - p) for p in range(max(0, n - dc.q_max), min(dc.p_max, n) + 1)]
+            for n in range(self.n_top + 1)
+        }
+        # the levels run from 0 to L, so at gap L every pair a filtration
+        # allows is admissible
+        self.top_gap = self._stable_r() - 1
+        self._rungs = {}
+        self._cycles = {}
+        self._d0_kernels = {}
+        self._pages = {}
+        self._total = {}
+        self._column_homology = {}  # page_one_oracle's, by column
+        self.rung(0)
+
+    def _total_complex(self) -> tuple:
+        """Sparse columns and filtration levels of the unreduced total complex."""
+        dc = self.dc
         columns, levels, prev = [], [], {}
         for n in range(self.n_top + 1):
-            blocks = [
-                (p, n - p)
-                for p in range(max(0, n - dc.q_max), min(dc.p_max, n) + 1)
-            ]
-            self._blocks[n] = blocks
             off, level = {}, []
-            for cell in blocks:
+            for cell in self._blocks[n]:
                 off[cell] = len(level)
                 level.extend([self._filt_index(cell)] * dc.rank(*cell))
             # the total differential's columns, read off the blocks' nonzeros
@@ -237,52 +253,77 @@ class SpectralSequence:
             columns.append(cols)
             levels.append(level)
             prev = off
-        self._D, self._levels = reduce_complex(columns, levels)
-        self._cycles = {}
-        self._d0_kernels = {}
-        self._pages = {}
+        return columns, levels
 
-    # reduced total complex
-    def tot_rank(self, n: int) -> int:
-        """Rank in degree n of the reduced total complex."""
-        return len(self._levels[n]) if 0 <= n <= self.n_top else 0
+    def rung(self, g: int) -> tuple:
+        """``(D, levels)`` of rung g of the ladder: the total complex with
+        its unit pairs admissible at gap g cancelled (``reduce_complex``),
+        as ``Differentials`` and the levels of the surviving cells.
 
-    def D(self, n: int) -> IntMatrix:
-        """Differential of the reduced total complex from degree n to n-1."""
+        Rung 0 is reduced from the total complex itself and every higher
+        rung from a copy of the highest rung below it.  Rung g keeps every
+        page r >= g + 1; a gap above ``top_gap`` reads the top rung.
+        """
+        g = min(g, self.top_gap)
+        if g not in self._rungs:
+            if g == 0:
+                columns, levels = self._total_complex()
+            else:
+                D, levels = self._rungs[max(k for k in self._rungs if k < g)]
+                columns = [[dict(col) for col in cols] for cols in D.columns]
+            self._rungs[g] = reduce_complex(columns, levels, g)
+        return self._rungs[g]
+
+    # the rungs
+    def tot_rank(self, n: int, g: int = 0) -> int:
+        """Rank in degree n of rung g."""
+        return len(self.rung(g)[1][n]) if 0 <= n <= self.n_top else 0
+
+    def D(self, n: int, g: int = 0) -> IntMatrix:
+        """Differential of rung g from degree n to n-1."""
         if 0 <= n <= self.n_top:
-            return self._D[n]
-        return IntMatrix(self.tot_rank(n - 1), self.tot_rank(n))
+            return self.rung(g)[0][n]
+        return IntMatrix(self.tot_rank(n - 1, g), self.tot_rank(n, g))
+
+    def _bounds_nothing(self, n: int, g: int) -> bool:
+        """The differential of rung g into degree n is zero."""
+        return n >= self.n_top or self.rung(g)[0].is_zero(n + 1)
 
     def _filt_index(self, cell) -> int:
         p, q = cell
         return p if self.filtration == "columns" else q
 
-    def _coords_leq(self, n: int, s: int) -> list:
-        """Reduced cells of degree n with filtration level at most s."""
+    def _coords_leq(self, n: int, s: int, g: int) -> list:
+        """Cells of degree n of rung g with filtration level at most s."""
         if not 0 <= n <= self.n_top:
             return []
-        return [j for j, level in enumerate(self._levels[n]) if level <= s]
+        return [j for j, level in enumerate(self.rung(g)[1][n]) if level <= s]
 
-    def cycle_subgroup(self, n: int, s: int, r: int) -> Subgroup:
-        """Elements of filtration level s in degree n of the reduced total
-        complex whose boundary drops by at least r filtration levels, with
-        the saturated kernel basis kept as the subgroup's basis."""
+    def cycle_subgroup(self, n: int, s: int, r: int, g: int = 0) -> Subgroup:
+        """Elements of filtration level s in degree n of rung g whose
+        boundary drops by at least r filtration levels, with the saturated
+        kernel basis kept as the subgroup's basis."""
         r = min(r, s + 1)  # no level lies below 0, so a larger r is the same
-        key = (n, s, r)
+        g = min(g, self.top_gap)
+        key = (n, s, r, g)
         if key in self._cycles:
             return self._cycles[key]
-        ambient = self.tot_rank(n)
-        cols = self._coords_leq(n, s)
+        ambient = self.tot_rank(n, g)
+        cols = self._coords_leq(n, s, g)
         if not cols:
             sub = Subgroup.zero(ambient)
         else:
-            D = self.D(n)
-            dropped = set(self._coords_leq(n - 1, s - r))
-            keep_rows = [i for i in range(D.rows) if i not in dropped]
-            restricted = IntMatrix.from_rows(
-                [[D.data[i][j] for j in cols] for i in keep_rows], cols=len(cols)
-            ) if keep_rows else IntMatrix(0, len(cols))
-            K = kernel_basis(restricted)
+            D, levels = self.rung(g)
+            # the rows the boundary must vanish on: levels above s - r
+            rows = [i for i, level in enumerate(levels[n - 1] if n else []) if level > s - r]
+            pos = {i: k for k, i in enumerate(rows)}
+            restricted = [
+                {pos[i]: a for i, a in D.columns[n][j].items() if i in pos} for j in cols
+            ]
+            if any(restricted):
+                K = kernel_basis(IntMatrix.from_sparse(restricted, len(rows)))
+            else:
+                K = IntMatrix.identity(len(cols))  # the kernel of a zero map
             emb = IntMatrix(ambient, K.cols)
             for local, coord in enumerate(cols):
                 emb.data[coord] = K.data[local]
@@ -292,8 +333,8 @@ class SpectralSequence:
 
     def page_group(self, r: int, s: int, t: int) -> HomologyGroup:
         """The group at filtration spot (s, t) of page r: the cell rank on
-        page 0, and Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}) on the
-        reduced total complex from page 1 on."""
+        page 0, and Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}) on rung
+        r - 1 from page 1 on."""
         if r < 0:
             raise DegreeOutOfRange("page index must be nonnegative")
         n = s + t
@@ -306,10 +347,14 @@ class SpectralSequence:
             cell = (s, t) if self.filtration == "columns" else (t, s)
             grp = HomologyGroup(self.dc.rank(*cell))
         else:
-            Z = self.cycle_subgroup(n, s, r)
-            below = self.cycle_subgroup(n, s - 1, r - 1)
-            up = self.cycle_subgroup(n + 1, s + r - 1, r - 1)
-            B = Subgroup(self.tot_rank(n), below.basis.hstack(self.D(n + 1) @ up.basis))
+            g = r - 1
+            Z = self.cycle_subgroup(n, s, r, g)
+            B = self.cycle_subgroup(n, s - 1, r - 1, g)
+            if not self._bounds_nothing(n, g):
+                up = self.cycle_subgroup(n + 1, s + r - 1, r - 1, g)
+                if up.rank:
+                    image = self.D(n + 1, g) @ up.basis
+                    B = Subgroup(self.tot_rank(n, g), B.basis.hstack(image))
             grp = subgroup_quotient(Z, B)
         self._pages[key] = grp
         return grp
@@ -325,6 +370,20 @@ class SpectralSequence:
 
     def infinity_group(self, s: int, t: int) -> HomologyGroup:
         return self.page_group(self._stable_r(), s, t)
+
+    def total_homology(self, n: int) -> HomologyGroup:
+        """H_n of the total complex.  The first call reads every degree up to
+        the larger of n and the dimension of Y off one reduction of a copy
+        of the top rung."""
+        if not 0 <= n <= self.n_top:
+            return HomologyGroup(0)
+        if n not in self._total:
+            D, _ = self.rung(self.top_gap)
+            last = min(max(n, self.dc.dim_y), self.n_top)
+            cut = min(last + 1, self.n_top)  # the cells above do not touch degree last
+            columns = [[dict(col) for col in D.columns[m]] for m in range(cut + 1)]
+            self._total.update(chain_homology(columns, range(last + 1)))
+        return self._total[n]
 
     # cell-indexed access
     def _to_st(self, p, q):
@@ -397,23 +456,28 @@ class SpectralSequence:
 
     def e_infinity(self, n: int) -> DegreeReport:
         """Graded comparison of the limit page with the filtration on the
-        homology of the total complex, plus the homology of Y as the target."""
+        homology of the total complex, plus the homology of Y as the target;
+        all of it is read off the top rung."""
         self._require_complete(n)
         dc = self.dc
-        ambient = self.tot_rank(n)
-        boundaries = Subgroup(ambient, self.D(n + 1))
+        g = self.top_gap
+        ambient = self.tot_rank(n, g)
+        if self._bounds_nothing(n, g):
+            boundaries = Subgroup.zero(ambient)
+        else:
+            boundaries = Subgroup(ambient, self.D(n + 1, g))
         s_values = sorted({self._filt_index(c) for c in self._blocks.get(n, [])})
         prev = boundaries
         graded, infinity = [], []
         max_s = s_values[-1] if s_values else -1
         for s in range(max_s + 1):
-            S_s = self.cycle_subgroup(n, s, s + 1).sum(boundaries)
+            S_s = self.cycle_subgroup(n, s, s + 1, g).sum(boundaries)
             gr = subgroup_quotient(S_s, prev)
             prev = S_s
             cell = (s, n - s) if self.filtration == "columns" else (n - s, s)
             graded.append((cell, gr))
             infinity.append((cell, self.infinity_group(s, n - s)))
-        total = homology_pair(self.D(n), self.D(n + 1))
+        total = self.total_homology(n)
         if dc.tower is not None and 0 <= n <= dc.dim_y:
             target = dc.tower.target_homology(n)
         else:
@@ -570,10 +634,12 @@ def gvzss_report(f: SimplicialMap, q_max=None, n_max=None) -> SpectralSequenceRe
 def page_one_oracle(ss: SpectralSequence, p: int, q: int) -> HomologyGroup:
     """Independent page-one value: the homology in degree q of column p of the
     grid under d_h alone, which is the (alternating, for the D-chain kind)
-    chain complex of the multiplicity p+1 space.  It reads copies of the
-    grid's block columns and nothing of the reduced total complex it
-    cross-checks."""
+    chain complex of the multiplicity p+1 space.  Each column is reduced
+    once, for every q, from copies of the grid's block columns; nothing of
+    the total complex it cross-checks is read."""
     dc = ss.dc
-    d_n = [dict(col) for col in dc.h_columns(p, q)]
-    d_next = [dict(col) for col in dc.h_columns(p, q + 1)]
-    return column_homology(dc.rank(p, q - 1), d_n, d_next)
+    if p not in ss._column_homology:
+        degrees = range(dc.q_max + 1)
+        columns = [[dict(col) for col in dc.h_columns(p, d)] for d in degrees]
+        ss._column_homology[p] = chain_homology(columns, degrees)
+    return ss._column_homology[p].get(q, HomologyGroup(0))

@@ -8,8 +8,9 @@ since its imports are the public re-exports.  A ``Tower`` is built only by
 the map-level entry points, which hand it down, and no space points back at
 its tower, so a dropped tower is freed without the cycle collector.  A
 helper nothing calls is dead code, and chains are coordinate vectors only.
-Pages and homology come from one unit-pair reduction, so no module builds
-the dense total differential the reduction replaced.
+Pages and homology come from unit-pair reductions, so no module builds the
+dense total differential the reduction replaced: the pages from a ladder of
+rungs, each homology of a whole complex from one reduction of it.
 """
 
 import ast
@@ -182,6 +183,27 @@ def calls_named(tree, names) -> list:
 
     visit(tree, None)
     return found
+
+
+def test_one_reduction_per_rung_and_per_complex():
+    """In ``spectral`` only ``SpectralSequence.rung`` calls
+    ``reduce_complex``, and neither ``multiplicity`` nor ``cli`` takes the
+    homology of a complex degree by degree: one whole-complex homology
+    gives every degree."""
+    reductions = calls_named(ast.parse((SRC / "spectral.py").read_text()), {"reduce_complex"})
+    assert [func for _, func, _ in reductions] == ["rung"], reductions
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in ("multiplicity.py", "cli.py"):
+        looped = [
+            (name, call.lineno)
+            for loop in ast.walk(ast.parse((SRC / name).read_text()))
+            if isinstance(loop, loops)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call)
+            and "homology_of_complex"
+            in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+        assert not looped, f"homology_of_complex called in a loop: {looped}"
 
 
 def test_blocks_become_sparse_columns_once():

@@ -504,7 +504,8 @@ def test_solve_columns_sparse(case):
 
 def test_invariant_factors_match_sympy():
     """Invariant factors, and the homology of a three-term complex whose
-    second differential is the same matrix, against sympy's Smith form:
+    second differential is the same matrix, against sympy's Smith form and
+    against the diagonal of the Smith form that carries U and V:
     H = ker(d_n) / im(M) has rank nullity(d_n) - rank(M), and its torsion is
     that of M because the kernel is a direct summand."""
     sympy = pytest.importorskip("sympy")
@@ -525,6 +526,10 @@ def test_invariant_factors_match_sympy():
         S = sympy_snf(sympy.Matrix(M.data), domain=sympy.ZZ)
         expected = sorted(abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i])
         assert invariant_factors(M) == expected, M.data
+        # the elimination without U and V stops at the same diagonal
+        _, S_full, _ = smith_normal_form(M)
+        diagonal = [S_full.data[t][t] for t in range(min(m, n)) if S_full.data[t][t]]
+        assert invariant_factors(M) == diagonal, M.data
         # d_n: random combinations of the rows annihilating M
         left = kernel_basis(M.transpose()).transpose()
         mix = IntMatrix.from_rows(

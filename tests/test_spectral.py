@@ -168,9 +168,9 @@ def test_page_one_cross_check_catches_a_broken_reduction(double_cover, monkeypat
 
     real = spectral.reduce_complex
 
-    def one_level(columns, levels):
+    def one_level(columns, levels, gap):
         # cancelling across filtration levels keeps the homology but not the pages
-        return real(columns, [[0] * len(level) for level in levels])
+        return real(columns, [[0] * len(level) for level in levels], gap)
 
     monkeypatch.setattr(spectral, "reduce_complex", one_level)
     assert not icss_report(double_cover).page_one_cross_checked
@@ -278,11 +278,21 @@ DIFFERENTIAL_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
 ]
 
 
+def page_off_rung(ss, r, s, n, g):
+    """Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}) in degree n of rung g."""
+    Z = ss.cycle_subgroup(n, s, r, g)
+    below = ss.cycle_subgroup(n, s - 1, r - 1, g)
+    up = ss.cycle_subgroup(n + 1, s + r - 1, r - 1, g)
+    B = Subgroup(Z.ambient_rank, below.basis.hstack(ss.D(n + 1, g) @ up.basis))
+    return subgroup_quotient(Z, B)
+
+
 @pytest.mark.parametrize("name, seed", DIFFERENTIAL_MAPS)
 def test_reduced_sequence_matches_generic_formula(name, seed):
     """Pages 1, 2, 3 and the limit, the graded limit pieces and the total
     homology of the reduced total complex equal the generic formula on the
-    unreduced one, in every degree up to the dimension of Y."""
+    unreduced one, in every degree up to the dimension of Y; so does every
+    page r >= g + 1 read off rung g, for every rung g of the ladder."""
     totals = {}  # both filtrations of a grid have one total complex
     for kind, ss in four_sequences(get_fixture(name, seed)):
         ref = GenericSequence(ss)
@@ -293,6 +303,11 @@ def test_reduced_sequence_matches_generic_formula(name, seed):
                     assert ss.page_group(r, s, n - s) == ref.page_group(r, s, n - s), (
                         label, r, s
                     )
+                for g in range(ss.top_gap + 1):
+                    for r in range(g + 1, ss.top_gap + 2):
+                        assert page_off_rung(ss, r, s, n, g) == ref.page_group(
+                            r, s, n - s
+                        ), (label, g, r, s)
                 assert ss.infinity_group(s, n - s) == ref.infinity_group(s, n - s), (
                     label, s
                 )
@@ -394,21 +409,32 @@ def euler_by_level(levels) -> dict:
     return {s: e for s, e in out.items() if e}
 
 
+def assert_filtered_complex(D, kept, label):
+    """No entry of D raises the level, and D squares to zero."""
+    for n in range(1, len(D)):
+        for i, row in enumerate(D[n].data):
+            for j, a in enumerate(row):
+                assert not a or kept[n - 1][i] <= kept[n][j], (label, n)
+        if n + 1 < len(D):
+            assert (D[n] @ D[n + 1]).is_zero(), (label, n)
+
+
 def test_reduction_is_filtered(maps):
-    """Cancelled pairs share a level (so each level keeps its Euler
-    characteristic), no surviving entry raises the level, and the reduced
-    total complex is a complex."""
+    """Cancelled pairs share a level on rung 0 (so each level keeps its
+    Euler characteristic); on every rung of the ladder the Euler
+    characteristic is kept, no surviving entry raises the level, and the
+    reduced total complex is a complex."""
     for name, f in maps.items():
         for kind, ss in four_sequences(f):
             columns, levels = total_complex(GenericSequence(ss))
             D, kept = reduce_complex(columns, levels)
             assert euler_by_level(kept) == euler_by_level(levels), (name, kind)
-            for n in range(1, len(D)):
-                for i, row in enumerate(D[n].data):
-                    for j, a in enumerate(row):
-                        assert not a or kept[n - 1][i] <= kept[n][j], (name, kind, n)
-                if n + 1 < len(D):
-                    assert (D[n] @ D[n + 1]).is_zero(), (name, kind, n)
+            assert_filtered_complex(D, kept, (name, kind))
+            euler = sum(euler_by_level(levels).values())
+            for g in range(ss.top_gap + 1):
+                D, kept = ss.rung(g)
+                assert sum(euler_by_level(kept).values()) == euler, (name, kind, g)
+                assert_filtered_complex(D, kept, (name, kind, g))
 
 
 def test_reduction_pairs_only_equal_levels():
@@ -418,3 +444,66 @@ def test_reduction_pairs_only_equal_levels():
     assert kept == [[0], []] and D[1] == IntMatrix(1, 0)
     D, kept = reduce_complex([[{}, {}], [{0: -1, 1: 1}]], [[0, 0], [1]])
     assert kept == [[0, 0], [1]] and D[1] == IntMatrix.from_rows([[-1], [1]])
+
+
+# Two column-filtered grids with a unit pair (sigma, tau), sigma at level 1
+# and tau at level 0, that no rung may cancel.  In the first, d(sigma) =
+# 2 rho + tau with rho at level 1: cancelling would leave rho alone and read
+# page two as Z at level 1 instead of Z/2 at level 1 plus Z at level 0
+# (condition 3).  In the second, d(sigma) = tau and d(x) = 2 tau with x at
+# level 0: cancelling would leave x as a level-0 cycle and read page two as
+# Z at level 0 instead of level 1 (condition 4).
+UNFILTERED_PAIRS = [
+    (
+        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+        {(1, 1): [{0: 2}]},  # sigma -> 2 rho
+        {(1, 1): [{0: 1}]},  # sigma -> tau
+        [0, 2, 1],
+        {(1, 0): HomologyGroup(0, (2,)), (0, 1): HomologyGroup(1)},
+    ),
+    (
+        {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+        {(0, 1): [{0: 2}]},  # x -> 2 tau
+        {(1, 0): [{0: 1}]},  # sigma -> tau
+        [1, 2, 0],
+        {(1, 0): HomologyGroup(1), (0, 1): HomologyGroup(0)},
+    ),
+]
+
+
+@pytest.mark.parametrize("ranks, h_cols, v_cols, sizes, page_two", UNFILTERED_PAIRS)
+def test_rung_refuses_a_pair_whose_reduction_is_not_filtered(
+    ranks, h_cols, v_cols, sizes, page_two
+):
+    """A unit pair whose projection or inclusion would raise the level stays
+    on every rung, and page two and the total homology come out right."""
+    ss = SpectralSequence(DoubleComplex("W", 1, 1, ranks, h_cols, v_cols), "columns")
+    for g in range(ss.top_gap + 1):
+        assert [len(level) for level in ss.rung(g)[1]] == sizes, g
+    for (s, t), group in page_two.items():
+        assert ss.page_group(2, s, t) == group, (s, t)
+    assert ss.total_homology(1) == HomologyGroup(1)
+
+
+def test_four_lift_gvzss_is_narrow_and_converges(monkeypatch):
+    """On the 4-lift random map the GVZSS converges to H_*(Y), as the ICSS
+    does, and the ladder keeps every echelon at most 256 columns wide (the
+    unreduced pages echelon 1,024 columns)."""
+    import icss.intlinalg as intlinalg
+
+    f = get_fixture("random", 13)
+    widths = []
+    real = intlinalg.column_echelon
+
+    def measuring(M, reduce=False):
+        widths.append(M.cols)
+        return real(M, reduce)
+
+    monkeypatch.setattr(intlinalg, "column_echelon", measuring)
+    gvz = gvzss_report(f)
+    assert max(widths) <= 256, max(widths)
+    monkeypatch.undo()
+    assert gvz.converged
+    ic = icss_report(f)
+    for a, b in zip(gvz.degree_reports, ic.degree_reports, strict=True):
+        assert a.total_homology == b.total_homology == homology_of_complex(f.target, a.n)

@@ -89,17 +89,17 @@ def test_run_all_builds_each_space_once(disc_to_rp2, monkeypatch):
 
 
 def test_run_all_computes_each_target_homology_once(disc_to_rp2, monkeypatch):
-    """Both collapse checks read H_n(Y) off the one tower, which computes it
-    once per degree."""
+    """Both collapse checks read H_n(Y) off the one tower, which computes
+    every degree from one whole-complex homology of Y."""
     import icss.multiplicity as multiplicity
 
     calls = []
-    real = multiplicity.homology_of_complex
+    real = multiplicity.homology_groups
 
-    def counting(X, n):
-        calls.append((X, n))
-        return real(X, n)
+    def counting(X):
+        calls.append(X)
+        return real(X)
 
-    monkeypatch.setattr(multiplicity, "homology_of_complex", counting)
+    monkeypatch.setattr(multiplicity, "homology_groups", counting)
     assert all(r.passed for r in run_all(disc_to_rp2))
-    assert calls == [(disc_to_rp2.target, n) for n in range(disc_to_rp2.target.dim + 1)]
+    assert calls == [disc_to_rp2.target]
