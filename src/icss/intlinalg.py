@@ -277,7 +277,7 @@ def invariant_factors(M: IntMatrix) -> list:
     return [S[t][t] for t in range(min(M.rows, M.cols)) if S[t][t]]
 
 
-def column_echelon(M: IntMatrix, reduce: bool = False):
+def column_echelon(M: IntMatrix, reduce: bool = False, transform: bool = True):
     """Integer column echelon form.
 
     Returns (H, T, pivots) with H == M @ T, T unimodular, and pivots a list of
@@ -285,10 +285,14 @@ def column_echelon(M: IntMatrix, reduce: bool = False):
     pivot row the entries right of the pivot are zero and the pivot is positive.
     With reduce=True the entries left of each pivot are reduced into [0, pivot)
     (column-style Hermite normal form, canonical for a given column span).
+    With transform=False, T is not carried and None is returned in its
+    place: the dense n x n transform is most of the memory and half the
+    column operations when M has many columns, and a span or a rank does
+    not need it.
     """
     m, n = M.rows, M.cols
     H = [list(r) for r in M.data]
-    T = IntMatrix.identity(n).data
+    T = IntMatrix.identity(n).data if transform else []  # no rows: nothing to update
 
     # Column c of H, and every column right of it, is zero above row r, so
     # the column operations on H start at row r.
@@ -357,11 +361,11 @@ def column_echelon(M: IntMatrix, reduce: bool = False):
                     rows = rows or support(c, r)
                     col_sub(j, c, q, rows)
 
-    return IntMatrix(m, n, H), IntMatrix(n, n, T), pivots
+    return IntMatrix(m, n, H), IntMatrix(n, n, T) if transform else None, pivots
 
 
 def rank(M: IntMatrix) -> int:
-    return len(column_echelon(M)[2])
+    return len(column_echelon(M, transform=False)[2])
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
@@ -451,7 +455,7 @@ def group_from_presentation(ambient_rank: int, relation_factors) -> HomologyGrou
 def hermite_basis(M: IntMatrix) -> IntMatrix:
     """The nonzero columns of the reduced column Hermite form of M: a basis
     of the column span, canonical for it."""
-    H, _, pivots = column_echelon(M, reduce=True)
+    H, _, pivots = column_echelon(M, reduce=True, transform=False)
     k = len(pivots)  # the pivot columns are 0, 1, ..., k-1
     return IntMatrix(M.rows, k, [row[:k] for row in H.data])
 
@@ -600,8 +604,9 @@ def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
     ``columns[n][j]`` is the boundary of cell j of degree n, a dict
     {cell of degree n-1: nonzero entry} (the dicts of degree 0 are empty),
     and ``levels[n][j]`` is the filtration level of that cell; no boundary
-    entry may run from a cell to one of a higher level.  The dicts are
-    consumed.
+    entry may run from a cell to one of a higher level.  ``columns`` and
+    its dicts are consumed: each is freed as soon as no step reads it, so
+    the reduction holds little more than its input at any time.
 
     From the top degree down, each cell sigma still present is paired with
     a cell tau of its boundary d(sigma) when the pair is admissible at
@@ -641,11 +646,13 @@ def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
     levels of the surviving degree-n cells, in their original order.
     """
     top = len(columns) - 1
-    rows = [[set() for _ in lev] for lev in levels]  # the columns holding each cell
+    # the columns holding each cell, as lists: a cell lies in few
+    # boundaries, and a list of a few entries is a quarter of a set's size
+    rows = [[[] for _ in lev] for lev in levels]
     for n in range(1, top + 1):
         for j, col in enumerate(columns[n]):
             for i in col:
-                rows[n - 1][i].add(j)
+                rows[n - 1][i].append(j)
     alive = [[True] * len(lev) for lev in levels]
     for n in range(top, 0, -1):
         cols, below = columns[n], rows[n - 1]
@@ -677,25 +684,28 @@ def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
                     v = dx.get(i, 0) - q * a
                     if v:
                         if i not in dx:
-                            below[i].add(x)
+                            below[i].append(x)
                         dx[i] = v
                     else:
                         del dx[i]
-                        below[i].discard(x)
+                        below[i].remove(x)
             for i in dsig:
-                below[i].discard(sigma)
+                below[i].remove(sigma)
             if n < top:
                 for z in rows[n][sigma]:
                     del columns[n + 1][z][sigma]
             if n > 1:
                 for i in columns[n - 1][tau]:
-                    rows[n - 2][i].discard(tau)
+                    rows[n - 2][i].remove(tau)
             alive[n][sigma] = alive[n - 1][tau] = False
+            cols[sigma] = columns[n - 1][tau] = None  # free what no step reads
+    del rows
     survivors = [[j for j, a in enumerate(al) if a] for al in alive]
     D = []
     for n, cells in enumerate(survivors):
         pos = {j: c for c, j in enumerate(survivors[n - 1])} if n else {}
         D.append([{pos[i]: a for i, a in columns[n][j].items()} for j in cells])
+        columns[n] = None  # each degree's input is freed once renumbered
     kept = [[levels[n][j] for j in cells] for n, cells in enumerate(survivors)]
     return Differentials(D), kept
 
@@ -706,15 +716,24 @@ def chain_homology(columns: list, degrees) -> dict:
     of degree 0, and no cells above the last degree); the dicts are
     consumed.
 
-    Each adjacent pair of differentials is checked to compose to zero.  One
-    ``reduce_complex`` call with one filtration level then cancels the unit
-    pairs of the whole complex, so the kernel, solve and Smith steps see
-    only the cells no unit entry cancels, and a zero differential needs no
-    kernel.
+    Each adjacent pair of differentials is checked to compose to zero
+    before ``homology_by_reduction`` computes the groups.
     """
     for n in range(1, len(columns) - 1):
         if any(compose(columns[n], columns[n + 1])):
             raise NotAComplex("d_n @ d_next != 0")
+    return homology_by_reduction(columns, degrees)
+
+
+def homology_by_reduction(columns: list, degrees) -> dict:
+    """``chain_homology`` of columns already known to form a complex, with
+    no d∘d check.
+
+    One ``reduce_complex`` call with one filtration level cancels the unit
+    pairs of the whole complex, so the kernel, solve and Smith steps see
+    only the cells no unit entry cancels, and a zero differential needs no
+    kernel.
+    """
     D, _ = reduce_complex(columns, [[0] * len(c) for c in columns])
     out = {}
     for n in degrees:

@@ -4,7 +4,9 @@ For a finite surjective simplicial map f: X -> Y, the k-fold fibre product
 W^k carries a triangulation whose top simplices are products of k ordered
 lifts of a common Y-simplex; D^k is the sub-triangulation coming from
 pairwise distinct lifts.  Both come with component-forgetting projections
-and the symmetric-group action permuting slots.
+and the symmetric-group action permuting slots.  The chains of W^k and its
+boundary and transfer are also read straight off the lifts of each
+Y-simplex (``LiftTable``), without building W^k.
 """
 
 from __future__ import annotations
@@ -148,13 +150,117 @@ def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
     return MultiplePointComplex(kind, k, f, complex_, vertex_tuples, products, below)
 
 
+class LiftTable:
+    """The lifts of every Y-simplex and how they restrict to its faces: all
+    that the W-chain grid is read off, with no W^k built.
+
+    A q-simplex of W^k is a Y-simplex delta together with k lifts of delta,
+    so the degree-q chains of W^k have one cell (delta, a) for each
+    q-simplex delta of Y and each a in {0..N-1}^k, indexing delta's
+    ``counts[delta] = N`` ordered lifts.  The cells run over Y's simplices in
+    order, then over a lexicographically.  A cell is oriented by listing its
+    vertices in delta's vertex order: vertex j is the tuple of the lifts'
+    j-th vertices.
+
+    ``faces[delta]`` holds (delta_i, (-1)^i, r) for i = q, ..., 0, so that
+    the faces come in Y's order, where r[b] is the index among delta_i's
+    lifts of lift b with vertex i dropped: the face map r_{delta,i}.
+    """
+
+    def __init__(self, f: SimplicialMap):
+        self.target = f.target
+        lifts = {delta: ordered_lifts(f, delta) for delta in f.target.all_simplices()}
+        self.counts = {delta: len(ls) for delta, ls in lifts.items()}
+        positions = {delta: {lift: b for b, lift in enumerate(ls)} for delta, ls in lifts.items()}
+        self.faces: dict = {}
+        for delta, ls in lifts.items():
+            faces = self.faces[delta] = []
+            if len(delta) == 1:
+                continue
+            for i in range(len(delta) - 1, -1, -1):
+                face = delta[:i] + delta[i + 1 :]
+                position = positions[face]
+                r = [position[lift[:i] + lift[i + 1 :]] for lift in ls]
+                faces.append((face, -1 if i % 2 else 1, r))
+        self._drops: dict = {}  # _slot_drops by (lift count, k, twist)
+
+    def n_cells(self, k: int, q: int) -> int:
+        """Rank of the degree-q chains of W^k: the sum of N_delta^k over
+        the q-simplices of Y, which k = 0 counts."""
+        return sum(self.counts[delta] ** k for delta in self.target.simplices(q))
+
+    def _offsets(self, k: int, q: int) -> dict:
+        """Position of each q-simplex delta's first cell among those of W^k."""
+        offsets, n = {}, 0
+        for delta in self.target.simplices(q):
+            offsets[delta] = n
+            n += self.counts[delta] ** k
+        return offsets
+
+    def face_columns(self, k: int, q: int) -> list:
+        """Columns of the boundary of the degree-q chains of W^k (q >= 1):
+        (delta, a) goes to the sum of (-1)^i (delta_i, r_{delta,i}(a)), with r
+        applied slot by slot; {row: +-1} dicts, rows increasing."""
+        offsets = self._offsets(k, q - 1)
+        columns = []
+        for delta in self.target.simplices(q):
+            rows, signs = [], []
+            for face, sign, r in self.faces[delta]:
+                m, o = self.counts[face], offsets[face]
+                index = [0]
+                for _ in range(k - 1):
+                    index = [x * m + b for x in index for b in r]
+                rows.append([x * m + b + o for x in index for b in r])
+                signs.append(sign)
+            columns.extend(dict(zip(cell, signs)) for cell in zip(*rows))
+        return columns
+
+    def transfer_columns(self, k: int, q: int) -> list:
+        """Columns of the degree-twisted transfer (-1)^q rho on the degree-q
+        chains of W^k: (delta, a) goes to (-1)^q times the sum of (-1)^j
+        (delta, a without slot j), onto the cells of W^(k-1), and for k = 1
+        (delta, (b)) goes to (-1)^q delta, onto the chains of Y.  Entries
+        that cancel are dropped; rows increase."""
+        twist = -1 if q % 2 else 1
+        simplices = self.target.simplices(q)
+        if k == 1:
+            return [{row: twist} for row, d in enumerate(simplices) for _ in range(self.counts[d])]
+        offsets = self._offsets(k - 1, q)
+        columns = []
+        for delta in simplices:
+            key = (self.counts[delta], k, twist)
+            if key not in self._drops:
+                self._drops[key] = _slot_drops(*key)
+            o = offsets[delta]
+            columns.extend({o + row: a for row, a in col} for col in self._drops[key])
+        return columns
+
+
+def _slot_drops(n: int, k: int, twist: int) -> list:
+    """twist times the sum over the slots j of (-1)^j times dropping slot j,
+    from the tuples {0..n-1}^k to the (k-1)-tuples, both in lexicographic
+    order, as (row, entry) lists without zero entries, rows increasing."""
+    lows = [n ** (k - 1 - j) for j in range(k)]  # place value of slot j
+    columns = []
+    for x in range(n**k):
+        col: dict = {}
+        for j, low in enumerate(lows):
+            # the slots before j, shifted down one place, and those after it
+            row = x // (low * n) * low + x % low
+            col[row] = col.get(row, 0) + (twist if j % 2 == 0 else -twist)
+        columns.append(sorted((row, a) for row, a in col.items() if a))
+    return columns
+
+
 class Tower:
-    """The W^k / D^k complexes of one simplicial map, each built once, and
-    the homology of its target, computed once for every degree.
+    """The W^k / D^k complexes of one simplicial map, each built once, its
+    lift table, and the homology of its target, computed once for every
+    degree.
 
     Functions that read several multiplicities of one map take a tower, so
     they share its spaces; building W^k or D^k builds the spaces below it.
-    W^1 = D^1 = X is one space, of kind "D" whichever was asked for.
+    W^1 = D^1 = X is one space, of kind "D" whichever was asked for.  The
+    W-chain grid reads the lift table alone.
     """
 
     def __init__(self, f: SimplicialMap):
@@ -162,8 +268,16 @@ class Tower:
             raise ComplexMismatch("map must be simplicial, finite-to-one and surjective")
         self.f = f
         self._cache: dict = {}
+        self._lifts = None
         self._k_max = None
         self._target_homology = None
+
+    @property
+    def lifts(self) -> LiftTable:
+        """The map's lift table, built on first use."""
+        if self._lifts is None:
+            self._lifts = LiftTable(self.f)
+        return self._lifts
 
     def W(self, k: int) -> MultiplePointComplex:
         return self._get("W", k)

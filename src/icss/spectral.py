@@ -5,7 +5,10 @@ p+1 space.  The horizontal differential is the simplicial boundary (q drops
 by one); the vertical differential is the degree-signed transfer to
 multiplicity p (the signed sum of slot projections on W, the last-slot
 projection on alternating D-chains).  The sign twist makes the two
-differentials anticommute, so the total complex squares to zero.
+differentials anticommute, so the total complex squares to zero.  The
+W-chain grid is written off the map's lift table (``Tower.lifts``) on the
+cells (Y-simplex, tuple of lift indices), with no W^k built; the
+alternating grid is assembled from the D^k.
 
 Filtering the total complex by columns (p) gives the multiple-point spectral
 sequences; filtering by rows (q) gives the collapsing one whose second page
@@ -37,8 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import AltBasis, alt_boundary_matrix, alt_veps_matrix, varrho_columns
-from .complexes import SimplicialMap, boundary_columns
+from .alternating import AltBasis, alt_boundary_matrix, alt_veps_matrix
+from .complexes import SimplicialMap
 from .errors import DegreeOutOfRange, NotAComplex, TruncationInsufficient
 from .intlinalg import (
     HomologyGroup,
@@ -46,6 +49,7 @@ from .intlinalg import (
     Subgroup,
     chain_homology,
     compose,
+    homology_by_reduction,
     kernel_basis,
     reduce_complex,
     solve_columns,
@@ -122,15 +126,19 @@ class DoubleComplex:
 
 def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleComplex:
     """Assemble the W-chain ("W") or alternating D-chain ("Alt") double complex
-    of the map ``tower.f`` from the spaces of its tower.
+    of the map ``tower.f`` from its tower.
 
     Defaults: q_max is the dimension of Y; p_max is the largest multiplicity
     with a nonempty distinct-lift space (mandatory for kind "Alt", where the
     grid is zero beyond it anyway).  A negative bound raises DegreeOutOfRange.
 
-    The W blocks are built as sparse columns, off the face index and the
-    slot-drop vertex maps; the Alt blocks are alternating matrices, each
-    converted to columns once.
+    The W blocks are written as sparse columns off ``tower.lifts``, with no
+    W^k built: column p, row q has one cell per q-simplex delta of Y and
+    tuple a of p+1 indices into delta's lifts, in Y's order and then
+    lexicographically, and d_h, d_v are ``LiftTable.face_columns`` and
+    ``LiftTable.transfer_columns`` (see ``LiftTable`` for the orientation).
+    The Alt blocks are alternating matrices on the D^k, each converted to
+    columns once.
     """
     if q_max is None:
         q_max = tower.f.target.dim
@@ -140,14 +148,14 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
         raise DegreeOutOfRange(f"grid bounds p_max={p_max}, q_max={q_max} must be >= 0")
     ranks, h_cols, v_cols = {}, {}, {}
     if kind == "W":
+        lifts = tower.lifts
         for p in range(p_max + 1):
-            Z = tower.W(p + 1)
             for q in range(q_max + 1):
-                ranks[(p, q)] = Z.n_simplices(q)
-                if 1 <= q <= Z.dim:
-                    h_cols[(p, q)] = boundary_columns(Z.complex, q)
+                ranks[(p, q)] = lifts.n_cells(p + 1, q)
+                if q >= 1:
+                    h_cols[(p, q)] = lifts.face_columns(p + 1, q)
                 if p >= 1:
-                    v_cols[(p, q)] = varrho_columns(Z, q)
+                    v_cols[(p, q)] = lifts.transfer_columns(p + 1, q)
     elif kind == "Alt":
         bases = {}
         for p in range(p_max + 1):
@@ -636,10 +644,12 @@ def page_one_oracle(ss: SpectralSequence, p: int, q: int) -> HomologyGroup:
     grid under d_h alone, which is the (alternating, for the D-chain kind)
     chain complex of the multiplicity p+1 space.  Each column is reduced
     once, for every q, from copies of the grid's block columns; nothing of
-    the total complex it cross-checks is read."""
+    the total complex it cross-checks is read.  The column's d_h squares
+    were checked when the grid was built (``verify_identities``), so they
+    are not composed again."""
     dc = ss.dc
     if p not in ss._column_homology:
         degrees = range(dc.q_max + 1)
         columns = [[dict(col) for col in dc.h_columns(p, d)] for d in degrees]
-        ss._column_homology[p] = chain_homology(columns, degrees)
+        ss._column_homology[p] = homology_by_reduction(columns, degrees)
     return ss._column_homology[p].get(q, HomologyGroup(0))

@@ -75,8 +75,9 @@ def check_W_row_exact(tower: Tower, n: int, k_cap=None) -> VerificationReport:
     homotopies.
 
     Chains of a fixed degree split over the Y-simplex underneath, so the row
-    is checked block by block in tuple coordinates; the blocks are tied back
-    to the honest chain-level transfer matrices at low multiplicity.
+    is checked block by block in tuple coordinates; the transfer the W grid
+    reads is tied back to the honest chain-level matrices at low
+    multiplicity.
     """
     rep = VerificationReport(f"W-row-exact n={n}")
     f = tower.f
@@ -136,9 +137,11 @@ def _prepend_matrix(combos_k, combos_next, t) -> IntMatrix:
 
 
 def _tie_to_chain_level(rep, tower, n, k_top):
-    """The tuple-coordinate blocks assemble to the real transfer matrices:
-    conjugating by the listing parities must reproduce rho on raw chains."""
-    f = tower.f
+    """The W grid's transfer columns, read off the lift table and twisted
+    back by (-1)^n, are rho on raw chains: conjugating by the listing
+    parities carries one onto the other (k = 1 lands on Y)."""
+    f, lifts = tower.f, tower.lifts
+    twist = -1 if n % 2 else 1
     for k in range(1, k_top + 1):
         Zk = tower.W(k)
         R_src = _listing_to_raw(Zk, n)
@@ -146,7 +149,8 @@ def _tie_to_chain_level(rep, tower, n, k_top):
             R_tgt = IntMatrix.identity(f.target.n_simplices(n))
         else:
             R_tgt = _listing_to_raw(Zk.below, n)
-        if rho_matrix(Zk, n) @ R_src != R_tgt @ _global_listing_rho(f, n, k):
+        cells = IntMatrix.from_sparse(lifts.transfer_columns(k, n), lifts.n_cells(k - 1, n))
+        if rho_matrix(Zk, n) @ R_src != R_tgt @ cells.scaled(twist):
             rep.fail("listing-model-mismatch", k)
     # kernel of the augmentation is exactly the image of the first transfer
     A = pushforward_matrix(f, n)
@@ -155,30 +159,9 @@ def _tie_to_chain_level(rep, tower, n, k_top):
         rep.fail("global-kernel-image")
 
 
-def _global_listing_rho(f, n, k) -> IntMatrix:
-    """Block diagonal of the per-simplex tuple-coordinate transfers."""
-    src_cols, tgt_rows = [], []
-    blocks = []
-    for delta in f.target.simplices(n):
-        lifts = ordered_lifts(f, delta)
-        ck = list(iproduct(lifts, repeat=k))
-        cprev = list(iproduct(lifts, repeat=k - 1)) if k >= 2 else [()]
-        blocks.append(_rho_listing(ck, cprev, k))
-        src_cols.append(len(ck))
-        tgt_rows.append(len(cprev))
-    M = IntMatrix(sum(tgt_rows), sum(src_cols))
-    r0 = c0 = 0
-    for B, rr, cc in zip(blocks, tgt_rows, src_cols):
-        for i in range(rr):
-            for j in range(cc):
-                M.data[r0 + i][c0 + j] = B.data[i][j]
-        r0 += rr
-        c0 += cc
-    return M
-
-
 def _listing_to_raw(Z, n) -> IntMatrix:
-    """Signed bijection from per-simplex tuple coordinates to raw W-chains."""
+    """Signed bijection from per-simplex tuple coordinates, the W grid's
+    cells, to raw W-chains."""
     cols = []
     for delta in Z.f.target.simplices(n):
         lifts = ordered_lifts(Z.f, delta)

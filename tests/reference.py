@@ -9,14 +9,20 @@ that compares the two checks the package:
 - ``page_one_homology`` takes the homology of page one under its
   differential from the presented page-one groups; page two must equal it.
 - ``boundary_from_faces`` and ``transfer_from_projections`` build the
-  blocks of the W grid as dense matrices, face by face and from the
-  validated slot projections, where ``build_double`` reads sparse columns
-  off the face index and the slot-drop vertex maps.
+  boundary and the transfer of the fibre products W^k as dense matrices,
+  face by face and from the validated slot projections, on the chains of
+  the built spaces.  ``build_double`` writes the W grid's blocks off the
+  map's lift table on cells (Y-simplex, tuple of lift indices), with no
+  W^k built; ``cell_bijection`` carries those cells onto the chains of W^k
+  through the space's own vertex tuples and simplex index, so a test can
+  compare the two.
 - ``GenericSequence`` computes every page, the graded limit pieces and the
   total homology by the generic filtered-complex formula on the dense,
   unreduced total complex, where ``SpectralSequence`` reads them off the
   unit-pair reduction.
 """
+
+from itertools import product as iproduct
 
 from icss.errors import NotAComplex
 from icss.intlinalg import (
@@ -29,7 +35,7 @@ from icss.intlinalg import (
     solve_columns,
     subgroup_quotient,
 )
-from icss.complexes import pushforward_matrix
+from icss.complexes import pushforward_matrix, sort_sign
 from icss.multiplicity import SkElement, projection_eps, sk_matrix
 
 
@@ -66,6 +72,31 @@ def transfer_from_projections(Z, n: int) -> IntMatrix:
     for term in terms[1:]:
         total = total + term
     return total
+
+
+def cell_bijection(Z, q: int) -> IntMatrix:
+    """The signed bijection from the W-grid cells of degree q onto the
+    degree-q chains of Z = W^k.
+
+    The cells are the pairs (delta, a): delta runs over Y's q-simplices in
+    order and a over {0..N-1}^k lexicographically, indexing delta's N
+    lifts, found here by scanning X and sorted.  Cell (delta, a) goes to the
+    simplex of Z whose j-th vertex is the tuple of the chosen lifts' j-th
+    vertices, with the parity of sorting that listing.
+    """
+    f = Z.f
+    over: dict = {}  # Y-simplex -> its lifts, vertices in the order of delta
+    for s in f.source.simplices(q):
+        lift = tuple(sorted(s, key=lambda v: f.vertex_map[v]))
+        over.setdefault(tuple(f.vertex_map[v] for v in lift), []).append(lift)
+    rows, columns = Z.n_simplices(q), []
+    for delta in f.target.simplices(q):
+        for combo in iproduct(sorted(over[delta]), repeat=Z.k):
+            listing = [Z.tuple_index[tuple(lift[j] for lift in combo)] for j in range(q + 1)]
+            column = [0] * rows
+            column[Z.complex.index(sorted(listing))] = sort_sign(listing)
+            columns.append(column)
+    return IntMatrix.from_columns(columns, rows=rows)
 
 
 def is_alternating(Z, n: int, v) -> bool:

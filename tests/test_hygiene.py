@@ -208,9 +208,9 @@ def test_one_reduction_per_rung_and_per_complex():
 
 def test_blocks_become_sparse_columns_once():
     """A dense block is converted to sparse columns at most once, in
-    ``build_double``'s Alt branch; the W blocks are built as columns, and
-    the identity checks, the total complex and the page-one oracle read
-    the columns."""
+    ``build_double``'s Alt branch; the W blocks are written as columns off
+    the map's lift table, and the identity checks, the total complex and
+    the page-one oracle read the columns."""
     outside = []
 
     def visit(node, func, alt):
@@ -237,13 +237,19 @@ def test_blocks_become_sparse_columns_once():
 
 
 def test_w_blocks_are_built_as_columns():
-    """``spectral`` makes no dense boundary or transfer, and the only
+    """``spectral`` builds no W^k and makes no chain-level boundary or
+    transfer: the W grid is written off the lift table.  The only
     ``SimplicialMap`` that ``multiplicity`` makes is the validated
-    ``projection_eps``: the transfer reads the slot-drop vertex maps."""
+    ``projection_eps``."""
+    tree = ast.parse((SRC / "spectral.py").read_text())
     dense = calls_named(
-        ast.parse((SRC / "spectral.py").read_text()),
-        {"boundary_matrix", "rho_matrix", "varrho_matrix"},
+        tree,
+        {"boundary_matrix", "rho_matrix", "varrho_matrix", "boundary_columns", "varrho_columns"},
     )
-    assert not dense, f"spectral.py builds dense blocks: {dense}"
+    assert not dense, f"spectral.py builds chain-level blocks: {dense}"
+    spaces = calls_named(tree, {"W", "build_W"})
+    assert not spaces, f"spectral.py builds W^k: {spaces}"
+    imported = {name for _, name in imported_names(tree)}
+    assert not imported & {"boundary_columns", "varrho_columns"}, imported
     maps = calls_named(ast.parse((SRC / "multiplicity.py").read_text()), {"SimplicialMap"})
     assert [func for _, func, _ in maps] == ["projection_eps"], maps

@@ -477,6 +477,8 @@ def test_column_echelon_postconditions_sparse(M, reduce):
             assert all(0 <= H.data[r][j] < p for j in range(c))
     # the columns past the pivots are zero: they span the kernel of M
     assert not any(any(row[len(pivots) :]) for row in H.data)
+    # without the transform, the same echelon form and pivots
+    assert column_echelon(M, reduce=reduce, transform=False) == (H, None, pivots)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 from reference import (
     GenericSequence,
     boundary_from_faces,
+    cell_bijection,
     page_one_homology,
     transfer_from_projections,
 )
@@ -325,19 +326,65 @@ W_BLOCK_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
 
 @pytest.mark.parametrize("name, seed", W_BLOCK_MAPS)
 def test_w_blocks_match_an_independent_construction(name, seed):
-    """Every block of the gvzss and first_ss W grids is the boundary read
-    face by face, or the degree-twisted transfer summed from the validated
-    slot projections."""
+    """Every block of the gvzss and first_ss W grids, carried by the signed
+    bijection from the grid's cells onto the chains of W^k, is the boundary
+    read face by face, or the degree-twisted transfer summed from the
+    validated slot projections."""
     f = get_fixture(name, seed)
     for dc in (gvzss(f).dc, first_ss(Tower(f), "W").dc):
         for p in range(dc.p_max + 1):
             Z = dc.tower.W(p + 1)
+            P = {q: cell_bijection(Z, q) for q in range(dc.q_max + 1)}
             for q in range(dc.q_max + 1):
-                assert dc.d_h(p, q) == boundary_from_faces(Z.complex, q), (p, q)
+                assert dc.rank(p, q) == P[q].cols == P[q].rows, (p, q)
+                entries = [x for row in P[q].data for x in row if x]
+                assert len(entries) == P[q].cols and set(entries) <= {1, -1}, (p, q)
+                assert all(any(row) for row in P[q].data), (p, q)  # a signed permutation
+                if q >= 1:
+                    lhs = boundary_from_faces(Z.complex, q) @ P[q]
+                    assert lhs == P[q - 1] @ dc.d_h(p, q), (p, q)
                 if p >= 1:
-                    assert dc.d_v(p, q) == transfer_from_projections(Z, q), (p, q)
+                    lhs = transfer_from_projections(Z, q) @ P[q]
+                    assert lhs == cell_bijection(Z.below, q) @ dc.d_v(p, q), (p, q)
                 blocks = dc.h_columns(p, q) + dc.v_columns(p, q)
                 assert all(all(col.values()) for col in blocks), (p, q)  # no zero entries
+
+
+def test_w_grid_builds_no_fibre_product(disc_to_rp2, monkeypatch):
+    """The GVZSS report and the row-filtered W sequence read the W grid off
+    the lift table: neither builds any W^k, nor even X as W^1."""
+    import icss.multiplicity as multiplicity
+
+    built = []
+    real = multiplicity._build
+
+    def counting(*args):
+        built.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(multiplicity, "_build", counting)
+    assert gvzss_report(disc_to_rp2).converged
+    assert check_collapse_first(first_ss(Tower(disc_to_rp2), "W")).ok
+    assert built == []
+
+
+def test_page_one_oracle_composes_no_square(disc_to_rp2, monkeypatch):
+    """The grid's d_h squares were composed when it was built, so the
+    page-one oracle reduces each column without composing them again."""
+    import icss.intlinalg as intlinalg
+
+    ss = gvzss(disc_to_rp2)
+    calls = []
+    real = intlinalg.compose
+
+    def counting(a_cols, b_cols):
+        calls.append(len(b_cols))
+        return real(a_cols, b_cols)
+
+    monkeypatch.setattr(intlinalg, "compose", counting)
+    for p in range(ss.dc.p_max + 1):
+        page_one_oracle(ss, p, 0)
+    assert calls == []
 
 
 def test_w_grid_validates_no_map(disc_to_rp2, monkeypatch):
@@ -495,9 +542,9 @@ def test_four_lift_gvzss_is_narrow_and_converges(monkeypatch):
     widths = []
     real = intlinalg.column_echelon
 
-    def measuring(M, reduce=False):
+    def measuring(M, *args, **kwargs):
         widths.append(M.cols)
-        return real(M, reduce)
+        return real(M, *args, **kwargs)
 
     monkeypatch.setattr(intlinalg, "column_echelon", measuring)
     gvz = gvzss_report(f)

@@ -88,6 +88,25 @@ def test_run_all_builds_each_space_once(disc_to_rp2, monkeypatch):
     assert w_first.W(1).kind == d_first.D(1).kind
 
 
+def test_run_all_builds_no_fibre_product_above_three(disc_to_rp2, monkeypatch):
+    """The W-row checks tie the grid's transfer to raw chains up to W^3, and
+    the collapse check's W grid reads the lift table, so no W^k with k > 3
+    is built."""
+    import icss.multiplicity as multiplicity
+
+    built = []
+    real = multiplicity._build
+
+    def counting(f, k, kind, *rest):
+        built.append((kind, k))
+        return real(f, k, kind, *rest)
+
+    monkeypatch.setattr(multiplicity, "_build", counting)
+    assert all(r.passed for r in run_all(disc_to_rp2))
+    assert ("W", 3) in built
+    assert not [(kind, k) for kind, k in built if kind == "W" and k > 3], built
+
+
 def test_run_all_computes_each_target_homology_once(disc_to_rp2, monkeypatch):
     """Both collapse checks read H_n(Y) off the one tower, which computes
     every degree from one whole-complex homology of Y."""
