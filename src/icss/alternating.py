@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import neg
 
-from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
+from .complexes import boundary_matrix, pushforward_matrix
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
 from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, restrict
 from .multiplicity import (
@@ -23,7 +23,6 @@ from .multiplicity import (
     ordered_lifts,
     projection_eps,
     sk_matrix,
-    slot_drop,
 )
 
 
@@ -115,74 +114,23 @@ class AltBasis:
         return A
 
 
-def varrho_columns(Z: MultiplePointComplex, n: int) -> list:
-    """Columns of the transfer (-1)^n rho on the degree-n chains of Z, as
-    {row: entry} dicts without zero entries, rows increasing.
-
-    rho is the sum over the slots i of (-1)^(i+1) times the pushforward by
-    ``slot_drop(Z, i)``, onto ``Z.below``; for k = 1 it is the pushforward
-    by f, onto Y.  A face of a product simplex over a Y-simplex delta drops
-    in each slot to the product of the remaining lifts over a face of delta,
-    a simplex of ``Z.below``, so no slot map needs validating.
-    """
-    if Z.k == 1:
-        drops = [Z.f.vertex_map]
-    else:
-        drops = [slot_drop(Z, i) for i in range(1, Z.k + 1)]
-    index = _transfer_target(Z).index
-    twist = 1 if n % 2 == 0 else -1
-    simplices = Z.simplices(n)
-    columns = [{} for _ in simplices]
-    for i, vertex_map in enumerate(drops):
-        slot_sign = twist if i % 2 == 0 else -twist
-        for col, s in zip(columns, simplices):
-            if i:
-                # Vertex ids follow the order of the vertex tuples, and the
-                # first slots of a simplex's vertices lie over distinct
-                # Y-vertices, so they order the simplex.  A drop that keeps
-                # the first slot keeps that order: the image is increasing.
-                sign, image = 1, tuple(map(vertex_map.__getitem__, s))
-            else:
-                sign, image = pushforward_simplex(vertex_map, s)
-            if sign:
-                row = index(image)
-                col[row] = col.get(row, 0) + slot_sign * sign
-    return [{row: a for row, a in sorted(col.items()) if a} for col in columns]
-
-
-def _transfer_target(Z: MultiplePointComplex):
-    """The complex rho lands in: ``Z.below``, or Y when k = 1."""
-    return Z.f.target if Z.k == 1 else Z.below.complex
-
-
-def varrho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """Dense form of :func:`varrho_columns`: the transfer with the degree
-    sign that makes it anticommute with the boundary."""
-    return IntMatrix.from_sparse(varrho_columns(Z, n), _transfer_target(Z).n_simplices(n))
-
-
 def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """The alternating-signed sum of the k slot projections, raw bases: the
-    dense :func:`varrho_columns` with the degree sign taken off.
+    """The transfer on raw degree-n chains: the sum over the slots i of
+    (-1)^(i+1) times the pushforward by ``projection_eps(Z, i)``, onto
+    ``Z.below``.
 
-    For k = 1 this is the induced map down to Y itself.
+    For k = 1 this is the pushforward by f, down to Y itself.
     """
-    M = varrho_matrix(Z, n)
-    return M if n % 2 == 0 else M.scaled(-1)
+    total = pushforward_matrix(projection_eps(Z, 1), n)
+    for i in range(2, Z.k + 1):
+        P = pushforward_matrix(projection_eps(Z, i), n)
+        total = total - P if i % 2 == 0 else total + P
+    return total
 
 
 def eps_last_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
     """Last-slot projection on raw chains (to Y when k = 1)."""
-    if Z.k == 1:
-        return pushforward_matrix(Z.f, n)
     return pushforward_matrix(projection_eps(Z, Z.k), n)
-
-
-def veps_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """Degree-sign twist of the last-slot projection (vertical differential
-    of the alternating double complex)."""
-    M = eps_last_matrix(Z, n)
-    return M if n % 2 == 0 else M.scaled(-1)
 
 
 def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMatrix:
@@ -198,7 +146,9 @@ def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMa
 
 
 def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
-    """Signed last-slot projection in alternating coordinates: D^k to D^{k-1}.
+    """Last-slot projection in alternating coordinates, D^k to D^{k-1}, with
+    the degree sign (-1)^n that makes it anticommute with the boundary: the
+    vertical differential of the alternating double complex.
 
     For k = 2 the target basis lives on D^1 = X.
     """
@@ -207,7 +157,9 @@ def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
         raise InvalidMultiplicity("source multiplicity must be at least 2")
     if basis_tgt.n != basis_src.n or basis_tgt.Z.k != Z.k - 1:
         raise DegreeOutOfRange("target basis must have multiplicity k-1, same degree")
-    return basis_tgt.coordinates(veps_matrix(Z, basis_src.n) @ basis_src.to_raw_matrix)
+    n = basis_src.n
+    A = basis_tgt.coordinates(eps_last_matrix(Z, n) @ basis_src.to_raw_matrix)
+    return A if n % 2 == 0 else A.scaled(-1)
 
 
 def alt_differentials(Z: MultiplePointComplex, n: int) -> tuple:

@@ -3,7 +3,8 @@
 Commands operate on a JSON map document (see the io module) and print a
 human table by default or JSON with --format json.  Exit status: 0 on
 success or a passing check, 1 when a verification or convergence check
-fails, 2 on malformed input.
+fails, 2 on malformed input or, for the commands that build the map's
+tower, a map that is not finite-to-one and surjective.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 
 from .complexes import homology_groups
-from .errors import DegreeOutOfRange, IcssError, ParseError
+from .errors import ComplexMismatch, DegreeOutOfRange, IcssError
 from .fixtures import fixture_names, get_fixture
 from .io import (
     document_from_map,
@@ -26,18 +27,23 @@ from .spectral import gvzss_report, icss_report
 from .verify import run_all
 
 
-def _read_document(path: str):
+def _load_map(path: str):
+    """The map of the document at ``path``; "-" reads standard input."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_map(text)
+    return parse_map(text).to_simplicial_map()
 
 
-def _load_map(path: str):
-    doc = _read_document(path)
-    return doc.to_simplicial_map()
+def _load_valid_map(path: str):
+    """The map of the document at ``path``, refused unless it is a finite
+    surjective simplicial map, which every command building its tower needs."""
+    f = _load_map(path)
+    if not f.valid:
+        raise ComplexMismatch("map must be simplicial, finite-to-one and surjective")
+    return f
 
 
 def cmd_validate(args) -> int:
@@ -55,10 +61,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    f = _load_map(args.file)
-    if not f.valid:
-        raise ParseError("map is not a finite surjective simplicial map")
-    tower = Tower(f)
+    tower = Tower(_load_valid_map(args.file))
     Z = tower.W(args.k) if args.kind == "W" else tower.D(args.k)
     payload = {
         "kind": args.kind,
@@ -120,22 +123,22 @@ def _spectral_payload(report) -> dict:
 
 
 def cmd_icss(args) -> int:
-    f = _load_map(args.file)
+    f = _load_valid_map(args.file)
     report = icss_report(f, q_max=args.q_max)
     sys.stdout.write(emit_report(_spectral_payload(report), args.format))
     return 0 if report.converged else 1
 
 
 def cmd_gvzss(args) -> int:
-    f = _load_map(args.file)
+    f = _load_valid_map(args.file)
     report = gvzss_report(f, q_max=args.q_max)
     sys.stdout.write(emit_report(_spectral_payload(report), args.format))
     return 0 if report.converged else 1
 
 
 def cmd_verify(args) -> int:
-    f = _load_map(args.file)
-    reports = run_all(f, seed=args.seed or 0)
+    f = _load_valid_map(args.file)
+    reports = run_all(f, seed=args.seed)
     payload = {
         "checks": [
             {

@@ -320,24 +320,19 @@ def build_D(f: SimplicialMap, k: int) -> MultiplePointComplex:
     return Tower(f).D(k)
 
 
-def slot_drop(Z: MultiplePointComplex, i: int) -> list:
-    """Vertex map of the projection forgetting the i-th slot (1-based) of
-    Z (k >= 2) onto ``Z.below``: entry v is the vertex of the k-1 tuple
-    left when slot i of vertex v's tuple is dropped."""
-    index = Z.below.tuple_index
-    return [index[t[: i - 1] + t[i:]] for t in Z.vertex_tuples]
-
-
 def projection_eps(Z: MultiplePointComplex, i: int) -> SimplicialMap:
     """The simplicial projection forgetting the i-th slot (1-based) onto the
-    space one multiplicity down, as a validated map; built once per slot
-    and kept on Z."""
+    space one multiplicity down, ``Z.below``, as a validated map: vertex v
+    goes to the vertex of the k-1 tuple left when slot i of v's tuple is
+    dropped.  Built once per slot and kept on Z."""
     if not 1 <= i <= Z.k:
         raise InvalidIndex(f"slot {i} outside 1..{Z.k}")
     if Z.k == 1:
         return Z.f  # the convention epsilon^1 = f
     if i not in Z.eps:
-        Z.eps[i] = SimplicialMap(Z.complex, Z.below.complex, enumerate(slot_drop(Z, i)))
+        index = Z.below.tuple_index
+        drop = [index[t[: i - 1] + t[i:]] for t in Z.vertex_tuples]
+        Z.eps[i] = SimplicialMap(Z.complex, Z.below.complex, enumerate(drop))
     return Z.eps[i]
 
 

@@ -29,9 +29,10 @@ How the usual symbols of the subject map onto this module:
 - D_n: ``SpectralSequence.D(n, g)``, the differential of rung g
 - F^s: the cells ``SpectralSequence._coords_leq(n, s, g)`` of rung g
 - Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r, g)``, on rung g
-- E^r_{p,q}: ``SpectralSequence.page`` / ``page_group`` at the cell (p, q),
-  read off rung min(r - 1, L)
-- d^r: ``PageEntry.d_matrix`` for r in {0, 1}; not emitted for r >= 2
+- E^r_{p,q}: ``SpectralSequence.page_group`` at the filtration spot of the
+  cell (p, q), read off rung min(r - 1, L)
+- d^r: not emitted; ``page_group`` gives each page's groups, read off rung
+  r - 1, which keeps page r and its differential
 - E^infinity_{p,q}: ``SpectralSequence.infinity_group`` (page L + 1)
 - F_p H_n: the filtration levels inside ``SpectralSequence.e_infinity``
 """
@@ -52,7 +53,6 @@ from .intlinalg import (
     homology_by_reduction,
     kernel_basis,
     reduce_complex,
-    solve_columns,
     sparse_columns,
     subgroup_quotient,
 )
@@ -66,10 +66,10 @@ class DoubleComplex:
     sparse ``{row: entry}`` columns without zero entries: ``h_cols[(p, q)]``
     maps cell (p, q) to (p, q-1) for q >= 1 and ``v_cols[(p, q)]`` maps it
     to (p-1, q) for p >= 1; a block that is not given is zero.  The identity
-    checks, the total complex and the page-one oracle read the columns;
-    ``d_h`` and ``d_v`` make a block's dense matrix on demand.  ``tower`` is
-    the tower of the map the grid was built from, if any: the map, the
-    dimension of Y and the largest multiplicity are read off it.
+    checks, the total complex and the page-one oracle read these columns,
+    through ``h_columns`` and ``v_columns``.  ``tower`` is the tower of the
+    map the grid was built from, if any: the map, the dimension of Y and the
+    largest multiplicity are read off it.
     """
 
     def __init__(self, kind, p_max, q_max, ranks, h_cols, v_cols, tower=None):
@@ -91,19 +91,13 @@ class DoubleComplex:
             return self._ranks.get((p, q), 0)
         return 0
 
-    def d_h(self, p, q) -> IntMatrix:
-        return IntMatrix.from_sparse(self.h_columns(p, q), self.rank(p, q - 1))
-
-    def d_v(self, p, q) -> IntMatrix:
-        return IntMatrix.from_sparse(self.v_columns(p, q), self.rank(p - 1, q))
-
     def h_columns(self, p, q) -> list:
-        """Sparse columns of ``d_h(p, q)``."""
+        """Sparse columns of the horizontal block d_h at cell (p, q)."""
         cols = self._h_cols.get((p, q))
         return cols if cols is not None else [{} for _ in range(self.rank(p, q))]
 
     def v_columns(self, p, q) -> list:
-        """Sparse columns of ``d_v(p, q)``."""
+        """Sparse columns of the vertical block d_v at cell (p, q)."""
         cols = self._v_cols.get((p, q))
         return cols if cols is not None else [{} for _ in range(self.rank(p, q))]
 
@@ -177,20 +171,6 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
 
 
 @dataclass(frozen=True)
-class PageEntry:
-    """One spot of one page: its group and, on pages 0 and 1, the outgoing
-    differential (columns index chosen cycle generators of the spot)."""
-
-    r: int
-    p: int
-    q: int
-    group: HomologyGroup
-    gens: IntMatrix | None = None  # cycle generators in cell coordinates
-    d_target: tuple | None = None  # (p, q) the differential lands in
-    d_matrix: IntMatrix | None = None
-
-
-@dataclass(frozen=True)
 class DegreeReport:
     """Convergence bookkeeping for one total degree."""
 
@@ -232,7 +212,6 @@ class SpectralSequence:
         self.top_gap = self._stable_r() - 1
         self._rungs = {}
         self._cycles = {}
-        self._d0_kernels = {}
         self._pages = {}
         self._total = {}
         self._column_homology = {}  # page_one_oracle's, by column
@@ -396,50 +375,6 @@ class SpectralSequence:
     # cell-indexed access
     def _to_st(self, p, q):
         return (p, q) if self.filtration == "columns" else (q, p)
-
-    def page(self, r: int, p: int, q: int) -> PageEntry:
-        """Page spot indexed by the grid cell (p, q); pages 0 and 1 carry
-        explicit generators and the outgoing differential matrix."""
-        self._require_complete(p + q)
-        s, t = self._to_st(p, q)
-        group = self.page_group(r, s, t)
-        if r == 0:
-            rank = self.dc.rank(p, q)
-            gens = IntMatrix.identity(rank)
-            if self.filtration == "columns":
-                d_target, d_matrix = (p, q - 1), self.dc.d_h(p, q)
-            else:
-                d_target, d_matrix = (p - 1, q), self.dc.d_v(p, q)
-            return PageEntry(r, p, q, group, gens, d_target, d_matrix)
-        if r == 1:
-            gens = self._d0_kernel(p, q)
-            d_target = (p - 1, q) if self.filtration == "columns" else (p, q - 1)
-            d_matrix = self._d1_matrix(p, q, gens)
-            return PageEntry(r, p, q, group, gens, d_target, d_matrix)
-        return PageEntry(r, p, q, group)
-
-    def _d0_block(self, p, q) -> IntMatrix:
-        return self.dc.d_h(p, q) if self.filtration == "columns" else self.dc.d_v(p, q)
-
-    def _d0_kernel(self, p, q) -> IntMatrix:
-        if (p, q) not in self._d0_kernels:
-            self._d0_kernels[(p, q)] = kernel_basis(self._d0_block(p, q))
-        return self._d0_kernels[(p, q)]
-
-    def _d1_block(self, p, q) -> IntMatrix:
-        return self.dc.d_v(p, q) if self.filtration == "columns" else self.dc.d_h(p, q)
-
-    def _d1_matrix(self, p, q, gens: IntMatrix) -> IntMatrix:
-        """Differential on page 1 in the chosen cycle generators."""
-        if self.filtration == "columns":
-            tp, tq = p - 1, q
-        else:
-            tp, tq = p, q - 1
-        tgt_gens = self._d0_kernel(tp, tq) if tp >= 0 and tq >= 0 else IntMatrix(0, 0)
-        d1 = solve_columns(tgt_gens, self._d1_block(p, q) @ gens)
-        if d1 is None:
-            raise NotAComplex("page-one differential image is not a cycle")
-        return d1
 
     # convergence
     def level_complete(self, m: int) -> bool:

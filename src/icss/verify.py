@@ -69,10 +69,10 @@ def _subgroups_equal(A_cols: IntMatrix, B_cols: IntMatrix) -> bool:
     return Subgroup(rows, A_cols) == Subgroup(rows, B_cols)
 
 
-def check_W_row_exact(tower: Tower, n: int, k_cap=None) -> VerificationReport:
+def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
     """Exactness of the multiplicity row of degree-n W-chains of the map
     ``tower.f`` augmented by the chains of Y, with explicit contracting
-    homotopies.
+    homotopies, for the multiplicities up to min(k_max + 1, 3).
 
     Chains of a fixed degree split over the Y-simplex underneath, so the row
     is checked block by block in tuple coordinates; the transfer the W grid
@@ -81,8 +81,7 @@ def check_W_row_exact(tower: Tower, n: int, k_cap=None) -> VerificationReport:
     """
     rep = VerificationReport(f"W-row-exact n={n}")
     f = tower.f
-    if k_cap is None:
-        k_cap = min(tower.k_max() + 1, 3)
+    k_cap = min(tower.k_max() + 1, 3)
     for delta in f.target.simplices(n):
         lifts = ordered_lifts(f, delta)
         N = len(lifts)
@@ -124,7 +123,7 @@ def check_W_row_exact(tower: Tower, n: int, k_cap=None) -> VerificationReport:
                 hom = rhos[k + 1] @ S[k] + S[k - 1] @ rhos[k]
                 if hom != IntMatrix.identity(len(combos[k])):
                     rep.fail("homotopy-not-contracting", delta, t, k)
-    _tie_to_chain_level(rep, tower, n, min(k_cap, 3))
+    _tie_to_chain_level(rep, tower, n, k_cap)
     return rep
 
 

@@ -7,7 +7,8 @@ that compares the two checks the package:
   slot permutations (``sk_matrix``), not through the product records that
   ``AltBasis`` and ``alt_star_matrix`` read.
 - ``page_one_homology`` takes the homology of page one under its
-  differential from the presented page-one groups; page two must equal it.
+  differential from the presented page-one groups, built from the grid's
+  dense blocks (``d_h``, ``d_v``); page two must equal it.
 - ``boundary_from_faces`` and ``transfer_from_projections`` build the
   boundary and the transfer of the fibre products W^k as dense matrices,
   face by face and from the validated slot projections, on the chains of
@@ -139,13 +140,49 @@ def preimage_subgroup(M: IntMatrix, S: Subgroup) -> IntMatrix:
     return IntMatrix(M.cols, K.cols, K.data[: M.cols])
 
 
+def d_h(dc, p: int, q: int) -> IntMatrix:
+    """The horizontal block of cell (p, q) of dc, dense, from its columns."""
+    return IntMatrix.from_sparse(dc.h_columns(p, q), dc.rank(p, q - 1))
+
+
+def d_v(dc, p: int, q: int) -> IntMatrix:
+    """The vertical block of cell (p, q) of dc, dense, from its columns."""
+    return IntMatrix.from_sparse(dc.v_columns(p, q), dc.rank(p - 1, q))
+
+
+def d0_block(ss, p: int, q: int) -> IntMatrix:
+    """The page-zero differential out of cell (p, q): the block inside the
+    filtration level."""
+    return d_h(ss.dc, p, q) if ss.filtration == "columns" else d_v(ss.dc, p, q)
+
+
+def d1_block(ss, p: int, q: int) -> IntMatrix:
+    """The block out of cell (p, q) that lowers the filtration level by one."""
+    return d_v(ss.dc, p, q) if ss.filtration == "columns" else d_h(ss.dc, p, q)
+
+
+def page_one_gens(ss, p: int, q: int) -> IntMatrix:
+    """Cycle generators of cell (p, q) on page one: the kernel of page zero's
+    differential, with no cell outside the grid."""
+    if p < 0 or q < 0:
+        return IntMatrix(0, 0)
+    return kernel_basis(d0_block(ss, p, q))
+
+
+def d1_matrix(ss, p: int, q: int) -> IntMatrix:
+    """Page one's differential out of cell (p, q), from its cycle generators
+    to those of the cell one level down."""
+    tp, tq = (p - 1, q) if ss.filtration == "columns" else (p, q - 1)
+    out = solve_columns(page_one_gens(ss, tp, tq), d1_block(ss, p, q) @ page_one_gens(ss, p, q))
+    if out is None:
+        raise NotAComplex("page-one differential image is not a cycle")
+    return out
+
+
 def d0_rels(ss, p: int, q: int) -> IntMatrix:
     """Page-zero boundaries at cell (p, q), in its page-one cycle basis."""
-    if ss.filtration == "columns":
-        up = ss.dc.d_h(p, q + 1)
-    else:
-        up = ss.dc.d_v(p + 1, q)
-    rels = solve_columns(ss._d0_kernel(p, q), up)
+    up = d0_block(ss, p, q + 1) if ss.filtration == "columns" else d0_block(ss, p + 1, q)
+    rels = solve_columns(page_one_gens(ss, p, q), up)
     if rels is None:
         raise NotAComplex("page-zero boundary is not a cycle")
     return rels
@@ -153,15 +190,17 @@ def d0_rels(ss, p: int, q: int) -> IntMatrix:
 
 def page_one_homology(ss, p: int, q: int):
     """Homology of (page 1, its differential) at cell (p, q), computed from
-    the presented page-one groups."""
-    gens = ss._d0_kernel(p, q)
-    out = ss._d1_matrix(p, q, gens)
+    the presented page-one groups: every kernel, image and differential is
+    built here from the grid's dense blocks, none of it read off the
+    sequence's reductions."""
+    gens = page_one_gens(ss, p, q)
+    out = d1_matrix(ss, p, q)
     if ss.filtration == "columns":
         sp, sq, tp, tq = p + 1, q, p - 1, q
     else:
         sp, sq, tp, tq = p, q + 1, p, q - 1
     if ss.dc.rank(sp, sq):
-        incoming = ss._d1_matrix(sp, sq, ss._d0_kernel(sp, sq))
+        incoming = d1_matrix(ss, sp, sq)
     else:
         incoming = IntMatrix(gens.cols, 0)
     tgt_rels = d0_rels(ss, tp, tq) if tp >= 0 and tq >= 0 else IntMatrix(0, 0)
@@ -197,8 +236,8 @@ class GenericSequence:
             M = IntMatrix(self.tot_rank(n - 1), self.tot_rank(n))
             for (p, q), co in self.offsets.get(n, {}).items():
                 for target, block in (
-                    ((p, q - 1), self.dc.d_h(p, q)),
-                    ((p - 1, q), self.dc.d_v(p, q)),
+                    ((p, q - 1), d_h(self.dc, p, q)),
+                    ((p - 1, q), d_v(self.dc, p, q)),
                 ):
                     ro = self.offsets.get(n - 1, {}).get(target)
                     if ro is None:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference import alt_matrix, is_alternating
+from reference import alt_matrix, cell_bijection, is_alternating
 
 from icss.alternating import (
     AltBasis,
@@ -12,11 +12,10 @@ from icss.alternating import (
     alternating_kernel,
     eps_last_matrix,
     rho_matrix,
-    varrho_matrix,
 )
 from icss.complexes import boundary_matrix, pushforward_matrix
 from icss.errors import NotAlternating
-from icss.fixtures import random_fixture
+from icss.fixtures import FIXTURES, get_fixture, random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
 from icss.multiplicity import Tower, build_D, build_W, projection_eps
 
@@ -142,6 +141,11 @@ def test_rho_is_a_chain_differential(fold, deep_map):
                 assert (pushforward_matrix(f, n) @ r2).is_zero()
 
 
+RHO_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
+    ("random", seed) for seed in range(10)
+]
+
+
 def test_rho_is_the_signed_sum_of_projections(maps):
     for name, f in maps.items():
         tower = Tower(f)
@@ -155,14 +159,36 @@ def test_rho_is_the_signed_sum_of_projections(maps):
                 assert rho_matrix(Z, n) == total, (name, Z, n)
 
 
+@pytest.mark.parametrize("name, seed", RHO_MAPS)
+def test_rho_is_the_lift_table_transfer(name, seed):
+    """rho on the raw chains of W^k, carried by the signed bijection from the
+    W grid's cells, is the lift table's transfer with the degree sign taken
+    off: the cells' own route, read off no built space."""
+    f = get_fixture(name, seed)
+    tower = Tower(f)
+    lifts = tower.lifts
+    for k in (1, 2, 3):
+        Z = tower.W(k)
+        for q in range(f.target.dim + 1):
+            cells = IntMatrix.from_sparse(lifts.transfer_columns(k, q), lifts.n_cells(k - 1, q))
+            if k == 1:
+                below = IntMatrix.identity(f.target.n_simplices(q))
+            else:
+                below = cell_bijection(Z.below, q)
+            rhs = (below @ cells).scaled((-1) ** q)
+            assert rho_matrix(Z, q) @ cell_bijection(Z, q) == rhs, (name, seed, k, q)
+
+
 def test_varrho_anticommutes_with_boundary(fold):
     W2 = build_W(fold, 2)
     X = fold.source
-    lhs = boundary_matrix(X, 1) @ varrho_matrix(W2, 1)
-    rhs = varrho_matrix(W2, 0) @ boundary_matrix(W2.complex, 1)
-    assert (lhs + rhs).is_zero()
-    # the unsigned version does not anticommute here
-    assert varrho_matrix(W2, 1) == rho_matrix(W2, 1).scaled(-1)
+    rho = {n: rho_matrix(W2, n) for n in (0, 1)}
+    # with the degree sign, (-1)^n rho anticommutes with the boundary
+    lhs = boundary_matrix(X, 1) @ rho[1].scaled(-1)
+    rhs = rho[0] @ boundary_matrix(W2.complex, 1)
+    assert not rhs.is_zero() and (lhs + rhs).is_zero()
+    # the unsigned rho commutes with it instead
+    assert boundary_matrix(X, 1) @ rho[1] == rhs
 
 
 def test_eps_preserves_alternating(deep_map):

@@ -244,12 +244,12 @@ def test_w_blocks_are_built_as_columns():
     tree = ast.parse((SRC / "spectral.py").read_text())
     dense = calls_named(
         tree,
-        {"boundary_matrix", "rho_matrix", "varrho_matrix", "boundary_columns", "varrho_columns"},
+        {"boundary_matrix", "rho_matrix", "eps_last_matrix", "boundary_columns"},
     )
     assert not dense, f"spectral.py builds chain-level blocks: {dense}"
     spaces = calls_named(tree, {"W", "build_W"})
     assert not spaces, f"spectral.py builds W^k: {spaces}"
     imported = {name for _, name in imported_names(tree)}
-    assert not imported & {"boundary_columns", "varrho_columns"}, imported
+    assert not imported & {"boundary_columns", "rho_matrix"}, imported
     maps = calls_named(ast.parse((SRC / "multiplicity.py").read_text()), {"SimplicialMap"})
     assert [func for _, func, _ in maps] == ["projection_eps"], maps

@@ -142,7 +142,7 @@ def test_cli_isolated_target_vertex_is_not_hit(tmp_path, capsys):
     assert payload["y"]["H_0"] == {"rank": 2, "torsion": []}
 
 
-@pytest.mark.parametrize("command", ["icss", "gvzss"])
+@pytest.mark.parametrize("command", ["icss", "gvzss", "verify", "build"])
 def test_cli_isolated_target_vertex_exits_2(tmp_path, capsys, command):
     path = write_doc(tmp_path, json.dumps(ISOLATED_TARGET_VERTEX))
     assert main([command, path]) == 2
