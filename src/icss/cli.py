@@ -69,7 +69,7 @@ def cmd_build(args) -> int:
         "dim": Z.dim,
         "simplex_counts": [Z.n_simplices(d) for d in range(Z.dim + 1)],
         "vertices": [
-            "(" + ",".join(str(Z.complex.labels[v]) for v in (v_id,)) + ")"
+            f"({Z.complex.labels[v_id]})"
             if Z.k == 1
             else "(" + ",".join(str(x) for x in Z.vertex_tuples[v_id]) + ")"
             for v_id in range(Z.complex.n_vertices)
@@ -124,14 +124,14 @@ def _spectral_payload(report) -> dict:
 
 def cmd_icss(args) -> int:
     f = _load_valid_map(args.file)
-    report = icss_report(f, q_max=args.q_max)
+    report = icss_report(f)
     sys.stdout.write(emit_report(_spectral_payload(report), args.format))
     return 0 if report.converged else 1
 
 
 def cmd_gvzss(args) -> int:
     f = _load_valid_map(args.file)
-    report = gvzss_report(f, q_max=args.q_max)
+    report = gvzss_report(f)
     sys.stdout.write(emit_report(_spectral_payload(report), args.format))
     return 0 if report.converged else 1
 
@@ -196,11 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("icss", cmd_icss, help="image-computing spectral sequence report")
     p.add_argument("file")
-    p.add_argument("--q-max", type=int, default=None)
 
     p = add("gvzss", cmd_gvzss, help="fibre-product spectral sequence report")
     p.add_argument("file")
-    p.add_argument("--q-max", type=int, default=None)
 
     p = add("verify", cmd_verify, help="run every structural check")
     p.add_argument("file")

@@ -118,13 +118,15 @@ class DoubleComplex:
                         raise NotAComplex(f"differentials do not anticommute at {(p, q)}")
 
 
-def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleComplex:
+def build_double(tower: Tower, kind: str) -> DoubleComplex:
     """Assemble the W-chain ("W") or alternating D-chain ("Alt") double complex
     of the map ``tower.f`` from its tower.
 
-    Defaults: q_max is the dimension of Y; p_max is the largest multiplicity
-    with a nonempty distinct-lift space (mandatory for kind "Alt", where the
-    grid is zero beyond it anyway).  A negative bound raises DegreeOutOfRange.
+    The map fixes the grid's shape.  No row lies above the dimension of Y,
+    so q_max = dim Y.  The alternating grid ends by itself: D^k is empty past
+    the largest fibre, so p_max = k_max - 1.  The W grid is nonzero in every
+    column, so it is cut at p_max = dim Y + 2, which supports every total
+    degree up to dim Y + 1.
 
     The W blocks are written as sparse columns off ``tower.lifts``, with no
     W^k built: column p, row q has one cell per q-simplex delta of Y and
@@ -134,14 +136,10 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
     The Alt blocks are alternating matrices on the D^k, each converted to
     columns once.
     """
-    if q_max is None:
-        q_max = tower.f.target.dim
-    if p_max is None:
-        p_max = tower.k_max() - 1
-    if p_max < 0 or q_max < 0:
-        raise DegreeOutOfRange(f"grid bounds p_max={p_max}, q_max={q_max} must be >= 0")
+    q_max = tower.f.target.dim
     ranks, h_cols, v_cols = {}, {}, {}
     if kind == "W":
+        p_max = q_max + 2
         lifts = tower.lifts
         for p in range(p_max + 1):
             for q in range(q_max + 1):
@@ -151,6 +149,7 @@ def build_double(tower: Tower, kind: str, p_max=None, q_max=None) -> DoubleCompl
                 if p >= 1:
                     v_cols[(p, q)] = lifts.transfer_columns(p + 1, q)
     elif kind == "Alt":
+        p_max = tower.k_max() - 1
         bases = {}
         for p in range(p_max + 1):
             Z = tower.D(p + 1)
@@ -340,7 +339,16 @@ class SpectralSequence:
             if not self._bounds_nothing(n, g):
                 up = self.cycle_subgroup(n + 1, s + r - 1, r - 1, g)
                 if up.rank:
-                    image = self.D(n + 1, g) @ up.basis
+                    cells = self._coords_leq(n + 1, s + r - 1, g)
+                    if up.rank == len(cells):
+                        # the restricted boundary is zero (always so on page
+                        # 1), so up is these cells and D's columns span D(up)
+                        columns = self.rung(g)[0].columns[n + 1]
+                        image = IntMatrix.from_sparse(
+                            [columns[j] for j in cells], self.tot_rank(n, g)
+                        )
+                    else:
+                        image = self.D(n + 1, g) @ up.basis
                     B = Subgroup(self.tot_rank(n, g), B.basis.hstack(image))
             grp = subgroup_quotient(Z, B)
         self._pages[key] = grp
@@ -377,25 +385,12 @@ class SpectralSequence:
         return (p, q) if self.filtration == "columns" else (q, p)
 
     # convergence
-    def level_complete(self, m: int) -> bool:
-        """All cells of total degree m that could be nonzero lie in the grid."""
-        dc = self.dc
-        for p in range(m + 1):
-            q = m - p
-            if q > dc.dim_y:
-                continue
-            if dc.kind == "Alt" and dc.tower is not None and p > dc.tower.k_max() - 1:
-                continue
-            if p > dc.p_max or q > dc.q_max:
-                return False
-        return True
-
     def _require_complete(self, n: int):
-        for m in range(n + 2):
-            if not self.level_complete(m):
-                raise TruncationInsufficient(
-                    f"grid truncation cannot support total degree {n}"
-                )
+        """Degree n needs every cell of total degree up to n + 1.  Only the W
+        grid is cut, at column p_max, and its cell (n + 1, 0) is the first
+        to fall outside."""
+        if self.dc.kind == "W" and n + 1 > self.dc.p_max:
+            raise TruncationInsufficient(f"grid truncation cannot support total degree {n}")
 
     def e_infinity(self, n: int) -> DegreeReport:
         """Graded comparison of the limit page with the filtration on the
@@ -438,35 +433,22 @@ class SpectralSequence:
         )
 
 
-def icss(f: SimplicialMap, q_max=None) -> SpectralSequence:
+def icss(f: SimplicialMap) -> SpectralSequence:
     """Column-filtered spectral sequence of the alternating D-chain double
     complex; page one is the alternating homology of the distinct-point
     spaces and the limit is the homology of Y."""
-    dc = build_double(Tower(f), "Alt", q_max=q_max)
-    return SpectralSequence(dc, "columns")
+    return SpectralSequence(build_double(Tower(f), "Alt"), "columns")
 
 
-def gvzss(f: SimplicialMap, q_max=None) -> SpectralSequence:
-    """Column-filtered spectral sequence of the W-chain double complex.
-
-    The W grid is nonzero in every column, so it is truncated at
-    p_max = q_max + 2, which supports every total degree up to q_max + 1.
-    """
-    if q_max is None:
-        q_max = f.target.dim
-    dc = build_double(Tower(f), "W", p_max=q_max + 2, q_max=q_max)
-    return SpectralSequence(dc, "columns")
+def gvzss(f: SimplicialMap) -> SpectralSequence:
+    """Column-filtered spectral sequence of the W-chain double complex, cut
+    at column dim Y + 2 (``build_double``)."""
+    return SpectralSequence(build_double(Tower(f), "W"), "columns")
 
 
 def first_ss(tower: Tower, kind: str = "Alt") -> SpectralSequence:
-    """Row-filtered (collapsing) spectral sequence of the same double complex.
-
-    The W-chain grid has nonzero columns at every multiplicity, so it is cut
-    high enough that every total degree up to the dimension of Y is fully
-    supported; the alternating grid is finite on its own.
-    """
-    p_max = tower.f.target.dim + 2 if kind == "W" else None
-    return SpectralSequence(build_double(tower, kind, p_max=p_max), "rows")
+    """Row-filtered (collapsing) spectral sequence of the same double complex."""
+    return SpectralSequence(build_double(tower, kind), "rows")
 
 
 @dataclass(frozen=True)
@@ -506,7 +488,7 @@ def check_collapse_first(ss: SpectralSequence) -> CollapseReport:
                 vanish = False
                 details.append(("page1-nonzero", p, q, str(g1)))
         g2 = ss.page_group(2, q, 0)
-        target = dc.tower.target_homology(q) if q <= dc.dim_y else HomologyGroup(0)
+        target = dc.tower.target_homology(q)
         if g2 != target:
             bottom = False
             details.append(("page2-bottom", q, str(g2), str(target)))
@@ -522,9 +504,8 @@ class SpectralSequenceReport:
     """Pages, limit comparison and per-degree convergence verdicts."""
 
     kind: str  # "ICSS" or "GVZSS"
-    n_max: int
     pages: tuple  # ((r, p, q), group) for r = 1, 2 and the stable page
-    degree_reports: tuple  # DegreeReport per total degree up to n_max
+    degree_reports: tuple  # DegreeReport per total degree up to dim Y
     page_one_cross_checked: bool  # page one vs the homology of each d_h column
 
     @property
@@ -534,15 +515,15 @@ class SpectralSequenceReport:
         )
 
 
-def make_report(ss: SpectralSequence, kind_name: str, n_max=None) -> SpectralSequenceReport:
+def make_report(ss: SpectralSequence, kind_name: str) -> SpectralSequenceReport:
+    """Pages 1, 2 and the limit at every cell of total degree up to dim Y + 1,
+    and the convergence of every total degree up to dim Y."""
     dc = ss.dc
-    if n_max is None:
-        n_max = dc.dim_y
     pages = []
     cross_ok = True
     for p in range(dc.p_max + 1):
         for q in range(dc.q_max + 1):
-            if p + q > n_max + 1:
+            if p + q > dc.dim_y + 1:
                 continue
             s, t = ss._to_st(p, q)
             g1 = ss.page_group(1, s, t)
@@ -553,25 +534,21 @@ def make_report(ss: SpectralSequence, kind_name: str, n_max=None) -> SpectralSeq
             pages.append((("stable", p, q), gs))
             if g1 != page_one_oracle(ss, p, q):
                 cross_ok = False
-    degree_reports = tuple(ss.e_infinity(n) for n in range(n_max + 1))
+    degree_reports = tuple(ss.e_infinity(n) for n in range(dc.dim_y + 1))
     return SpectralSequenceReport(
         kind=kind_name,
-        n_max=n_max,
         pages=tuple(pages),
         degree_reports=degree_reports,
         page_one_cross_checked=cross_ok,
     )
 
 
-def icss_report(f: SimplicialMap, q_max=None, n_max=None) -> SpectralSequenceReport:
-    return make_report(icss(f, q_max), "ICSS", n_max)
+def icss_report(f: SimplicialMap) -> SpectralSequenceReport:
+    return make_report(icss(f), "ICSS")
 
 
-def gvzss_report(f: SimplicialMap, q_max=None, n_max=None) -> SpectralSequenceReport:
-    ss = gvzss(f, q_max)
-    if n_max is None:
-        n_max = ss.dc.q_max
-    return make_report(ss, "GVZSS", n_max)
+def gvzss_report(f: SimplicialMap) -> SpectralSequenceReport:
+    return make_report(gvzss(f), "GVZSS")
 
 
 def page_one_oracle(ss: SpectralSequence, p: int, q: int) -> HomologyGroup:

@@ -312,8 +312,6 @@ def check_D2_kernel(
             if steps > start_norm:
                 rep.fail("reduction-did-not-terminate", start_norm)
                 return rep
-        if steps > start_norm:
-            rep.fail("too-many-steps", steps, start_norm)
     return rep
 
 
@@ -331,7 +329,7 @@ def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
     if ah_w != ah_d:
         rep.fail("W-vs-D", str(ah_w), str(ah_d))
     # inclusion of chain groups carries one alternating subgroup onto the other
-    if n <= D.dim and n <= W.dim and not W.is_empty() and not D.is_empty():
+    if 0 <= n <= min(W.dim, D.dim):
         J = IntMatrix(W.n_simplices(n), D.n_simplices(n))
         for j, s in enumerate(D.simplices(n)):
             tuples = tuple(D.vertex_tuples[v] for v in s)
@@ -344,9 +342,9 @@ def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
     return rep
 
 
-def run_all(f: SimplicialMap, n_max: int = 2, seed: int = 0) -> list:
+def run_all(f: SimplicialMap, seed: int = 0) -> list:
     """Every structural check, plus collapse and cohomology round-trips, all
-    reading one tower of f."""
+    reading one tower of f, in the degrees n <= min(2, dim Y)."""
     from .cohomology import alt_star_matrix, theta_matrix
     from .spectral import check_collapse_first, first_ss
 
@@ -356,7 +354,7 @@ def run_all(f: SimplicialMap, n_max: int = 2, seed: int = 0) -> list:
         rep.fail("map-invalid", f.report.failures[:5])
         return [rep]
     tower = Tower(f)
-    top = min(n_max, f.target.dim)
+    top = min(2, f.target.dim)
     for n in range(top + 1):
         reports.append(check_W_row_exact(tower, n))
         reports.append(check_D_row_exact(tower, n))

@@ -17,6 +17,9 @@ that compares the two checks the package:
   W^k built; ``cell_bijection`` carries those cells onto the chains of W^k
   through the space's own vertex tuples and simplex index, so a test can
   compare the two.
+- ``w_grid`` writes the W grid off the map's lift table with a column cut
+  of the caller's choosing, so a test can compare ``build_double``'s cut
+  with a later one.
 - ``GenericSequence`` computes every page, the graded limit pieces and the
   total homology by the generic filtered-complex formula on the dense,
   unreduced total complex, where ``SpectralSequence`` reads them off the
@@ -38,6 +41,7 @@ from icss.intlinalg import (
 )
 from icss.complexes import pushforward_matrix, sort_sign
 from icss.multiplicity import SkElement, projection_eps, sk_matrix
+from icss.spectral import DoubleComplex
 
 
 def alt_matrix(Z, n: int) -> IntMatrix:
@@ -208,6 +212,21 @@ def page_one_homology(ss, p: int, q: int):
     cyc = Subgroup(gens.cols, preimage_subgroup(out, Subgroup(out.rows, tgt_rels)))
     bnd = Subgroup(gens.cols, incoming.hstack(d0_rels(ss, p, q)))
     return subgroup_quotient(cyc, bnd)
+
+
+def w_grid(tower, p_max: int) -> DoubleComplex:
+    """The W-chain grid of ``tower.f`` on rows 0..dim Y and columns
+    0..p_max, its blocks read off ``tower.lifts``."""
+    lifts, q_max = tower.lifts, tower.f.target.dim
+    ranks, h_cols, v_cols = {}, {}, {}
+    for p in range(p_max + 1):
+        for q in range(q_max + 1):
+            ranks[(p, q)] = lifts.n_cells(p + 1, q)
+            if q >= 1:
+                h_cols[(p, q)] = lifts.face_columns(p + 1, q)
+            if p >= 1:
+                v_cols[(p, q)] = lifts.transfer_columns(p + 1, q)
+    return DoubleComplex("W", p_max, q_max, ranks, h_cols, v_cols, tower=tower)
 
 
 class GenericSequence:

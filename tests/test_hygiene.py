@@ -10,9 +10,11 @@ its tower, so a dropped tower is freed without the cycle collector.  A
 helper nothing calls is dead code, and chains are coordinate vectors only.
 Pages and homology come from unit-pair reductions, so no module builds the
 dense total differential the reduction replaced: the pages from a ladder of
-rungs, each homology of a whole complex from one reduction of it.
+rungs, each homology of a whole complex from one reduction of it.  The map
+fixes every grid bound and degree range, so no entry point takes one.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -253,3 +255,39 @@ def test_w_blocks_are_built_as_columns():
     assert not imported & {"boundary_columns", "rho_matrix"}, imported
     maps = calls_named(ast.parse((SRC / "multiplicity.py").read_text()), {"SimplicialMap"})
     assert [func for _, func, _ in maps] == ["projection_eps"], maps
+
+
+# every parameter of the map- and grid-level entry points: the map, its tower
+# or its sequence, plus the kind, the filtration or the seed
+ENTRY_PARAMETERS = {
+    "spectral.py": {
+        "build_double": ["tower", "kind"],
+        "icss": ["f"],
+        "gvzss": ["f"],
+        "first_ss": ["tower", "kind"],
+        "make_report": ["ss", "kind_name"],
+        "icss_report": ["f"],
+        "gvzss_report": ["f"],
+    },
+    "verify.py": {"run_all": ["f", "seed"]},
+}
+
+
+def test_entry_points_take_no_bound():
+    """The map decides the grid's shape and the degrees a report covers: no
+    entry point takes a bound, and ``icss``/``gvzss`` take no option."""
+    for name, expected in ENTRY_PARAMETERS.items():
+        found = {}
+        for node in ast.parse((SRC / name).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in expected:
+                a = node.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                found[node.name] = params + [x.arg for x in (a.vararg, a.kwarg) if x]
+        assert found == expected, name
+    from icss.cli import build_parser
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("icss", "gvzss"):
+        options = {o for a in commands.choices[command]._actions for o in a.option_strings}
+        assert options == {"-h", "--help"}, (command, options)

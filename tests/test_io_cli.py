@@ -196,7 +196,7 @@ def test_cli_output_is_deterministic(tmp_path, capsys, fold):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command", ["icss", "gvzss", "homology"])
+@pytest.mark.parametrize("command", ["homology"])
 def test_cli_negative_q_max_exits_2(tmp_path, capsys, fold, command):
     path = write_doc(tmp_path, fold_text(fold))
     assert main([command, path, "--q-max", "-1"]) == 2
