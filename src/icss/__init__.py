@@ -61,4 +61,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import neg
 
-from .complexes import boundary_matrix, pushforward_matrix
+from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
 from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, restrict
 from .multiplicity import (
@@ -114,18 +114,31 @@ class AltBasis:
         return A
 
 
-def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """The transfer on raw degree-n chains: the sum over the slots i of
-    (-1)^(i+1) times the pushforward by ``projection_eps(Z, i)``, onto
-    ``Z.below``.
+def rho_columns(Z: MultiplePointComplex, n: int) -> list:
+    """The transfer on raw degree-n chains, as {row: entry} columns without
+    zero entries: simplex s goes to the sum over the slots i of (-1)^(i+1)
+    times its pushforward by ``projection_eps(Z, i)``, onto ``Z.below``.
 
     For k = 1 this is the pushforward by f, down to Y itself.
     """
-    total = pushforward_matrix(projection_eps(Z, 1), n)
-    for i in range(2, Z.k + 1):
-        P = pushforward_matrix(projection_eps(Z, i), n)
-        total = total - P if i % 2 == 0 else total + P
-    return total
+    projections = [projection_eps(Z, i) for i in range(1, Z.k + 1)]
+    target = projections[0].target
+    columns = []
+    for s in Z.simplices(n):
+        col: dict = {}
+        for i, g in enumerate(projections):
+            sign, image = pushforward_simplex(g.vertex_map, s)
+            if sign:
+                row = target.index(image)
+                col[row] = col.get(row, 0) + (-sign if i % 2 else sign)
+        columns.append({row: a for row, a in col.items() if a})
+    return columns
+
+
+def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
+    """Dense form of :func:`rho_columns`."""
+    rows = projection_eps(Z, 1).target.n_simplices(n)
+    return IntMatrix.from_sparse(rho_columns(Z, n), rows)
 
 
 def eps_last_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
@@ -162,22 +175,26 @@ def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
     return A if n % 2 == 0 else A.scaled(-1)
 
 
-def alt_differentials(Z: MultiplePointComplex, n: int) -> tuple:
+def alt_differentials(Z: MultiplePointComplex, n: int, basis=AltBasis) -> tuple:
     """Boundaries (d_n, d_next) into and out of the degree-n alternating
-    chains of D^k, in the free alternating bases."""
-    basis_n = AltBasis(Z, n)
-    d_n = alt_boundary_matrix(basis_n, AltBasis(Z, n - 1) if n else None)
-    d_next = alt_boundary_matrix(AltBasis(Z, n + 1), basis_n)
+    chains of D^k, in the free alternating bases ``basis(Z, m)``."""
+    basis_n = basis(Z, n)
+    d_n = alt_boundary_matrix(basis_n, basis(Z, n - 1) if n else None)
+    d_next = alt_boundary_matrix(basis(Z, n + 1), basis_n)
     return d_n, d_next
 
 
-def alternating_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
-    """Homology of the alternating chain complex of D^k via its free basis."""
-    return homology_pair(*alt_differentials(Z, n))
+def alternating_homology(Z: MultiplePointComplex, n: int, basis=AltBasis) -> HomologyGroup:
+    """Homology of the alternating chain complex of D^k via its free basis;
+    ``basis(Z, m)`` gives the basis in degree m, a new one by default."""
+    return homology_pair(*alt_differentials(Z, n, basis))
 
 
-def alternating_homology_kernel(Z: MultiplePointComplex, n: int) -> HomologyGroup:
-    """Homology of the alternating subcomplex cut out inside the raw chains.
+def alternating_homology_kernel(
+    Z: MultiplePointComplex, n: int, kernel=alternating_kernel
+) -> HomologyGroup:
+    """Homology of the alternating subcomplex cut out inside the raw chains;
+    ``kernel(Z, m)`` gives its degree-m chains, computed anew by default.
 
     Works for W^k as well as D^k; this is the independent route used to
     compare the two models of alternating homology.
@@ -186,14 +203,14 @@ def alternating_homology_kernel(Z: MultiplePointComplex, n: int) -> HomologyGrou
         raise DegreeOutOfRange(f"degree {n} < 0")
     if n > Z.dim:
         return HomologyGroup(0)
-    A_n = alternating_kernel(Z, n)
+    A_n = kernel(Z, n)
     if n == 0:
         d_n = IntMatrix(0, A_n.cols)
     else:
-        A_prev = alternating_kernel(Z, n - 1)
+        A_prev = kernel(Z, n - 1)
         d_n = restrict(boundary_matrix(Z.complex, n), A_n, A_prev)
     if n + 1 <= Z.dim:
-        A_next = alternating_kernel(Z, n + 1)
+        A_next = kernel(Z, n + 1)
         d_next = restrict(boundary_matrix(Z.complex, n + 1), A_next, A_n)
     else:
         d_next = IntMatrix(A_n.cols, 0)

@@ -375,19 +375,16 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix(M.cols, M.cols - k, [row[k:] for row in T.data])
 
 
-def solve_columns(M: IntMatrix, B: IntMatrix) -> IntMatrix | None:
-    """An integral X with M @ X == B, or None if some column of B has no
-    integral solution.  M is echeloned once for all columns of B."""
-    if B.rows != M.rows:
-        raise ValueError("row count mismatch")
-    H, T, pivots = column_echelon(M)
+def _back_substitute(H: IntMatrix, pivots: list, B: IntMatrix) -> IntMatrix | None:
+    """Y with H @ Y == B for a column echelon form H with its pivots, or
+    None if some column of B is not an integral combination of H's."""
     h = H.data
     # column c of H is zero above its pivot row r
     steps = [
-        (r, c, h[r][c], [(i, h[i][c]) for i in range(r, M.rows) if h[i][c]])
+        (r, c, h[r][c], [(i, h[i][c]) for i in range(r, H.rows) if h[i][c]])
         for r, c in pivots
     ]
-    Y = IntMatrix(M.cols, B.cols)
+    Y = IntMatrix(H.cols, B.cols)
     for j in range(B.cols):
         resid = B.column(j)
         for r, c, p, entries in steps:
@@ -400,7 +397,29 @@ def solve_columns(M: IntMatrix, B: IntMatrix) -> IntMatrix | None:
                     resid[i] -= q * a
         if any(resid):
             return None
-    return T @ Y
+    return Y
+
+
+def solve_columns(M: IntMatrix, B: IntMatrix) -> IntMatrix | None:
+    """An integral X with M @ X == B, or None if some column of B has no
+    integral solution.  M is echeloned once for all columns of B."""
+    if B.rows != M.rows:
+        raise ValueError("row count mismatch")
+    H, T, pivots = column_echelon(M)
+    Y = _back_substitute(H, pivots, B)
+    return None if Y is None else T @ Y
+
+
+def solution_factors(M: IntMatrix, B: IntMatrix) -> list | None:
+    """The invariant factors of ``solve_columns(M, B)``, or None if it has
+    no solution.  That solution is T @ Y for the unimodular echelon
+    transform T, so its factors are those of Y, and neither T nor the
+    product is formed."""
+    if B.rows != M.rows:
+        raise ValueError("row count mismatch")
+    H, _, pivots = column_echelon(M, transform=False)
+    Y = _back_substitute(H, pivots, B)
+    return None if Y is None else invariant_factors(Y)
 
 
 def solve(M: IntMatrix, target) -> list | None:
@@ -540,10 +559,10 @@ def subgroup_quotient(A: Subgroup, B: Subgroup) -> HomologyGroup:
     """Invariant factors of A / B; raises NotASubgroup unless B is inside A."""
     if A.ambient_rank != B.ambient_rank:
         raise ValueError("ambient mismatch")
-    rel = solve_columns(A.basis, B.basis)
+    rel = solution_factors(A.basis, B.basis)
     if rel is None:
         raise NotASubgroup("B is not contained in A")
-    return group_from_presentation(A.basis.cols, invariant_factors(rel))
+    return group_from_presentation(A.basis.cols, rel)
 
 
 def sparse_columns(M: IntMatrix) -> list:
@@ -739,14 +758,14 @@ def homology_by_reduction(columns: list, degrees) -> dict:
     for n in degrees:
         d_next = D[n + 1] if n + 1 < len(D) else IntMatrix(len(D.columns[n]), 0)
         if D.is_zero(n):
-            cycles, rel = d_next.rows, d_next
+            cycles, rel = d_next.rows, invariant_factors(d_next)
         else:
             K = kernel_basis(D[n])
-            rel = solve_columns(K, d_next)
+            rel = solution_factors(K, d_next)
             if rel is None:  # cannot happen for a genuine complex with saturated kernel
                 raise NotAComplex("boundary not inside the kernel lattice")
             cycles = K.cols
-        out[n] = group_from_presentation(cycles, invariant_factors(rel))
+        out[n] = group_from_presentation(cycles, rel)
     return out
 
 

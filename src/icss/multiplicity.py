@@ -228,12 +228,18 @@ class LiftTable:
         offsets = self._offsets(k - 1, q)
         columns = []
         for delta in simplices:
-            key = (self.counts[delta], k, twist)
-            if key not in self._drops:
-                self._drops[key] = _slot_drops(*key)
             o = offsets[delta]
-            columns.extend({o + row: a for row, a in col} for col in self._drops[key])
+            drops = self.slot_drops(self.counts[delta], k, twist)
+            columns.extend({o + row: a for row, a in col} for col in drops)
         return columns
+
+    def slot_drops(self, n: int, k: int, twist: int) -> list:
+        """``_slot_drops(n, k, twist)``, made once per table: the transfer
+        over a simplex with n lifts, which the grid and the row check read."""
+        key = (n, k, twist)
+        if key not in self._drops:
+            self._drops[key] = _slot_drops(*key)
+        return self._drops[key]
 
 
 def _slot_drops(n: int, k: int, twist: int) -> list:
@@ -260,7 +266,8 @@ class Tower:
     Functions that read several multiplicities of one map take a tower, so
     they share its spaces; building W^k or D^k builds the spaces below it.
     W^1 = D^1 = X is one space, of kind "D" whichever was asked for.  The
-    W-chain grid reads the lift table alone.
+    W-chain grid reads the lift table alone.  ``memo`` keeps what is
+    derived from the spaces for as long as the tower lives.
     """
 
     def __init__(self, f: SimplicialMap):
@@ -268,6 +275,7 @@ class Tower:
             raise ComplexMismatch("map must be simplicial, finite-to-one and surjective")
         self.f = f
         self._cache: dict = {}
+        self._memo: dict = {}
         self._lifts = None
         self._k_max = None
         self._target_homology = None
@@ -291,6 +299,16 @@ class Tower:
             below = self._get(kind, k - 1) if k > 1 else None
             self._cache[key] = _build(self.f, k, key[0], below)
         return self._cache[key]
+
+    def memo(self, key, make):
+        """``make()``, computed at the first call with ``key`` and kept for
+        the tower's life: what several checks of one map read, such as the
+        alternating basis of one space in one degree.  No value may refer
+        to the tower, so that a dropped tower is still freed by reference
+        counting alone."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def target_homology(self, n: int) -> HomologyGroup:
         """H_n(Y) of the map's target; the first call computes every degree,

@@ -82,10 +82,6 @@ class DoubleComplex:
         self.tower = tower
         self.verify_identities()
 
-    @property
-    def dim_y(self) -> int:
-        return self.tower.f.target.dim if self.tower is not None else self.q_max
-
     def rank(self, p, q) -> int:
         if 0 <= p <= self.p_max and 0 <= q <= self.q_max:
             return self._ranks.get((p, q), 0)
@@ -374,7 +370,7 @@ class SpectralSequence:
             return HomologyGroup(0)
         if n not in self._total:
             D, _ = self.rung(self.top_gap)
-            last = min(max(n, self.dc.dim_y), self.n_top)
+            last = min(max(n, self.dc.q_max), self.n_top)
             cut = min(last + 1, self.n_top)  # the cells above do not touch degree last
             columns = [[dict(col) for col in D.columns[m]] for m in range(cut + 1)]
             self._total.update(chain_homology(columns, range(last + 1)))
@@ -416,7 +412,7 @@ class SpectralSequence:
             graded.append((cell, gr))
             infinity.append((cell, self.infinity_group(s, n - s)))
         total = self.total_homology(n)
-        if dc.tower is not None and 0 <= n <= dc.dim_y:
+        if dc.tower is not None and 0 <= n <= dc.q_max:
             target = dc.tower.target_homology(n)
         else:
             target = HomologyGroup(0)
@@ -523,7 +519,7 @@ def make_report(ss: SpectralSequence, kind_name: str) -> SpectralSequenceReport:
     cross_ok = True
     for p in range(dc.p_max + 1):
         for q in range(dc.q_max + 1):
-            if p + q > dc.dim_y + 1:
+            if p + q > dc.q_max + 1:
                 continue
             s, t = ss._to_st(p, q)
             g1 = ss.page_group(1, s, t)
@@ -534,7 +530,7 @@ def make_report(ss: SpectralSequence, kind_name: str) -> SpectralSequenceReport:
             pages.append((("stable", p, q), gs))
             if g1 != page_one_oracle(ss, p, q):
                 cross_ok = False
-    degree_reports = tuple(ss.e_infinity(n) for n in range(dc.dim_y + 1))
+    degree_reports = tuple(ss.e_infinity(n) for n in range(dc.q_max + 1))
     return SpectralSequenceReport(
         kind=kind_name,
         pages=tuple(pages),

@@ -1,17 +1,26 @@
 """Machine checks of the structural claims behind the spectral sequences.
 
-Each checker recomputes both sides of an exactness or isomorphism statement
-from scratch and reports exact integer agreement, carrying concrete
-witnesses (matrices, offending chains) on failure.  The W-row checker also
-constructs the contracting homotopies explicitly, one per choice of base
-lift, and multiplies out their defining identities.
+Each checker computes both sides of an exactness or isomorphism statement
+and reports exact integer agreement, carrying concrete witnesses (matrices,
+offending chains) on failure.  The W-row checker also constructs the
+contracting homotopies explicitly, one per choice of base lift, and
+multiplies out their defining identities.
+
+Over a Y-simplex with N lifts, each multiplicity row depends on N alone, so
+the row lemmas are checked once per lift count and a failure is reported on
+every simplex with that count.  The checks of one map share what they read
+of its tower: each alternating basis, alternating kernel and alternating
+homology is computed once per space and degree and kept by ``Tower.memo``,
+so it lives as long as the tower and no longer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product as iproduct
+from math import comb
 
 from .alternating import (
     AltBasis,
@@ -20,11 +29,13 @@ from .alternating import (
     alternating_homology_kernel,
     alternating_kernel,
     eps_last_matrix,
+    rho_columns,
     rho_matrix,
 )
 from .complexes import SimplicialMap, pushforward_matrix
-from .intlinalg import IntMatrix, Subgroup, kernel_basis
-from .multiplicity import Tower, ordered_lifts
+from .errors import NotAComplex
+from .intlinalg import IntMatrix, Subgroup, compose, kernel_basis
+from .multiplicity import LiftTable, Tower, ordered_lifts
 
 
 @dataclass
@@ -41,32 +52,35 @@ class VerificationReport:
         self.details.append(info)
 
 
-def _combo_index(combos) -> dict:
-    return {T: i for i, T in enumerate(combos)}
-
-
-def _drop_matrix(combos_k, combos_prev, i: int) -> IntMatrix:
-    """Slot-i (1-based) forgetting map in the per-simplex tuple bases."""
-    idx = _combo_index(combos_prev)
-    M = IntMatrix(len(combos_prev), len(combos_k))
-    for j, T in enumerate(combos_k):
-        M.data[idx[T[: i - 1] + T[i:]]][j] += 1
-    return M
-
-
-def _rho_listing(combos_k, combos_prev, k: int) -> IntMatrix:
-    """Alternating-signed sum of the k slot-forgetting maps."""
-    idx = _combo_index(combos_prev)
-    M = IntMatrix(len(combos_prev), len(combos_k))
-    for j, T in enumerate(combos_k):
-        for i in range(k):
-            M.data[idx[T[:i] + T[i + 1 :]]][j] += -1 if i % 2 else 1
-    return M
-
-
 def _subgroups_equal(A_cols: IntMatrix, B_cols: IntMatrix) -> bool:
     rows = A_cols.rows
     return Subgroup(rows, A_cols) == Subgroup(rows, B_cols)
+
+
+def _alt_basis(tower: Tower, Z, n: int) -> AltBasis:
+    """The alternating basis of the tower's space Z in degree n."""
+    return tower.memo(("basis", Z.kind, Z.k, n), lambda: AltBasis(Z, n))
+
+
+def _alt_kernel(tower: Tower, Z, n: int) -> IntMatrix:
+    """The alternating degree-n chains of the tower's space Z."""
+    return tower.memo(("kernel", Z.kind, Z.k, n), lambda: alternating_kernel(Z, n))
+
+
+def _alt_homology_kernel(tower: Tower, Z, n: int):
+    """``alternating_homology_kernel`` of the tower's space Z, off the
+    tower's alternating kernels."""
+    return tower.memo(
+        ("homology", Z.kind, Z.k, n),
+        lambda: alternating_homology_kernel(Z, n, kernel=partial(_alt_kernel, tower)),
+    )
+
+
+def _pushforward_kernel(tower: Tower, n: int) -> IntMatrix:
+    """The kernel of the degree-n pushforward by the tower's map."""
+    return tower.memo(
+        ("pushforward-kernel", n), lambda: kernel_basis(pushforward_matrix(tower.f, n))
+    )
 
 
 def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
@@ -74,102 +88,121 @@ def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
     ``tower.f`` augmented by the chains of Y, with explicit contracting
     homotopies, for the multiplicities up to min(k_max + 1, 3).
 
-    Chains of a fixed degree split over the Y-simplex underneath, so the row
-    is checked block by block in tuple coordinates; the transfer the W grid
-    reads is tied back to the honest chain-level matrices at low
-    multiplicity.
+    Chains of a fixed degree split over the Y-simplex underneath, and the
+    block over a simplex with N lifts is the row of the tuples {0..N-1}^k,
+    which depends on N alone.  So the row is checked once per lift count
+    (``_w_row``), and each failure is reported on every simplex with that
+    count.  The transfer the W grid reads is tied back to the honest
+    chain-level matrices at low multiplicity.
     """
     rep = VerificationReport(f"W-row-exact n={n}")
-    f = tower.f
+    f, counts = tower.f, tower.lifts.counts
     k_cap = min(tower.k_max() + 1, 3)
     for delta in f.target.simplices(n):
-        lifts = ordered_lifts(f, delta)
-        N = len(lifts)
-        combos = {0: [()]}
-        top = k_cap + 1
-        for k in range(1, top + 1):
-            combos[k] = list(iproduct(lifts, repeat=k))
-        rhos = {k: _rho_listing(combos[k], combos[k - 1], k) for k in range(1, top + 1)}
-        # surjectivity onto the augmentation and two-step vanishing
-        for k in range(2, top + 1):
-            if not (rhos[k - 1] @ rhos[k]).is_zero():
-                rep.fail("rho-square", delta, k)
-        if Subgroup(1, rhos[1]) != Subgroup.full(1):
-            rep.fail("augmentation-not-surjective", delta)
-        # exactness: kernel at k is spanned by the image from k+1
-        for k in range(1, k_cap + 1):
-            ker = kernel_basis(rhos[k])
-            if not _subgroups_equal(rhos[k + 1], ker):
-                rep.fail("row-not-exact", delta, k, ker.cols)
-        # contracting homotopy for every choice of base lift
-        for t in lifts:
-            S = {
-                k: _prepend_matrix(combos[k], combos[k + 1], t)
-                for k in range(0, k_cap + 1)
-            }
-            ident0 = _drop_matrix(combos[1], combos[0], 1) @ S[0]
-            if ident0 != IntMatrix.identity(1):
-                rep.fail("homotopy-augmentation", delta, t)
-            for k in range(1, k_cap + 1):
-                if _drop_matrix(combos[k + 1], combos[k], 1) @ S[k] != IntMatrix.identity(
-                    len(combos[k])
-                ):
-                    rep.fail("homotopy-first-slot", delta, t, k)
-                for i in range(1, k + 1):
-                    lhs = _drop_matrix(combos[k + 1], combos[k], i + 1) @ S[k]
-                    rhs = S[k - 1] @ _drop_matrix(combos[k], combos[k - 1], i)
-                    if lhs != rhs:
-                        rep.fail("homotopy-shift", delta, t, k, i)
-                hom = rhos[k + 1] @ S[k] + S[k - 1] @ rhos[k]
-                if hom != IntMatrix.identity(len(combos[k])):
-                    rep.fail("homotopy-not-contracting", delta, t, k)
+        N = counts[delta]
+        for name, *info in tower.memo(("W-row", N), lambda: _w_row(tower.lifts, N, k_cap)):
+            if name.startswith("homotopy"):
+                info[0] = ordered_lifts(f, delta)[info[0]]  # the base lift
+            rep.fail(name, delta, *info)
     _tie_to_chain_level(rep, tower, n, k_cap)
     return rep
 
 
-def _prepend_matrix(combos_k, combos_next, t) -> IntMatrix:
-    idx = _combo_index(combos_next)
-    M = IntMatrix(len(combos_next), len(combos_k))
-    for j, T in enumerate(combos_k):
-        M.data[idx[(t,) + T]][j] += 1
-    return M
+def _w_row(table: LiftTable, N: int, k_cap: int) -> list:
+    """The failures of the W row over a simplex with N lifts.
+
+    The transfer rho_k on the tuples {0..N-1}^k is the lift table's slot
+    drops, for k up to k_cap + 1.  It must square to zero, be onto Z at
+    k = 1 and be exact up to k_cap.  For each base lift t, prepending t
+    must satisfy the slot identities and contract the row.  A homotopy
+    failure names t by its lift index.
+    """
+    out = []
+    top = k_cap + 1
+    rho = {k: [dict(col) for col in table.slot_drops(N, k, 1)] for k in range(1, top + 1)}
+    dense = {k: IntMatrix.from_sparse(cols, N ** (k - 1)) for k, cols in rho.items()}
+    for k in range(2, top + 1):
+        if any(compose(rho[k - 1], rho[k])):
+            out.append(("rho-square", k))
+    if Subgroup(1, dense[1]) != Subgroup.full(1):
+        out.append(("augmentation-not-surjective",))
+    for k in range(1, k_cap + 1):
+        ker = kernel_basis(dense[k])
+        if not _subgroups_equal(dense[k + 1], ker):
+            out.append(("row-not-exact", k, ker.cols))
+    for t in range(N):
+        S = [_prepend(N, k, t) for k in range(k_cap + 1)]
+        if compose(_drop(N, 1, 1), S[0]) != _identity(1):
+            out.append(("homotopy-augmentation", t))
+        for k in range(1, k_cap + 1):
+            identity = _identity(N**k)
+            if compose(_drop(N, k + 1, 1), S[k]) != identity:
+                out.append(("homotopy-first-slot", t, k))
+            for i in range(1, k + 1):
+                if compose(_drop(N, k + 1, i + 1), S[k]) != compose(S[k - 1], _drop(N, k, i)):
+                    out.append(("homotopy-shift", t, k, i))
+            # rho S + S rho, column by column
+            hom = compose(rho[k + 1], S[k])
+            for col, other in zip(hom, compose(S[k - 1], rho[k])):
+                for i, a in other.items():
+                    col[i] = col.get(i, 0) + a
+            if [{i: a for i, a in col.items() if a} for col in hom] != identity:
+                out.append(("homotopy-not-contracting", t, k))
+    return out
+
+
+def _drop(N: int, k: int, i: int) -> list:
+    """Forgetting slot i (1-based), from the tuples {0..N-1}^k to the
+    (k-1)-tuples, both in lexicographic order, as columns."""
+    low = N ** (k - i)  # place value of slot i
+    return [{x // (low * N) * low + x % low: 1} for x in range(N**k)]
+
+
+def _prepend(N: int, k: int, t: int) -> list:
+    """Prepending t, from the tuples {0..N-1}^k to the (k+1)-tuples."""
+    return [{t * N**k + x: 1} for x in range(N**k)]
+
+
+def _identity(m: int) -> list:
+    return [{j: 1} for j in range(m)]
 
 
 def _tie_to_chain_level(rep, tower, n, k_top):
     """The W grid's transfer columns, read off the lift table and twisted
-    back by (-1)^n, are rho on raw chains: conjugating by the listing
-    parities carries one onto the other (k = 1 lands on Y)."""
+    back by (-1)^n, are rho on raw chains: rho of each listed cell's raw
+    simplex is its transfer column carried to raw chains by the listing
+    parities (k = 1 lands on Y)."""
     f, lifts = tower.f, tower.lifts
     twist = -1 if n % 2 else 1
+    below = [(row, 1) for row in range(f.target.n_simplices(n))]  # Y itself
     for k in range(1, k_top + 1):
         Zk = tower.W(k)
-        R_src = _listing_to_raw(Zk, n)
-        if k == 1:
-            R_tgt = IntMatrix.identity(f.target.n_simplices(n))
-        else:
-            R_tgt = _listing_to_raw(Zk.below, n)
-        cells = IntMatrix.from_sparse(lifts.transfer_columns(k, n), lifts.n_cells(k - 1, n))
-        if rho_matrix(Zk, n) @ R_src != R_tgt @ cells.scaled(twist):
+        listing = _listing(Zk, n)
+        rho = rho_columns(Zk, n)
+        image = [{i: sign * a for i, a in rho[raw].items()} for raw, sign in listing]
+        mapped = [
+            {below[r][0]: below[r][1] * twist * a for r, a in col.items()}
+            for col in lifts.transfer_columns(k, n)
+        ]
+        if image != mapped:
             rep.fail("listing-model-mismatch", k)
+        below = listing
     # kernel of the augmentation is exactly the image of the first transfer
-    A = pushforward_matrix(f, n)
     img = rho_matrix(tower.W(2), n)
-    if not _subgroups_equal(img, kernel_basis(A)):
+    if not _subgroups_equal(img, _pushforward_kernel(tower, n)):
         rep.fail("global-kernel-image")
 
 
-def _listing_to_raw(Z, n) -> IntMatrix:
-    """Signed bijection from per-simplex tuple coordinates, the W grid's
-    cells, to raw W-chains."""
-    cols = []
+def _listing(Z, n) -> list:
+    """(raw index, sign) of each degree-n cell of the W grid, in the grid's
+    order: the signed bijection from the tuple cells over each Y-simplex
+    onto the raw W-chains."""
+    out = []
     for delta in Z.f.target.simplices(n):
-        lifts = ordered_lifts(Z.f, delta)
-        for T in iproduct(lifts, repeat=Z.k):
+        for T in iproduct(ordered_lifts(Z.f, delta), repeat=Z.k):
             rec = Z.products[(delta, T)]
-            v = [0] * Z.n_simplices(n)
-            v[Z.index(rec.canonical)] = rec.sign
-            cols.append(v)
-    return IntMatrix.from_columns(cols, rows=Z.n_simplices(n))
+            out.append((Z.index(rec.canonical), rec.sign))
+    return out
 
 
 def _std_boundary(N: int, k: int) -> IntMatrix:
@@ -185,6 +218,19 @@ def _std_boundary(N: int, k: int) -> IntMatrix:
     return M
 
 
+def _std_row(N: int) -> tuple:
+    """The augmented boundaries of the standard (N-1)-simplex, k = 1..N,
+    and the failures of their exactness."""
+    chain = [_std_boundary(N, k) for k in range(1, N + 1)]
+    failures = []
+    for k in range(1, N):
+        if not _subgroups_equal(chain[k], kernel_basis(chain[k - 1])):
+            failures.append(("column-not-exact", k))
+    if chain and kernel_basis(chain[N - 1]).cols != 0:
+        failures.append(("top-not-injective",))
+    return chain, failures
+
+
 def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
     """Exactness of the alternating multiplicity row of degree-n chains of
     the map ``tower.f``.
@@ -192,23 +238,24 @@ def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
     Over a Y-simplex with N lifts the alternating generators in multiplicity
     k biject with k-subsets, and the signed vertical transfer is carried to
     (-1)^(k+n-1) times the augmented boundary of the standard (N-1)-simplex.
-    That boundary complex is acyclic, which is the exactness statement.
+    That boundary complex is acyclic, which is the exactness statement; it
+    is checked once per lift count, the identification once per simplex.
     """
     rep = VerificationReport(f"D-row-exact n={n}")
     f = tower.f
     N_max = tower.k_max()
-    bases = {k: AltBasis(tower.D(k), n) for k in range(1, N_max + 1)}
+    bases = {k: _alt_basis(tower, tower.D(k), n) for k in range(1, N_max + 1)}
     eps_alt = {
         k: alt_veps_matrix(bases[k], bases[k - 1]) for k in range(2, N_max + 1)
     }
     # augmentation to the chains of Y in alternating coordinates
     aug = pushforward_matrix(f, n) @ bases[1].to_raw_matrix
     for delta in f.target.simplices(n):
-        lifts = ordered_lifts(f, delta)
-        N = len(lifts)
+        N = tower.lifts.counts[delta]
+        chain, failures = tower.memo(("D-row", N), lambda: _std_row(N))
         for k in range(1, N + 1):
             idx_src = bases[k].gens_over(delta)
-            if len(idx_src) != len(list(combinations(range(N), k))):
+            if len(idx_src) != comb(N, k):
                 rep.fail("basis-count", delta, k)
                 continue
             if k == 1:
@@ -224,17 +271,12 @@ def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
                 len(idx_src),
                 [[eps_alt[k].data[i][j] for j in idx_src] for i in idx_tgt],
             )
-            expected = _std_boundary(N, k).scaled((-1) ** (k + n - 1))
+            expected = chain[k - 1].scaled((-1) ** (k + n - 1))
             if R != expected:
                 rep.fail("sign-identity", delta, k, R.data, expected.data)
         # exactness of the restricted augmented column (subset coordinates)
-        chain = [_std_boundary(N, k) for k in range(1, N + 1)]
-        for k in range(1, N):
-            ker = kernel_basis(chain[k - 1])
-            if not _subgroups_equal(chain[k], ker):
-                rep.fail("column-not-exact", delta, k)
-        if chain and kernel_basis(chain[N - 1]).cols != 0:
-            rep.fail("top-not-injective", delta)
+        for name, *info in failures:
+            rep.fail(name, delta, *info)
     # the identification above plus acyclicity gives global exactness; also
     # confirm the two ends directly on the assembled matrices
     if Subgroup(aug.rows, aug) != Subgroup.full(aug.rows):
@@ -261,16 +303,15 @@ def check_D2_kernel(
     rep = VerificationReport(f"D2-kernel n={n}")
     f = tower.f
     D2 = tower.D(2)
-    basis = AltBasis(D2, n)
-    A = pushforward_matrix(f, n)
+    basis = _alt_basis(tower, D2, n)
+    K = _pushforward_kernel(tower, n)
     proj = eps_last_matrix(D2, n) @ basis.to_raw_matrix
-    if not _subgroups_equal(proj, kernel_basis(A)):
+    if not _subgroups_equal(proj, K):
         rep.fail("subgroup-mismatch")
         return rep
     # pair generators indexed by (delta, ordered pair of distinct lifts)
     X = f.source
     rng = random.Random(seed)
-    K = kernel_basis(A)
     lifts_of = {delta: ordered_lifts(f, delta) for delta in f.target.simplices(n)}
     sign_of = {}
     for delta, lifts in lifts_of.items():
@@ -321,9 +362,9 @@ def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
     identification."""
     rep = VerificationReport(f"houston k={k} n={n}")
     W, D = tower.W(k), tower.D(k)
-    ah_w = alternating_homology_kernel(W, n)
-    ah_d = alternating_homology(D, n)
-    ah_d_kernel = alternating_homology_kernel(D, n)
+    ah_w = _alt_homology_kernel(tower, W, n)
+    ah_d = alternating_homology(D, n, basis=partial(_alt_basis, tower))
+    ah_d_kernel = _alt_homology_kernel(tower, D, n)
     if ah_d != ah_d_kernel:
         rep.fail("alt-basis-vs-kernel", str(ah_d), str(ah_d_kernel))
     if ah_w != ah_d:
@@ -335,8 +376,8 @@ def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
             tuples = tuple(D.vertex_tuples[v] for v in s)
             image = tuple(sorted(W.tuple_index[t] for t in tuples))
             J.data[W.index(image)][j] = 1
-        alt_d = alternating_kernel(D, n)
-        alt_w = alternating_kernel(W, n)
+        alt_d = _alt_kernel(tower, D, n)
+        alt_w = _alt_kernel(tower, W, n)
         if not _subgroups_equal(J @ alt_d, alt_w):
             rep.fail("inclusion-not-onto-alternating")
     return rep
@@ -363,15 +404,19 @@ def run_all(f: SimplicialMap, seed: int = 0) -> list:
         for n in range(top + 1):
             reports.append(check_houston(tower, k, n))
     for kind in ("Alt", "W"):
-        cr = check_collapse_first(first_ss(tower, kind))
         rep = VerificationReport(f"collapse-first {kind}")
-        if not cr.ok:
-            rep.fail("collapse", cr.details[:5])
+        try:
+            cr = check_collapse_first(first_ss(tower, kind))
+        except NotAComplex as exc:  # the grid fails its own identities
+            rep.fail("not-a-complex", str(exc))
+        else:
+            if not cr.ok:
+                rep.fail("collapse", cr.details[:5])
         reports.append(rep)
     rep = VerificationReport("cochain-round-trip")
     for k in range(1, tower.k_max() + 1):
         for n in range(top + 1):
-            basis = AltBasis(tower.D(k), n)
+            basis = _alt_basis(tower, tower.D(k), n)
             if basis.n_gens == 0:
                 continue
             R = theta_matrix(basis)
@@ -379,7 +424,7 @@ def run_all(f: SimplicialMap, seed: int = 0) -> list:
             if R @ T != IntMatrix.identity(basis.n_gens):
                 rep.fail("theta-altstar", k, n)
             back = T @ R
-            A = alternating_kernel(tower.D(k), n)
+            A = _alt_kernel(tower, tower.D(k), n)
             if back @ A != A:
                 rep.fail("altstar-theta", k, n)
     reports.append(rep)

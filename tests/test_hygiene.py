@@ -12,6 +12,8 @@ Pages and homology come from unit-pair reductions, so no module builds the
 dense total differential the reduction replaced: the pages from a ladder of
 rungs, each homology of a whole complex from one reduction of it.  The map
 fixes every grid bound and degree range, so no entry point takes one.
+What several checks of one map share is kept on its tower, never in a
+process-wide cache: no ``functools`` cache and no module-level memo.
 """
 
 import argparse
@@ -291,3 +293,78 @@ def test_entry_points_take_no_bound():
     for command in ("icss", "gvzss"):
         options = {o for a in commands.choices[command]._actions for o in a.option_strings}
         assert options == {"-h", "--help"}, (command, options)
+
+
+MAPPING_FACTORIES = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def process_caches(tree) -> list:
+    """``functools.cache``/``lru_cache`` anywhere, an empty mapping bound at
+    module level, and a function that stores into a module-level name."""
+    found = []
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            module_names.update(t.id for t in targets if isinstance(t, ast.Name))
+            value = node.value
+            empty = isinstance(value, ast.Dict) and not value.keys
+            if isinstance(value, ast.Call):
+                callee = getattr(value.func, "id", None) or getattr(value.func, "attr", None)
+                empty = callee in MAPPING_FACTORIES
+            if empty:
+                found.append(f"{node.lineno}: module-level mapping")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("cache", "lru_cache")
+            and getattr(node.value, "id", None) == "functools"
+        ):
+            found.append(f"{node.lineno}: functools.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.extend(
+                f"{node.lineno}: functools.{a.name}"
+                for a in node.names
+                if a.name in ("cache", "lru_cache")
+            )
+        elif isinstance(node, ast.Global):
+            found.append(f"{node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Subscript)
+                    and isinstance(inner.ctx, ast.Store)
+                    and isinstance(inner.value, ast.Name)
+                    and inner.value.id in module_names
+                ):
+                    found.append(f"{inner.lineno}: {inner.value.id}[...] stored in {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_process_wide_cache(path):
+    """Caches live on the tower (``Tower.memo``), so they are freed with it
+    and a repeated map is computed again, as a new map would be."""
+    found = process_caches(ast.parse(path.read_text()))
+    assert not found, f"{path.name} keeps a process-wide cache: {found}"
+
+
+def test_process_cache_scan_finds_each_kind():
+    src = """
+import functools
+from functools import lru_cache
+_MEMO = {}
+_MORE = dict()
+
+@functools.cache
+def f(x):
+    _MEMO[x] = x
+    return x
+
+def g():
+    global _MORE
+"""
+    found = process_caches(ast.parse(src))
+    for what in ("functools.lru_cache", "functools.cache", "module-level mapping",
+                 "_MEMO[...] stored in f", "global _MORE"):
+        assert any(what in line for line in found), (what, found)

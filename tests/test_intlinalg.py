@@ -21,6 +21,7 @@ from icss.intlinalg import (
     restrict,
     smith_normal_form,
     solve,
+    solution_factors,
     solve_columns,
     sparse_columns,
     subgroup_quotient,
@@ -189,6 +190,19 @@ def test_solve_columns_matches_per_column_solve(case):
         assert M @ X == B
     else:
         assert X is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(solve_cases())
+def test_solution_factors_are_those_of_the_solution(case):
+    """The factors read off the echelon coordinates, with no transform,
+    are those of the solution ``solve_columns`` forms."""
+    M, B = case
+    X = solve_columns(M, B)
+    factors = solution_factors(M, B)
+    assert (factors is None) == (X is None)
+    if X is not None:
+        assert factors == invariant_factors(X)
 
 
 def test_solve_columns_empty_shapes():

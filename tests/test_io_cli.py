@@ -203,3 +203,28 @@ def test_cli_negative_q_max_exits_2(tmp_path, capsys, fold, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "-1 must be >= 0" in captured.err
+
+
+def test_cli_verify_exits_1_when_a_grid_is_not_a_complex(tmp_path, capsys, fold, monkeypatch):
+    """A W grid that fails its own identities is a failed check, exit 1,
+    not malformed input."""
+    from icss.multiplicity import LiftTable
+
+    real = LiftTable.transfer_columns
+
+    def flipped(self, k, q):
+        cols = real(self, k, q)
+        if k == 2:
+            j = next(j for j, col in enumerate(cols) if col)
+            row, a = next(iter(cols[j].items()))
+            cols[j] = {**cols[j], row: -a}
+        return cols
+
+    monkeypatch.setattr(LiftTable, "transfer_columns", flipped)
+    path = write_doc(tmp_path, fold_text(fold))
+    assert main(["--format", "json", "verify", path]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    collapse = checks["collapse-first W"]
+    assert not collapse["passed"]
+    assert collapse["details"][0][0] == "not-a-complex"
+    assert checks["collapse-first Alt"]["passed"]

@@ -264,7 +264,7 @@ def test_reduced_sequence_matches_generic_formula(name, seed):
     for kind, ss in four_sequences(get_fixture(name, seed)):
         ref = GenericSequence(ss)
         label = (name, seed, kind, ss.filtration)
-        for n in range(ss.dc.dim_y + 1):
+        for n in range(ss.dc.q_max + 1):
             for s in range(n + 1):
                 for r in (1, 2, 3):
                     assert ss.page_group(r, s, n - s) == ref.page_group(r, s, n - s), (
@@ -400,7 +400,7 @@ def test_cycle_subgroups_keep_their_kernel_basis(maps):
     kept = 0
     for name, f in maps.items():
         for kind, ss in four_sequences(f):
-            for n in range(ss.dc.dim_y + 1):
+            for n in range(ss.dc.q_max + 1):
                 for s in range(n + 1):
                     for r in (1, 2, 3):
                         Z = ss.cycle_subgroup(n, s, r)

@@ -122,3 +122,139 @@ def test_run_all_computes_each_target_homology_once(disc_to_rp2, monkeypatch):
     monkeypatch.setattr(multiplicity, "homology_groups", counting)
     assert all(r.passed for r in run_all(disc_to_rp2))
     assert calls == [disc_to_rp2.target]
+
+
+def flip_first_entry(columns):
+    """The columns with the first nonzero entry of the first nonempty one
+    negated; columns are {row: entry} dicts or (row, entry) lists."""
+    columns = list(columns)
+    j = next(j for j, col in enumerate(columns) if col)
+    if isinstance(columns[j], dict):
+        (row, a), *rest = columns[j].items()
+        columns[j] = {row: -a, **dict(rest)}
+    else:
+        (row, a), *rest = columns[j]
+        columns[j] = [(row, -a), *rest]
+    return columns
+
+
+def test_w_row_fails_on_every_simplex_with_a_corrupt_lift_count(fold, monkeypatch):
+    """The row lemma reads the lift table's slot drops, once per lift count:
+    one flipped entry of the 2-lift transfer at k = 3 fails the row on
+    every simplex with 2 lifts, and the tie to raw chains fails too."""
+    import icss.multiplicity as multiplicity
+
+    real = multiplicity._slot_drops
+
+    def flipped(n, k, twist):
+        cols = real(n, k, twist)
+        return flip_first_entry(cols) if (n, k) == (2, 3) else cols
+
+    monkeypatch.setattr(multiplicity, "_slot_drops", flipped)
+    tower = Tower(fold)
+    counts = tower.lifts.counts
+    for n in range(fold.target.dim + 1):
+        rep = check_W_row_exact(tower, n)
+        doubles = {d for d in fold.target.simplices(n) if counts[d] == 2}
+        assert doubles, n
+        on_simplex = {d[1] for d in rep.details if len(d) > 1 and isinstance(d[1], tuple)}
+        assert on_simplex == doubles, (n, rep.details)
+        assert ("listing-model-mismatch", 3) in rep.details, n
+
+
+def test_tie_fails_on_a_corrupt_transfer(fold, monkeypatch):
+    from icss.multiplicity import LiftTable
+
+    real = LiftTable.transfer_columns
+
+    def flipped(self, k, q):
+        cols = real(self, k, q)
+        return flip_first_entry(cols) if k == 2 else cols
+
+    monkeypatch.setattr(LiftTable, "transfer_columns", flipped)
+    tower = Tower(fold)
+    for n in range(fold.target.dim + 1):
+        rep = check_W_row_exact(tower, n)
+        assert rep.details == [("listing-model-mismatch", 2)], (n, rep.details)
+
+
+def test_d_row_fails_on_a_flipped_sign(fold, monkeypatch):
+    import icss.verify as verify
+
+    real = verify.alt_veps_matrix
+
+    def flipped(src, tgt):
+        M = real(src, tgt)
+        i, j = next((i, j) for i, row in enumerate(M.data) for j, a in enumerate(row) if a)
+        M.data[i][j] = -M.data[i][j]
+        return M
+
+    monkeypatch.setattr(verify, "alt_veps_matrix", flipped)
+    failed = [check_D_row_exact(Tower(fold), n) for n in range(fold.target.dim + 1)]
+    assert not all(rep.passed for rep in failed)
+    assert any(d[0] == "sign-identity" for rep in failed for d in rep.details)
+
+
+def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
+    """One run_all builds each alternating basis and alternating kernel once
+    per space and degree, and checks each row lemma once per lift count."""
+    from collections import Counter
+
+    import icss.verify as verify
+
+    calls = Counter()
+
+    def counting(name, real, key):
+        def wrapper(*args):
+            calls[(name, *key(*args))] += 1
+            return real(*args)
+
+        return wrapper
+
+    space = lambda Z, n: (Z.kind, Z.k, n)  # noqa: E731
+    monkeypatch.setattr(verify, "AltBasis", counting("basis", verify.AltBasis, space))
+    kernel = counting("kernel", verify.alternating_kernel, space)
+    monkeypatch.setattr(verify, "alternating_kernel", kernel)
+    monkeypatch.setattr(verify, "_w_row", counting("W-row", verify._w_row, lambda t, N, k: (N,)))
+    monkeypatch.setattr(verify, "_std_row", counting("D-row", verify._std_row, lambda N: (N,)))
+    assert all(r.passed for r in run_all(disc_to_rp2))
+    assert max(calls.values()) == 1, calls
+    counts = set(Tower(disc_to_rp2).lifts.counts.values())
+    for name in ("W-row", "D-row"):
+        assert {key[1] for key in calls if key[0] == name} == counts, calls
+    assert {key[0] for key in calls} == {"basis", "kernel", "W-row", "D-row"}, calls
+    assert ("kernel", "W", 2, 0) in calls and ("basis", "D", 2, 0) in calls, calls
+
+
+def test_run_all_frees_its_towers_without_the_cycle_collector(disc_to_rp2, monkeypatch):
+    """What the checks keep on a tower refers to no tower, so every tower
+    and space of a run is freed by reference counting alone."""
+    import gc
+    import weakref
+
+    import icss.multiplicity as multiplicity
+    import icss.verify as verify
+
+    refs = []
+    real_tower, real_build = verify.Tower, multiplicity._build
+
+    def tower(f):
+        t = real_tower(f)
+        refs.append(weakref.ref(t))
+        return t
+
+    def build(*args):
+        Z = real_build(*args)
+        refs.append(weakref.ref(Z))
+        return Z
+
+    monkeypatch.setattr(verify, "Tower", tower)
+    monkeypatch.setattr(multiplicity, "_build", build)
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(r.passed for r in run_all(disc_to_rp2))
+        alive = [r() for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) > 1 and not alive, alive
