@@ -17,7 +17,6 @@ from .cohomology import (
     alternating_cochain_homology,
     cochain_homology,
     dual_alternating_homology,
-    dualize,
     theta_matrix,
 )
 from .errors import IcssError
@@ -29,7 +28,6 @@ from .intlinalg import (
     invariant_factors,
     kernel_basis,
     smith_normal_form,
-    solve,
     subgroup_quotient,
 )
 from .io import MapDocument, document_from_map, emit_map, emit_report, parse_map
@@ -61,4 +59,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

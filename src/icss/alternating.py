@@ -16,7 +16,14 @@ from operator import neg
 
 from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
-from .intlinalg import HomologyGroup, IntMatrix, homology_pair, kernel_basis, restrict
+from .intlinalg import (
+    HomologyGroup,
+    IntMatrix,
+    chain_homology,
+    kernel_basis,
+    restrict,
+    sparse_columns,
+)
 from .multiplicity import (
     MultiplePointComplex,
     SkElement,
@@ -90,20 +97,12 @@ class AltBasis:
         """Indices of the generators lying over the Y-simplex delta."""
         return self._by_delta.get(tuple(delta), [])
 
-    def selector(self) -> IntMatrix:
-        """Signed rows at the generators' product simplices: a left inverse
-        of ``to_raw_matrix`` on the alternating chains."""
-        S = IntMatrix(self.n_gens, self.Z.n_simplices(self.n))
-        for row, g in zip(S.data, self.gens):
-            row[self.Z.index(g.canonical)] = g.sign
-        return S
-
     def coordinates(self, R: IntMatrix) -> IntMatrix:
         """Alternating coordinates of the raw columns of R; raises
         NotAlternating unless every column is an alternating chain.
 
         Row g is R's row at g's product simplex times ``g.sign``: the rows of
-        ``selector() @ R``, gathered without the product."""
+        ``cohomology.theta_matrix(self) @ R``, gathered without the product."""
         rows = []
         for g in self.gens:
             row = R.data[self.Z.index(g.canonical)]
@@ -175,43 +174,47 @@ def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
     return A if n % 2 == 0 else A.scaled(-1)
 
 
-def alt_differentials(Z: MultiplePointComplex, n: int, basis=AltBasis) -> tuple:
-    """Boundaries (d_n, d_next) into and out of the degree-n alternating
-    chains of D^k, in the free alternating bases ``basis(Z, m)``."""
-    basis_n = basis(Z, n)
-    d_n = alt_boundary_matrix(basis_n, basis(Z, n - 1) if n else None)
-    d_next = alt_boundary_matrix(basis(Z, n + 1), basis_n)
-    return d_n, d_next
+def alt_columns(bases: list) -> list:
+    """The alternating chain complex of D^k as ``chain_homology`` reads it:
+    entry m holds the sparse columns of the boundary out of degree m, in the
+    free bases ``bases[m]`` (an ``AltBasis``) and ``bases[m - 1]``."""
+    return [
+        sparse_columns(alt_boundary_matrix(basis, bases[m - 1] if m else None))
+        for m, basis in enumerate(bases)
+    ]
 
 
-def alternating_homology(Z: MultiplePointComplex, n: int, basis=AltBasis) -> HomologyGroup:
-    """Homology of the alternating chain complex of D^k via its free basis;
-    ``basis(Z, m)`` gives the basis in degree m, a new one by default."""
-    return homology_pair(*alt_differentials(Z, n, basis))
+def kernel_columns(Z: MultiplePointComplex, kernels: list) -> list:
+    """The alternating subcomplex of the raw chains of Z as ``chain_homology``
+    reads it: entry m holds the raw boundary out of degree m, restricted once
+    to the alternating kernels ``kernels[m]`` and ``kernels[m - 1]``."""
+    return [
+        sparse_columns(restrict(boundary_matrix(Z.complex, m), A, kernels[m - 1]))
+        if m
+        else [{} for _ in range(A.cols)]
+        for m, A in enumerate(kernels)
+    ]
 
 
-def alternating_homology_kernel(
-    Z: MultiplePointComplex, n: int, kernel=alternating_kernel
-) -> HomologyGroup:
-    """Homology of the alternating subcomplex cut out inside the raw chains;
-    ``kernel(Z, m)`` gives its degree-m chains, computed anew by default.
+def complex_degrees(Z: MultiplePointComplex, n: int) -> range:
+    """The degrees 0..min(n + 1, dim Z) that a complex on Z must span to give
+    its (co)homology in degree n.  Raises DegreeOutOfRange for n < 0."""
+    if n < 0:
+        raise DegreeOutOfRange(f"degree {n} < 0")
+    return range(min(n + 1, Z.dim) + 1)
+
+
+def alternating_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
+    """Homology of the alternating chain complex of D^k via its free basis."""
+    bases = [AltBasis(Z, m) for m in complex_degrees(Z, n)]
+    return chain_homology(alt_columns(bases), [n])[n]
+
+
+def alternating_homology_kernel(Z: MultiplePointComplex, n: int) -> HomologyGroup:
+    """Homology of the alternating subcomplex cut out inside the raw chains.
 
     Works for W^k as well as D^k; this is the independent route used to
     compare the two models of alternating homology.
     """
-    if n < 0:
-        raise DegreeOutOfRange(f"degree {n} < 0")
-    if n > Z.dim:
-        return HomologyGroup(0)
-    A_n = kernel(Z, n)
-    if n == 0:
-        d_n = IntMatrix(0, A_n.cols)
-    else:
-        A_prev = kernel(Z, n - 1)
-        d_n = restrict(boundary_matrix(Z.complex, n), A_n, A_prev)
-    if n + 1 <= Z.dim:
-        A_next = kernel(Z, n + 1)
-        d_next = restrict(boundary_matrix(Z.complex, n + 1), A_next, A_n)
-    else:
-        d_next = IntMatrix(A_n.cols, 0)
-    return homology_pair(d_n, d_next)
+    kernels = [alternating_kernel(Z, m) for m in complex_degrees(Z, n)]
+    return chain_homology(kernel_columns(Z, kernels), [n])[n]

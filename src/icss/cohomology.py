@@ -11,22 +11,35 @@ representatives the other.
 
 from __future__ import annotations
 
-from .alternating import AltBasis, alt_differentials, alternating_kernel
+from .alternating import AltBasis, alt_columns, alternating_kernel, complex_degrees
 from .complexes import boundary_matrix, sort_sign
-from .intlinalg import HomologyGroup, IntMatrix, homology_pair, restrict
+from .intlinalg import HomologyGroup, IntMatrix, chain_homology, restrict, sparse_columns
 from .multiplicity import MultiplePointComplex
 
 
-def dualize(diffs: list) -> list:
-    """Transpose a chain complex d_1, d_2, ... into its cochain complex
-    delta^0, delta^1, ...; compositions stay zero."""
-    return [d.transpose() for d in diffs]
+def dual_columns(columns: list) -> list:
+    """The cochain complex dual to the chain complex with boundary columns
+    ``columns``: entry m holds the sparse columns of the coboundary out of
+    degree m, the transpose of the boundary out of m + 1 (zero at the top)."""
+    out = [[{} for _ in cells] for cells in columns]
+    for m in range(1, len(columns)):
+        for j, col in enumerate(columns[m]):
+            for i, a in col.items():
+                out[m - 1][i][j] = a
+    return out
 
 
-def cochain_homology(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
-    """Degree-n cohomology of the dual of a chain complex given the chain
-    differentials into and out of level n."""
-    return homology_pair(d_next.transpose(), d_n.transpose())
+def cochain_homology(columns: list, degrees) -> dict:
+    """{n: H^n} for each n in ``degrees`` of the cochain complex whose
+    coboundary from degree n to n + 1 has the sparse columns ``columns[n]``
+    (one empty dict per cell of the last degree); the dicts are consumed.
+
+    Read from the last degree down, the cochain complex is a chain complex,
+    and H^n is its homology in degree top - n.
+    """
+    top = len(columns) - 1
+    groups = chain_homology(columns[::-1], [top - n for n in degrees])
+    return {n: groups[top - n] for n in degrees}
 
 
 def alt_star_matrix(basis: AltBasis) -> IntMatrix:
@@ -51,8 +64,13 @@ def alt_star_matrix(basis: AltBasis) -> IntMatrix:
 
 def theta_matrix(basis: AltBasis) -> IntMatrix:
     """Evaluation of an alternating raw functional on the signed product
-    representatives of the basis generators; inverse to alt_star."""
-    return basis.selector()
+    representatives of the basis generators (row g is ``g.sign`` at g's
+    product simplex); inverse to alt_star."""
+    Z = basis.Z
+    R = IntMatrix(basis.n_gens, Z.n_simplices(basis.n))
+    for row, g in zip(R.data, basis.gens):
+        row[Z.index(g.canonical)] = g.sign
+    return R
 
 
 def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
@@ -61,30 +79,21 @@ def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGro
 
     The slot permutations act by signed involutions, so the transposed
     swap conditions are the chain-level ones: ``alternating_kernel`` is
-    also a basis of the alternating functionals.
+    also a basis of the alternating functionals, and each transposed raw
+    boundary is restricted to the kernels once.
     """
-    if Z.dim < 0 or n > Z.dim:
-        return HomologyGroup(0)
-    A_n = alternating_kernel(Z, n)
-    if n + 1 <= Z.dim:
-        delta_n = restrict(
-            boundary_matrix(Z.complex, n + 1).transpose(),
-            A_n,
-            alternating_kernel(Z, n + 1),
-        )
-    else:
-        delta_n = IntMatrix(0, A_n.cols)
-    if n >= 1:
-        delta_prev = restrict(
-            boundary_matrix(Z.complex, n).transpose(),
-            alternating_kernel(Z, n - 1),
-            A_n,
-        )
-    else:
-        delta_prev = IntMatrix(A_n.cols, 0)
-    return homology_pair(delta_n, delta_prev)
+    kernels = [alternating_kernel(Z, m) for m in complex_degrees(Z, n)]
+    last = len(kernels) - 1
+    columns = [
+        sparse_columns(restrict(boundary_matrix(Z.complex, m + 1).transpose(), A, kernels[m + 1]))
+        if m < last
+        else [{} for _ in range(A.cols)]
+        for m, A in enumerate(kernels)
+    ]
+    return cochain_homology(columns, [n])[n]
 
 
 def dual_alternating_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
     """Degree-n cohomology of the dual of the free alternating basis complex."""
-    return cochain_homology(*alt_differentials(Z, n))
+    bases = [AltBasis(Z, m) for m in complex_degrees(Z, n)]
+    return cochain_homology(dual_columns(alt_columns(bases)), [n])[n]

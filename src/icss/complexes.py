@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ComplexMismatch, DegreeOutOfRange, InvalidSimplex
-from .intlinalg import HomologyGroup, IntMatrix, chain_homology, column_homology
+from .intlinalg import HomologyGroup, IntMatrix, chain_homology
 
 Simplex = tuple  # strictly increasing tuple of vertex ids
 
@@ -244,11 +244,12 @@ def pushforward_matrix(f: SimplicialMap, n: int) -> IntMatrix:
 
 
 def homology_of_complex(X: SimplicialComplex, n: int) -> HomologyGroup:
-    """H_n(X) = ker d_n / im d_{n+1} in invariant-factor form."""
+    """H_n(X) = ker d_n / im d_{n+1} in invariant-factor form, off one
+    reduction of X's chain complex up to degree n + 1."""
     if n < 0 or n > X.dim:
         raise DegreeOutOfRange(f"degree {n} outside 0..{X.dim}")
-    d_next = boundary_columns(X, n + 1) if n < X.dim else []
-    return column_homology(X.n_simplices(n - 1), boundary_columns(X, n), d_next)
+    degrees = range(min(n + 1, X.dim) + 1)
+    return chain_homology([boundary_columns(X, m) for m in degrees], [n])[n]
 
 
 def homology_groups(X: SimplicialComplex) -> list:

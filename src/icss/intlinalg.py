@@ -422,12 +422,6 @@ def solution_factors(M: IntMatrix, B: IntMatrix) -> list | None:
     return None if Y is None else invariant_factors(Y)
 
 
-def solve(M: IntMatrix, target) -> list | None:
-    """An integral x with M @ x == target, or None if no integral solution."""
-    X = solve_columns(M, IntMatrix.from_columns([target], rows=M.rows))
-    return None if X is None else X.column(0)
-
-
 def restrict(M: IntMatrix, src: IntMatrix, tgt: IntMatrix) -> IntMatrix:
     """Matrix of M from the column span of src to the column span of tgt;
     raises NotASubgroup unless M carries the first span into the second."""
@@ -522,12 +516,6 @@ class Subgroup:
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    def contains(self, vec) -> bool:
-        return solve(self.basis, vec) is not None
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return solve_columns(self.basis, other.basis) is not None
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient_rank != other.ambient_rank:
@@ -732,8 +720,8 @@ def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
 def chain_homology(columns: list, degrees) -> dict:
     """{n: H_n} for each n in ``degrees`` of the chain complex whose degree-n
     boundary has the sparse columns ``columns[n]`` (one empty dict per cell
-    of degree 0, and no cells above the last degree); the dicts are
-    consumed.
+    of degree 0, and no cells below 0 or above the last degree, where H_n
+    is 0); the dicts are consumed.
 
     Each adjacent pair of differentials is checked to compose to zero
     before ``homology_by_reduction`` computes the groups.
@@ -756,6 +744,9 @@ def homology_by_reduction(columns: list, degrees) -> dict:
     D, _ = reduce_complex(columns, [[0] * len(c) for c in columns])
     out = {}
     for n in degrees:
+        if not 0 <= n < len(D):  # no cells
+            out[n] = HomologyGroup(0)
+            continue
         d_next = D[n + 1] if n + 1 < len(D) else IntMatrix(len(D.columns[n]), 0)
         if D.is_zero(n):
             cycles, rel = d_next.rows, invariant_factors(d_next)
@@ -767,17 +758,3 @@ def homology_by_reduction(columns: list, degrees) -> dict:
             cycles = K.cols
         out[n] = group_from_presentation(cycles, rel)
     return out
-
-
-def homology_pair(d_n: IntMatrix, d_next: IntMatrix) -> HomologyGroup:
-    """Invariant factors of ker(d_n) / im(d_next), given d_n @ d_next == 0."""
-    if d_n.cols != d_next.rows:
-        raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
-    return column_homology(d_n.rows, sparse_columns(d_n), sparse_columns(d_next))
-
-
-def column_homology(rows: int, d_n: list, d_next: list) -> HomologyGroup:
-    """``homology_pair`` of the sparse columns of d_n, which lands in a
-    degree of ``rows`` cells, and of d_next; the dicts are consumed.  It is
-    ``chain_homology`` of the three-term complex they make."""
-    return chain_homology([[{} for _ in range(rows)], d_n, d_next], [1])[1]

@@ -90,9 +90,6 @@ class MultiplePointComplex:
     def dim(self):
         return self.complex.dim
 
-    def is_empty(self) -> bool:
-        return self.complex.dim < 0
-
     def __repr__(self):
         return f"MultiplePointComplex(kind={self.kind}, k={self.k}, {self.complex!r})"
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import AltBasis, alt_boundary_matrix, alt_veps_matrix
+from .alternating import AltBasis, alt_columns, alt_veps_matrix
 from .complexes import SimplicialMap
 from .errors import DegreeOutOfRange, NotAComplex, TruncationInsufficient
 from .intlinalg import (
@@ -129,8 +129,9 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
     tuple a of p+1 indices into delta's lifts, in Y's order and then
     lexicographically, and d_h, d_v are ``LiftTable.face_columns`` and
     ``LiftTable.transfer_columns`` (see ``LiftTable`` for the orientation).
-    The Alt blocks are alternating matrices on the D^k, each converted to
-    columns once.
+    The Alt blocks are alternating matrices on the D^k: each column's d_h
+    is its alternating chain complex (``alt_columns``), and each d_v block
+    is converted to columns once.
     """
     q_max = tower.f.target.dim
     ranks, h_cols, v_cols = {}, {}, {}
@@ -153,10 +154,10 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
                 bases[(p, q)] = AltBasis(Z, q)
                 ranks[(p, q)] = bases[(p, q)].n_gens
         for p in range(p_max + 1):
+            d_h = alt_columns([bases[(p, q)] for q in range(q_max + 1)])
             for q in range(q_max + 1):
                 if q >= 1:
-                    d_h = alt_boundary_matrix(bases[(p, q)], bases[(p, q - 1)])
-                    h_cols[(p, q)] = sparse_columns(d_h)
+                    h_cols[(p, q)] = d_h[q]
                 if p >= 1:
                     d_v = alt_veps_matrix(bases[(p, q)], bases[(p - 1, q)])
                     v_cols[(p, q)] = sparse_columns(d_v)

@@ -24,6 +24,13 @@ that compares the two checks the package:
   total homology by the generic filtered-complex formula on the dense,
   unreduced total complex, where ``SpectralSequence`` reads them off the
   unit-pair reduction.
+- ``homology_pair`` takes ker d_n / im d_next of one dense pair of
+  differentials by kernel, solve and Smith, with no reduction, and the
+  ``pair_*`` routes read each (co)homology group degree by degree off the
+  two differentials around it.  The package builds each whole complex once
+  as sparse columns and reads every degree off one reduction of it.
+- ``solve``, ``contains`` and ``contains_subgroup`` are membership tests
+  by one integral solve.
 """
 
 from itertools import product as iproduct
@@ -39,7 +46,9 @@ from icss.intlinalg import (
     solve_columns,
     subgroup_quotient,
 )
-from icss.complexes import pushforward_matrix, sort_sign
+from icss.alternating import AltBasis, alt_boundary_matrix, alternating_kernel
+from icss.complexes import boundary_matrix, pushforward_matrix, sort_sign
+from icss.intlinalg import restrict
 from icss.multiplicity import SkElement, projection_eps, sk_matrix
 from icss.spectral import DoubleComplex
 
@@ -343,3 +352,90 @@ def quotient(A: IntMatrix, B: IntMatrix):
     if rel is None:
         raise NotAComplex("the relations do not lie in the group")
     return group_from_presentation(A.cols, invariant_factors(rel))
+
+
+def solve(M: IntMatrix, target) -> list | None:
+    """An integral x with M @ x == target, or None if there is none."""
+    X = solve_columns(M, IntMatrix.from_columns([target], rows=M.rows))
+    return None if X is None else X.column(0)
+
+
+def contains(S: Subgroup, vec) -> bool:
+    """Whether the vector vec lies in the subgroup S."""
+    return solve(S.basis, vec) is not None
+
+
+def contains_subgroup(S: Subgroup, other: Subgroup) -> bool:
+    """Whether the subgroup other lies in the subgroup S."""
+    return solve_columns(S.basis, other.basis) is not None
+
+
+def homology_pair(d_n: IntMatrix, d_next: IntMatrix):
+    """ker d_n / im d_next by kernel, solve and Smith on the dense pair;
+    raises NotAComplex unless d_n @ d_next == 0."""
+    if d_n.cols != d_next.rows:
+        raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
+    if not (d_n @ d_next).is_zero():
+        raise NotAComplex("d_n @ d_next != 0")
+    return quotient(kernel_basis(d_n), d_next)
+
+
+def pair_homology_of_complex(X, n: int):
+    """H_n(X) off the boundaries into and out of degree n."""
+    d_next = boundary_matrix(X, n + 1) if n < X.dim else IntMatrix(X.n_simplices(n), 0)
+    return homology_pair(boundary_matrix(X, n), d_next)
+
+
+def pair_alt_differentials(Z, n: int) -> tuple:
+    """The alternating boundaries into and out of degree n of D^k, in new
+    free alternating bases."""
+    basis_n = AltBasis(Z, n)
+    d_n = alt_boundary_matrix(basis_n, AltBasis(Z, n - 1) if n else None)
+    return d_n, alt_boundary_matrix(AltBasis(Z, n + 1), basis_n)
+
+
+def pair_alternating_homology(Z, n: int):
+    """Alternating homology of D^k in degree n, through its free basis."""
+    return homology_pair(*pair_alt_differentials(Z, n))
+
+
+def pair_dual_alternating_homology(Z, n: int):
+    """Degree-n cohomology of the dual of the free alternating complex: the
+    transposed pair, in the opposite order."""
+    d_n, d_next = pair_alt_differentials(Z, n)
+    return homology_pair(d_next.transpose(), d_n.transpose())
+
+
+def pair_kernel_differentials(Z, n: int, transpose: bool) -> tuple:
+    """The raw boundaries into and out of degree n restricted to the
+    alternating kernels (or their transposes, the coboundaries out of and
+    into degree n), 0 above dim Z."""
+    A = {m: alternating_kernel(Z, m) for m in (n - 1, n, n + 1) if 0 <= m <= Z.dim}
+
+    def raw(m):  # the map between degrees m and m - 1, in its direction
+        d = boundary_matrix(Z.complex, m)
+        if transpose:
+            return restrict(d.transpose(), A[m - 1], A[m])
+        return restrict(d, A[m], A[m - 1])
+
+    width = A[n].cols
+    into = raw(n) if n >= 1 else None
+    out = raw(n + 1) if n + 1 <= Z.dim else None
+    if transpose:  # the coboundary out of degree n comes first
+        into, out = out, into
+    first = into if into is not None else IntMatrix(0, width)
+    return first, out if out is not None else IntMatrix(width, 0)
+
+
+def pair_alternating_homology_kernel(Z, n: int):
+    """Alternating homology of W^k or D^k in degree n, inside the raw chains."""
+    if n > Z.dim:
+        return HomologyGroup(0)
+    return homology_pair(*pair_kernel_differentials(Z, n, transpose=False))
+
+
+def pair_alternating_cochain_homology(Z, n: int):
+    """Degree-n cohomology of the alternating functionals on raw chains."""
+    if n > Z.dim:
+        return HomologyGroup(0)
+    return homology_pair(*pair_kernel_differentials(Z, n, transpose=True))

@@ -1,7 +1,18 @@
 import random
 
 import pytest
-from reference import alt_matrix, cell_bijection, is_alternating
+from reference import (
+    alt_matrix,
+    cell_bijection,
+    contains,
+    contains_subgroup,
+    is_alternating,
+    pair_alternating_cochain_homology,
+    pair_alternating_homology,
+    pair_alternating_homology_kernel,
+    pair_dual_alternating_homology,
+    pair_homology_of_complex,
+)
 
 from icss.alternating import (
     AltBasis,
@@ -13,8 +24,13 @@ from icss.alternating import (
     eps_last_matrix,
     rho_matrix,
 )
-from icss.complexes import boundary_matrix, pushforward_matrix
-from icss.errors import NotAlternating
+from icss.cohomology import (
+    alternating_cochain_homology,
+    dual_alternating_homology,
+    theta_matrix,
+)
+from icss.complexes import boundary_matrix, homology_of_complex, pushforward_matrix
+from icss.errors import DegreeOutOfRange, NotAlternating
 from icss.fixtures import FIXTURES, get_fixture, random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
 from icss.multiplicity import Tower, build_D, build_W, projection_eps
@@ -44,9 +60,9 @@ def test_alternating_characterization(fold):
         span = Subgroup(A.rows, A)
         for _ in range(20):
             v = [rng.randint(-2, 2) for _ in range(D2.n_simplices(n))]
-            assert is_alternating(D2, n, v) == span.contains(v)
+            assert is_alternating(D2, n, v) == contains(span, v)
         # image of the alternation operator lands in the kernel span
-        assert span.contains_subgroup(Subgroup(A.rows, alt_matrix(D2, n)))
+        assert contains_subgroup(span, Subgroup(A.rows, alt_matrix(D2, n)))
 
 
 def test_alt_basis_counts(fold, identity_map, double_cover):
@@ -80,18 +96,19 @@ def test_alt_basis_matches_alternation(maps):
     """to_raw_matrix, read off the product records, equals the alternation
     of each signed product representative."""
     for basis in alternating_bases(maps):
-        expected = alt_matrix(basis.Z, basis.n) @ basis.selector().transpose()
+        expected = alt_matrix(basis.Z, basis.n) @ theta_matrix(basis).transpose()
         assert basis.to_raw_matrix == expected
 
 
 def test_coordinates_gather_the_selector_rows(maps):
-    """coordinates(R) is selector() @ R, in rows of its own, for R the
-    alternation of every simplex."""
+    """coordinates(R) is theta_matrix @ R, the selector rows at the
+    generators' product simplices, in rows of its own, for R the alternation
+    of every simplex."""
     count = 0
     for basis in alternating_bases(maps):
         R = alt_matrix(basis.Z, basis.n)
         A = basis.coordinates(R)
-        assert A == basis.selector() @ R
+        assert A == theta_matrix(basis) @ R
         assert not any(a is r for a in A.data for r in R.data)
         count += 1
     assert count == 300
@@ -199,7 +216,7 @@ def test_eps_preserves_alternating(deep_map):
     A3 = alternating_kernel(D3, n)
     span2 = Subgroup(D2.n_simplices(n), alternating_kernel(D2, n))
     for j in range(A3.cols):
-        assert span2.contains(E.mul_vec(A3.column(j)))
+        assert contains(span2, E.mul_vec(A3.column(j)))
 
 
 def test_alt_veps_squares_to_zero(deep_map):
@@ -241,8 +258,64 @@ def test_alternating_homology_rp2_double_points(disc_to_rp2):
 
 
 def test_alternating_homology_k1_is_plain_homology(fold):
-    from icss.complexes import homology_of_complex
-
     D1 = Tower(fold).D(1)
     for n in range(fold.source.dim + 1):
         assert alternating_homology(D1, n) == homology_of_complex(fold.source, n)
+
+
+PAIR_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
+    ("random", seed) for seed in range(40)
+]
+
+
+@pytest.mark.parametrize("name, seed", PAIR_MAPS)
+def test_routines_match_the_pair_route(name, seed):
+    """Each routine reads its group off one reduction of a whole complex;
+    the reference reads it off the dense pair of differentials around the
+    degree.  Both agree on every D^k (and W^k for the kernel route) with
+    k <= k_max and every degree 0 <= n <= dim Y + 1."""
+    f = get_fixture(name, seed)
+    tower = Tower(f)
+    for k in range(1, tower.k_max() + 1):
+        D, W = tower.D(k), tower.W(k)
+        for n in range(f.target.dim + 2):
+            where = (name, seed, k, n)
+            assert alternating_homology(D, n) == pair_alternating_homology(D, n), where
+            assert dual_alternating_homology(D, n) == pair_dual_alternating_homology(D, n), where
+            for Z in (D, W):
+                assert alternating_homology_kernel(Z, n) == pair_alternating_homology_kernel(
+                    Z, n
+                ), (where, Z.kind)
+                assert alternating_cochain_homology(
+                    Z, n
+                ) == pair_alternating_cochain_homology(Z, n), (where, Z.kind)
+            if n <= D.dim:
+                assert homology_of_complex(D.complex, n) == pair_homology_of_complex(
+                    D.complex, n
+                ), where
+            else:
+                with pytest.raises(DegreeOutOfRange):
+                    homology_of_complex(D.complex, n)
+
+
+DEGREE_ROUTINES = {
+    "alternating_homology": alternating_homology,
+    "alternating_homology_kernel": alternating_homology_kernel,
+    "dual_alternating_homology": dual_alternating_homology,
+    "alternating_cochain_homology": alternating_cochain_homology,
+    "homology_of_complex": lambda Z, n: homology_of_complex(Z.complex, n),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_ROUTINES)
+def test_degrees_outside_the_complex(name, disc_to_rp2):
+    """Every routine refuses a negative degree.  Above dim D^2 the
+    alternating groups are 0, while ``homology_of_complex`` raises."""
+    routine, D2 = DEGREE_ROUTINES[name], build_D(disc_to_rp2, 2)
+    with pytest.raises(DegreeOutOfRange):
+        routine(D2, -1)
+    if name == "homology_of_complex":
+        with pytest.raises(DegreeOutOfRange):
+            routine(D2, D2.dim + 1)
+    else:
+        assert routine(D2, D2.dim + 1) == HomologyGroup(0)

@@ -13,11 +13,15 @@ dense total differential the reduction replaced: the pages from a ladder of
 rungs, each homology of a whole complex from one reduction of it.  The map
 fixes every grid bound and degree range, so no entry point takes one.
 What several checks of one map share is kept on its tower, never in a
-process-wide cache: no ``functools`` cache and no module-level memo.
+process-wide cache: no ``functools`` cache and no module-level memo.  A
+caller that shares data passes the data, so no parameter defaults to a
+function or a class.  Every (co)homology is read off one reduction of a
+whole complex, so no module calls the per-degree public routines.
 """
 
 import argparse
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -368,3 +372,67 @@ def g():
     for what in ("functools.lru_cache", "functools.cache", "module-level mapping",
                  "_MEMO[...] stored in f", "global _MORE"):
         assert any(what in line for line in found), (what, found)
+
+
+def callable_defaults(tree) -> list:
+    """Parameter defaults that name a function or a class: a lambda, a
+    module-level def or class, an imported name, a callable builtin, or an
+    attribute of one of those."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    bound.update(name for _, name in imported_names(tree))
+    bound.update(name for name in dir(builtins) if callable(getattr(builtins, name)))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+            base = default
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(default, ast.Lambda) or (
+                isinstance(base, ast.Name) and base.id in bound
+            ):
+                found.append(f"{default.lineno}: {ast.unparse(default)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_or_class_defaults(path):
+    """Shared data is passed as data: no parameter defaults to a getter."""
+    found = callable_defaults(ast.parse(path.read_text()))
+    assert not found, f"{path.name} has function or class defaults: {found}"
+
+
+def test_callable_default_scan_finds_each_kind():
+    src = """
+from x import helper
+class Basis: ...
+def f(a, b=Basis, *, c=helper, d=lambda: 0, e=sorted, g=helper.attr, h=None, i=3): ...
+"""
+    found = callable_defaults(ast.parse(src))
+    assert [line.split(": ", 1)[1] for line in found] == [
+        "Basis", "helper", "lambda: 0", "sorted", "helper.attr"
+    ], found
+
+
+# each takes one degree of one space; inside the package every (co)homology
+# is read off one reduction of a whole complex instead
+PER_DEGREE_ROUTINES = {
+    "alternating_homology",
+    "alternating_homology_kernel",
+    "dual_alternating_homology",
+    "alternating_cochain_homology",
+    "homology_of_complex",
+}
+
+
+def test_no_per_degree_homology_calls():
+    found = [
+        (path.name, *call)
+        for path in MODULES
+        for call in calls_named(ast.parse(path.read_text()), PER_DEGREE_ROUTINES)
+    ]
+    assert not found, f"per-degree homology called inside the package: {found}"

@@ -226,6 +226,36 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     assert ("kernel", "W", 2, 0) in calls and ("basis", "D", 2, 0) in calls, calls
 
 
+def test_run_all_restricts_each_raw_boundary_once(disc_to_rp2, monkeypatch):
+    """One run_all restricts each raw boundary to the alternating kernels
+    once per space and degree: each space's kernel-route complex is built
+    once, and every degree is read off one reduction of it."""
+    from collections import Counter
+
+    import icss.alternating as alternating
+    import icss.verify as verify
+
+    space_of = {}  # id of a kernel -> (kind, k, degree)
+    real_kernel, real_restrict = verify.alternating_kernel, alternating.restrict
+
+    def kernel(Z, n):
+        A = real_kernel(Z, n)
+        space_of[id(A)] = (Z.kind, Z.k, n)
+        return A
+
+    restricted = Counter()
+
+    def restrict(M, src, tgt):
+        restricted[space_of[id(src)]] += 1
+        return real_restrict(M, src, tgt)
+
+    monkeypatch.setattr(verify, "alternating_kernel", kernel)
+    monkeypatch.setattr(alternating, "restrict", restrict)
+    assert all(r.passed for r in run_all(disc_to_rp2))
+    assert restricted and max(restricted.values()) == 1, restricted
+    assert set(restricted) == {key for key in space_of.values() if key[2] >= 1}, restricted
+
+
 def test_run_all_frees_its_towers_without_the_cycle_collector(disc_to_rp2, monkeypatch):
     """What the checks keep on a tower refers to no tower, so every tower
     and space of a run is freed by reference counting alone."""
