@@ -11,7 +11,12 @@ from .complexes import (
     pushforward_matrix,
     validate_map,
 )
-from .alternating import AltBasis, alternating_homology, alternating_homology_kernel
+from .alternating import (
+    AltBasis,
+    alternating_homology,
+    alternating_homology_kernel,
+    rho_matrix,
+)
 from .cohomology import (
     alt_star_matrix,
     alternating_cochain_homology,
@@ -59,4 +64,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

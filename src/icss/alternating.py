@@ -27,6 +27,7 @@ from .intlinalg import (
 from .multiplicity import (
     MultiplePointComplex,
     SkElement,
+    Tower,
     ordered_lifts,
     projection_eps,
     sk_matrix,
@@ -111,6 +112,13 @@ class AltBasis:
         if self.to_raw_matrix @ A != R:
             raise NotAlternating("a column is not an alternating chain")
         return A
+
+
+def alt_basis(tower: Tower, Z: MultiplePointComplex, n: int) -> AltBasis:
+    """The alternating basis of the tower's space Z in degree n, built at the
+    first call and kept on the tower (``Tower.memo``), so that the Alt grid
+    and the checks of one map share it."""
+    return tower.memo(("basis", Z.kind, Z.k, n), lambda: AltBasis(Z, n))
 
 
 def rho_columns(Z: MultiplePointComplex, n: int) -> list:

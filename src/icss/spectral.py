@@ -15,12 +15,13 @@ sequences; filtering by rows (q) gives the collapsing one whose second page
 is already the homology of the image.  Pages are read off a ladder of
 reductions of the total complex (``intlinalg.reduce_complex``): rung g
 cancels the unit pairs admissible at level gap g, which changes no page
-r >= g + 1, no limit and no homology.  Page 1 is read off rung 0 (only
-pairs of equal level cancelled), page r off rung r - 1, and the limit page,
-its graded pieces and the total homology off the top rung, where the gap is
-the largest level L and every admissible pair is cancelled.  The cycle and
-boundary subgroups of a page are taken on its rung, with exact integer
-arithmetic.
+r >= g + 1, no limit and no homology.  Page 1 is the homology of the level
+pieces of rung 0 (only pairs of equal level cancelled), each piece reduced
+once for all its degrees; page r >= 2 is read off rung r - 1, and the limit
+page, its graded pieces and the total homology off the top rung, where the
+gap is the largest level L and every admissible pair is cancelled.  From
+page 2 on, the cycle and boundary subgroups of a page are taken on its
+rung, with exact integer arithmetic.
 
 How the usual symbols of the subject map onto this module:
 
@@ -30,7 +31,8 @@ How the usual symbols of the subject map onto this module:
 - F^s: the cells ``SpectralSequence._coords_leq(n, s, g)`` of rung g
 - Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r, g)``, on rung g
 - E^r_{p,q}: ``SpectralSequence.page_group`` at the filtration spot of the
-  cell (p, q), read off rung min(r - 1, L)
+  cell (p, q): for r = 1 the homology of the level piece F_s / F_{s-1} of
+  rung 0, for r >= 2 read off rung min(r - 1, L)
 - d^r: not emitted; ``page_group`` gives each page's groups, read off rung
   r - 1, which keeps page r and its differential
 - E^infinity_{p,q}: ``SpectralSequence.infinity_group`` (page L + 1)
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import AltBasis, alt_columns, alt_veps_matrix
+from .alternating import alt_basis, alt_columns, alt_veps_matrix
 from .complexes import SimplicialMap
 from .errors import DegreeOutOfRange, NotAComplex, TruncationInsufficient
 from .intlinalg import (
@@ -129,9 +131,10 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
     tuple a of p+1 indices into delta's lifts, in Y's order and then
     lexicographically, and d_h, d_v are ``LiftTable.face_columns`` and
     ``LiftTable.transfer_columns`` (see ``LiftTable`` for the orientation).
-    The Alt blocks are alternating matrices on the D^k: each column's d_h
-    is its alternating chain complex (``alt_columns``), and each d_v block
-    is converted to columns once.
+    The Alt blocks are alternating matrices on the D^k, in the bases the
+    tower keeps (``alt_basis``), which the checks of ``verify`` share: each
+    column's d_h is its alternating chain complex (``alt_columns``), and
+    each d_v block is converted to columns once.
     """
     q_max = tower.f.target.dim
     ranks, h_cols, v_cols = {}, {}, {}
@@ -151,7 +154,7 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
         for p in range(p_max + 1):
             Z = tower.D(p + 1)
             for q in range(q_max + 1):
-                bases[(p, q)] = AltBasis(Z, q)
+                bases[(p, q)] = alt_basis(tower, Z, q)
                 ranks[(p, q)] = bases[(p, q)].n_gens
         for p in range(p_max + 1):
             d_h = alt_columns([bases[(p, q)] for q in range(q_max + 1)])
@@ -209,6 +212,7 @@ class SpectralSequence:
         self._rungs = {}
         self._cycles = {}
         self._pages = {}
+        self._pieces = {}  # _level_homology's, by filtration level
         self._total = {}
         self._column_homology = {}  # page_one_oracle's, by column
         self.rung(0)
@@ -316,8 +320,9 @@ class SpectralSequence:
 
     def page_group(self, r: int, s: int, t: int) -> HomologyGroup:
         """The group at filtration spot (s, t) of page r: the cell rank on
-        page 0, and Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}) on rung
-        r - 1 from page 1 on."""
+        page 0, H_{s+t} of the level-s piece of rung 0 on page 1
+        (``_level_homology``), and Z^r_s / (Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1})
+        on rung r - 1 from page 2 on."""
         if r < 0:
             raise DegreeOutOfRange("page index must be nonnegative")
         n = s + t
@@ -329,6 +334,8 @@ class SpectralSequence:
         if r == 0:
             cell = (s, t) if self.filtration == "columns" else (t, s)
             grp = HomologyGroup(self.dc.rank(*cell))
+        elif r == 1:
+            grp = self._level_homology(s).get(n, HomologyGroup(0))
         else:
             g = r - 1
             Z = self.cycle_subgroup(n, s, r, g)
@@ -338,8 +345,8 @@ class SpectralSequence:
                 if up.rank:
                     cells = self._coords_leq(n + 1, s + r - 1, g)
                     if up.rank == len(cells):
-                        # the restricted boundary is zero (always so on page
-                        # 1), so up is these cells and D's columns span D(up)
+                        # the restricted boundary is zero, so up is these
+                        # cells and D's columns span D(up)
                         columns = self.rung(g)[0].columns[n + 1]
                         image = IntMatrix.from_sparse(
                             [columns[j] for j in cells], self.tot_rank(n, g)
@@ -350,6 +357,30 @@ class SpectralSequence:
             grp = subgroup_quotient(Z, B)
         self._pages[key] = grp
         return grp
+
+    def _level_homology(self, s: int) -> dict:
+        """{n: H_n} of the level-s piece F_s / F_{s-1} of rung 0: its cells
+        of level exactly s under the entries of D that stay at level s.
+
+        Every degree comes off one reduction of the piece, built from fresh
+        dicts since the reduction consumes them and the higher rungs read
+        rung 0 again.  A filtered D with D^2 = 0, which the grid's identity
+        checks guarantee, gives a piece that squares to zero, so no d∘d
+        check is made."""
+        if s not in self._pieces:
+            D, levels = self.rung(0)
+            pos = []  # per degree: rung-0 index of each cell of level s -> its index in the piece
+            for level_n in levels:
+                cells = [j for j, level in enumerate(level_n) if level == s]
+                pos.append({j: k for k, j in enumerate(cells)})
+            columns = [[{} for _ in pos[0]]]
+            for n in range(1, len(pos)):
+                rows, cols = pos[n - 1], D.columns[n]
+                columns.append(
+                    [{rows[i]: a for i, a in cols[j].items() if i in rows} for j in pos[n]]
+                )
+            self._pieces[s] = homology_by_reduction(columns, range(len(pos)))
+        return self._pieces[s]
 
     def _stable_r(self) -> int:
         """First page index at which every spot has stabilized.

@@ -24,14 +24,13 @@ from itertools import combinations, product as iproduct
 from math import comb
 
 from .alternating import (
-    AltBasis,
+    alt_basis,
     alt_columns,
     alt_veps_matrix,
     alternating_kernel,
     eps_last_matrix,
     kernel_columns,
     rho_columns,
-    rho_matrix,
 )
 from .complexes import SimplicialMap, pushforward_matrix
 from .errors import NotAComplex
@@ -58,11 +57,6 @@ def _subgroups_equal(A_cols: IntMatrix, B_cols: IntMatrix) -> bool:
     return Subgroup(rows, A_cols) == Subgroup(rows, B_cols)
 
 
-def _alt_basis(tower: Tower, Z, n: int) -> AltBasis:
-    """The alternating basis of the tower's space Z in degree n."""
-    return tower.memo(("basis", Z.kind, Z.k, n), lambda: AltBasis(Z, n))
-
-
 def _alt_kernel(tower: Tower, Z, n: int) -> IntMatrix:
     """The alternating degree-n chains of the tower's space Z."""
     return tower.memo(("kernel", Z.kind, Z.k, n), lambda: alternating_kernel(Z, n))
@@ -76,7 +70,7 @@ def _alt_homology(tower: Tower, Z, route: str) -> dict:
     def make():
         degrees = range(Z.dim + 1)
         if route == "basis":
-            columns = alt_columns([_alt_basis(tower, Z, m) for m in degrees])
+            columns = alt_columns([alt_basis(tower, Z, m) for m in degrees])
         else:
             columns = kernel_columns(Z, [_alt_kernel(tower, Z, m) for m in degrees])
         return chain_homology(columns, degrees)
@@ -179,7 +173,8 @@ def _tie_to_chain_level(rep, tower, n, k_top):
     """The W grid's transfer columns, read off the lift table and twisted
     back by (-1)^n, are rho on raw chains: rho of each listed cell's raw
     simplex is its transfer column carried to raw chains by the listing
-    parities (k = 1 lands on Y)."""
+    parities (k = 1 lands on Y).  k_top is at least 2, so the first
+    transfer's raw columns are at hand for the kernel-image check."""
     f, lifts = tower.f, tower.lifts
     twist = -1 if n % 2 else 1
     below = [(row, 1) for row in range(f.target.n_simplices(n))]  # Y itself
@@ -187,6 +182,8 @@ def _tie_to_chain_level(rep, tower, n, k_top):
         Zk = tower.W(k)
         listing = _listing(Zk, n)
         rho = rho_columns(Zk, n)
+        if k == 2:
+            img = IntMatrix.from_sparse(rho, f.source.n_simplices(n))
         image = [{i: sign * a for i, a in rho[raw].items()} for raw, sign in listing]
         mapped = [
             {below[r][0]: below[r][1] * twist * a for r, a in col.items()}
@@ -196,7 +193,6 @@ def _tie_to_chain_level(rep, tower, n, k_top):
             rep.fail("listing-model-mismatch", k)
         below = listing
     # kernel of the augmentation is exactly the image of the first transfer
-    img = rho_matrix(tower.W(2), n)
     if not _subgroups_equal(img, _pushforward_kernel(tower, n)):
         rep.fail("global-kernel-image")
 
@@ -252,7 +248,7 @@ def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
     rep = VerificationReport(f"D-row-exact n={n}")
     f = tower.f
     N_max = tower.k_max()
-    bases = {k: _alt_basis(tower, tower.D(k), n) for k in range(1, N_max + 1)}
+    bases = {k: alt_basis(tower, tower.D(k), n) for k in range(1, N_max + 1)}
     eps_alt = {
         k: alt_veps_matrix(bases[k], bases[k - 1]) for k in range(2, N_max + 1)
     }
@@ -311,7 +307,7 @@ def check_D2_kernel(
     rep = VerificationReport(f"D2-kernel n={n}")
     f = tower.f
     D2 = tower.D(2)
-    basis = _alt_basis(tower, D2, n)
+    basis = alt_basis(tower, D2, n)
     K = _pushforward_kernel(tower, n)
     proj = eps_last_matrix(D2, n) @ basis.to_raw_matrix
     if not _subgroups_equal(proj, K):
@@ -425,7 +421,7 @@ def run_all(f: SimplicialMap, seed: int = 0) -> list:
     rep = VerificationReport("cochain-round-trip")
     for k in range(1, tower.k_max() + 1):
         for n in range(top + 1):
-            basis = _alt_basis(tower, tower.D(k), n)
+            basis = alt_basis(tower, tower.D(k), n)
             if basis.n_gens == 0:
                 continue
             R = theta_matrix(basis)

@@ -354,10 +354,10 @@ def test_page_one_oracle_composes_no_square(disc_to_rp2, monkeypatch):
 
 
 def test_page_one_forms_no_product(disc_to_rp2, monkeypatch):
-    """On page 1 the boundary of the cells up to a level has no entry above
-    it, so the boundary term is those cells' columns of rung 0: ``spectral``
-    multiplies no matrices for it (the products counted are those made by
-    spectral itself, not the back-substitution inside intlinalg's solve)."""
+    """Page 1 is the homology of the level pieces of rung 0, each read off
+    one reduction: ``spectral`` multiplies no matrices for it (the products
+    counted are those made by spectral itself, not those inside intlinalg's
+    homology)."""
     import sys
 
     products = []
@@ -376,6 +376,39 @@ def test_page_one_forms_no_product(disc_to_rp2, monkeypatch):
                 ss.page_group(1, s, n - s)
         monkeypatch.undo()
     assert products == []
+
+
+def test_page_one_reduces_each_level_piece_once(disc_to_rp2, monkeypatch):
+    """Both reports and both collapse checks read page 1 off the level
+    pieces of rung 0: no cycle subgroup of rung 0 is stored, and each
+    sequence reduces each level's piece once."""
+    import sys
+    from collections import Counter
+
+    import icss.spectral as spectral
+
+    pieces = Counter()
+    real = spectral.homology_by_reduction
+
+    def counting(columns, degrees):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_level_homology":
+            pieces[(id(caller.f_locals["self"]), caller.f_locals["s"])] += 1
+        return real(columns, degrees)
+
+    monkeypatch.setattr(spectral, "homology_by_reduction", counting)
+    tower = Tower(disc_to_rp2)
+    reported = [icss(disc_to_rp2), gvzss(disc_to_rp2)]
+    for ss, name in zip(reported, ("ICSS", "GVZSS")):
+        assert spectral.make_report(ss, name).converged
+    collapsing = [first_ss(tower, "Alt"), first_ss(tower, "W")]
+    for ss in collapsing:
+        assert check_collapse_first(ss).ok
+    for ss in reported + collapsing:
+        assert ss.top_gap > 0
+        assert not [key for key in ss._cycles if key[3] == 0], ss.dc.kind
+        assert {s for i, s in pieces if i == id(ss)} == set(ss._pieces)
+    assert pieces and max(pieces.values()) == 1, pieces
 
 
 def test_w_grid_validates_no_map(disc_to_rp2, monkeypatch):

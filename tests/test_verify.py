@@ -197,10 +197,13 @@ def test_d_row_fails_on_a_flipped_sign(fold, monkeypatch):
 
 def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     """One run_all builds each alternating basis and alternating kernel once
-    per space and degree, and checks each row lemma once per lift count."""
+    per space and degree, and checks each row lemma once per lift count.
+    Every ``AltBasis`` is counted, so the bases of the collapse check's Alt
+    grid count too: the grid reads the ones the other checks built."""
     from collections import Counter
 
     import icss.verify as verify
+    from icss.alternating import AltBasis
 
     calls = Counter()
 
@@ -212,7 +215,8 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
         return wrapper
 
     space = lambda Z, n: (Z.kind, Z.k, n)  # noqa: E731
-    monkeypatch.setattr(verify, "AltBasis", counting("basis", verify.AltBasis, space))
+    built = counting("basis", AltBasis.__init__, lambda self, Z, n: space(Z, n))
+    monkeypatch.setattr(AltBasis, "__init__", built)
     kernel = counting("kernel", verify.alternating_kernel, space)
     monkeypatch.setattr(verify, "alternating_kernel", kernel)
     monkeypatch.setattr(verify, "_w_row", counting("W-row", verify._w_row, lambda t, N, k: (N,)))
@@ -224,6 +228,28 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
         assert {key[1] for key in calls if key[0] == name} == counts, calls
     assert {key[0] for key in calls} == {"basis", "kernel", "W-row", "D-row"}, calls
     assert ("kernel", "W", 2, 0) in calls and ("basis", "D", 2, 0) in calls, calls
+
+
+def test_run_all_forms_each_raw_transfer_once(disc_to_rp2, monkeypatch):
+    """The W-row check ties the grid's transfer to the raw one and checks
+    the first transfer's image against the pushforward's kernel, reading
+    one raw transfer per space and degree."""
+    from collections import Counter
+
+    import icss.alternating as alternating
+    import icss.verify as verify
+
+    formed = Counter()
+    real = alternating.rho_columns
+
+    def counting(Z, n):
+        formed[(Z.kind, Z.k, n)] += 1
+        return real(Z, n)
+
+    for module in (alternating, verify):
+        monkeypatch.setattr(module, "rho_columns", counting)
+    assert all(r.passed for r in run_all(disc_to_rp2))
+    assert ("W", 2, 0) in formed and max(formed.values()) == 1, formed
 
 
 def test_run_all_restricts_each_raw_boundary_once(disc_to_rp2, monkeypatch):
