@@ -3,7 +3,7 @@ a path m - z - p folded onto a single edge, so the two endpoints m, p land
 on top of each other.  Run with  python demos/fold_walkthrough.py
 """
 
-from icss import build_D, build_W, get_fixture, icss
+from icss import Tower, get_fixture, icss
 from icss.alternating import AltBasis, rho_matrix
 from icss.multiplicity import ordered_lifts
 
@@ -16,8 +16,9 @@ print("target:", Y)
 edge = (0, 1)
 print("\nordered lifts of the edge", [tuple(X.labels[v] for v in t) for t in ordered_lifts(f, edge)])
 
-W2 = build_W(f, 2)
-D2 = build_D(f, 2)
+tower = Tower(f)
+W2 = tower.W(2)
+D2 = tower.D(2)
 print("\nW^2 has", W2.n_simplices(0), "vertices and", W2.n_simplices(1), "edges")
 print("D^2 has", D2.n_simplices(0), "vertices and", D2.n_simplices(1), "edges")
 print("W^2 vertices:", W2.vertex_tuples)

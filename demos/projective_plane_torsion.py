@@ -5,7 +5,7 @@ slot swap, whose alternating homology in degree zero is Z/2.
 Run with  python demos/projective_plane_torsion.py
 """
 
-from icss import build_D, get_fixture, homology_of_complex, icss
+from icss import Tower, get_fixture, homology_of_complex, icss
 from icss.alternating import alternating_homology
 
 f = get_fixture("disc_to_rp2")
@@ -14,7 +14,7 @@ print("image complex:", Y)
 for n in range(Y.dim + 1):
     print(f"  H_{n}(Y) = {homology_of_complex(Y, n)}")
 
-D2 = build_D(f, 2)
+D2 = Tower(f).D(2)
 print("\ndouble-point space:", D2.complex)
 print("it is a circle:", [homology_of_complex(D2.complex, n) for n in range(2)])
 print("alternating homology under the slot swap:")

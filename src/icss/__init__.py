@@ -18,11 +18,9 @@ from .alternating import (
     rho_matrix,
 )
 from .cohomology import (
-    alt_star_matrix,
     alternating_cochain_homology,
     cochain_homology,
     dual_alternating_homology,
-    theta_matrix,
 )
 from .errors import IcssError
 from .fixtures import FIXTURES, fixture_names, get_fixture
@@ -36,15 +34,7 @@ from .intlinalg import (
     subgroup_quotient,
 )
 from .io import MapDocument, document_from_map, emit_map, emit_report, parse_map
-from .multiplicity import (
-    MultiplePointComplex,
-    SkElement,
-    Tower,
-    build_D,
-    build_W,
-    ordered_lifts,
-    projection_eps,
-)
+from .multiplicity import MultiplePointComplex, Tower, ordered_lifts, projection_eps
 from .spectral import (
     DoubleComplex,
     SpectralSequence,
@@ -64,4 +54,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -1,20 +1,21 @@
 """Alternating chains on the multiple-point spaces and the maps between them.
 
-The symmetric group permuting the k slots of W^k and D^k acts on chains;
-the alternating part (sigma acts by its sign) has, on D^k, a concrete free
-basis: one generator per Y-simplex and per increasing k-subset of its
-ordered lifts.  This module builds that basis, converts between raw and
-alternating coordinates, and assembles the transfer maps rho (signed sum of
-slot projections) and the last-slot projection used on alternating chains.
+The symmetric group permuting the k slots of W^k and D^k acts on chains,
+reordering the lift tuple of each product simplex; the alternating part
+(sigma acts by its sign) has, on D^k, a concrete free basis: one generator
+per Y-simplex and per increasing k-subset of its ordered lifts.  This
+module builds that basis, converts between raw and alternating coordinates,
+and assembles the transfer maps rho (signed sum of slot projections) and the
+last-slot projection used on alternating chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import neg
 
-from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
+from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex, sort_sign
 from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
 from .intlinalg import (
     HomologyGroup,
@@ -24,27 +25,25 @@ from .intlinalg import (
     restrict,
     sparse_columns,
 )
-from .multiplicity import (
-    MultiplePointComplex,
-    SkElement,
-    Tower,
-    ordered_lifts,
-    projection_eps,
-    sk_matrix,
-)
+from .multiplicity import MultiplePointComplex, Tower, ordered_lifts, projection_eps
 
 
 def alternating_kernel(Z: MultiplePointComplex, n: int) -> IntMatrix:
     """Basis (columns) of the alternating subgroup of the degree-n chains,
-    computed as the integer kernel of the stacked swap conditions."""
+    computed as the integer kernel of the stacked swap conditions: for each
+    pair of adjacent slots, the chain plus its image under exchanging them
+    is zero."""
     m = Z.n_simplices(n)
     if Z.k == 1:
         return IntMatrix.identity(m)
-    ident = IntMatrix.identity(m)
     rows: list = []
     for i in range(Z.k - 1):
-        sigma = SkElement.transposition(Z.k, i, i + 1)
-        rows.extend((sk_matrix(Z, sigma, n) + ident).data)
+        swap = [Z.tuple_index[t[:i] + (t[i + 1], t[i]) + t[i + 2 :]] for t in Z.vertex_tuples]
+        block = IntMatrix.identity(m)
+        for j, s in enumerate(Z.simplices(n)):
+            sign, image = pushforward_simplex(swap, s)
+            block.data[Z.index(image)][j] += sign
+        rows.extend(block.data)
     return kernel_basis(IntMatrix(len(rows), m, rows))
 
 
@@ -66,11 +65,12 @@ class AltBasis:
     the lifts indexed by I, normalized by the listing parity so that raw
     coordinates are recovered by a plain signed lookup at the product simplex.
 
-    Sign rule: a slot permutation sigma carries the product of the lifts L
-    onto the product of sigma(L), and the record ``rec`` of sigma(L) holds the
-    parity of its listing.  Column g of ``to_raw_matrix`` therefore has the
-    entry ``sigma.sign * rec.sign`` at ``rec.canonical`` for each sigma in
-    S_k, read straight off ``Z.products``.
+    Sign rule: a slot permutation carries the product of g's increasing lifts
+    onto the product of a reordering ``lifts`` of them, whose record ``rec``
+    holds the parity of its listing; the permutation's sign is
+    ``sort_sign(lifts)``.  Column g of ``to_raw_matrix`` therefore has the
+    entry ``sort_sign(lifts) * rec.sign`` at ``rec.canonical`` for each
+    reordering, read straight off ``Z.products``.
     """
 
     def __init__(self, Z: MultiplePointComplex, n: int):
@@ -87,12 +87,11 @@ class AltBasis:
         self._by_delta: dict = {}
         for idx, g in enumerate(self.gens):
             self._by_delta.setdefault(g.delta, []).append(idx)
-        perms = SkElement.all(Z.k)
         self.to_raw_matrix = IntMatrix(Z.n_simplices(n), self.n_gens)
         for j, g in enumerate(self.gens):
-            for sigma in perms:
-                rec = Z.products[(g.delta, sigma.apply_tuple(g.lifts))]
-                self.to_raw_matrix.data[Z.index(rec.canonical)][j] += sigma.sign * rec.sign
+            for lifts in permutations(g.lifts):
+                rec = Z.products[(g.delta, lifts)]
+                self.to_raw_matrix.data[Z.index(rec.canonical)][j] += sort_sign(lifts) * rec.sign
 
     def gens_over(self, delta) -> list:
         """Indices of the generators lying over the Y-simplex delta."""
@@ -102,8 +101,9 @@ class AltBasis:
         """Alternating coordinates of the raw columns of R; raises
         NotAlternating unless every column is an alternating chain.
 
-        Row g is R's row at g's product simplex times ``g.sign``: the rows of
-        ``cohomology.theta_matrix(self) @ R``, gathered without the product."""
+        Row g is R's row at g's product simplex times ``g.sign``: the value
+        of an alternating chain on each generator, gathered from its raw
+        coordinates.  ``coordinates(to_raw_matrix)`` is the identity."""
         rows = []
         for g in self.gens:
             row = R.data[self.Z.index(g.canonical)]
@@ -148,11 +148,6 @@ def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
     return IntMatrix.from_sparse(rho_columns(Z, n), rows)
 
 
-def eps_last_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """Last-slot projection on raw chains (to Y when k = 1)."""
-    return pushforward_matrix(projection_eps(Z, Z.k), n)
-
-
 def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMatrix:
     """Simplicial boundary in alternating coordinates (degree n to n-1)."""
     Z, n = basis_n.Z, basis_n.n
@@ -178,7 +173,9 @@ def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
     if basis_tgt.n != basis_src.n or basis_tgt.Z.k != Z.k - 1:
         raise DegreeOutOfRange("target basis must have multiplicity k-1, same degree")
     n = basis_src.n
-    A = basis_tgt.coordinates(eps_last_matrix(Z, n) @ basis_src.to_raw_matrix)
+    A = basis_tgt.coordinates(
+        pushforward_matrix(projection_eps(Z, Z.k), n) @ basis_src.to_raw_matrix
+    )
     return A if n % 2 == 0 else A.scaled(-1)
 
 

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .complexes import homology_groups
-from .errors import ComplexMismatch, DegreeOutOfRange, IcssError
+from .errors import ComplexMismatch, IcssError
 from .fixtures import fixture_names, get_fixture
 from .io import (
     document_from_map,
@@ -81,16 +81,10 @@ def cmd_build(args) -> int:
 
 def cmd_homology(args) -> int:
     f = _load_map(args.file)
-    q_top = args.q_max if args.q_max is not None else max(f.source.dim, f.target.dim)
-    if q_top < 0:
-        raise DegreeOutOfRange(f"--q-max {q_top} must be >= 0")
-    payload = {"x": {}, "y": {}}
-    h_x, h_y = homology_groups(f.source), homology_groups(f.target)
-    for n in range(q_top + 1):
-        if n <= f.source.dim:
-            payload["x"][f"H_{n}"] = group_json(h_x[n])
-        if n <= f.target.dim:
-            payload["y"][f"H_{n}"] = group_json(h_y[n])
+    payload = {
+        side: {f"H_{n}": group_json(g) for n, g in enumerate(homology_groups(K))}
+        for side, K in (("x", f.source), ("y", f.target))
+    }
     sys.stdout.write(emit_report(payload, args.format))
     return 0
 
@@ -192,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("homology", cmd_homology, help="integral homology of source and target")
     p.add_argument("file")
-    p.add_argument("--q-max", type=int, default=None)
 
     p = add("icss", cmd_icss, help="image-computing spectral sequence report")
     p.add_argument("file")

@@ -3,17 +3,17 @@
 Everything is finite rank, so a cochain is just a coordinate vector against
 the canonical chain basis and dualizing a complex transposes its matrices.
 Two models of the alternating cochains are carried: functionals on the free
-alternating basis of D^k, and alternating functionals on raw chains.  The
-two are identified by a pair of mutually inverse matrices: precomposition
-with the alternation operator one way, evaluation on the basis
-representatives the other.
+alternating basis of D^k (the dual of ``alt_columns``), and alternating
+functionals on raw chains (the transposed raw boundary restricted to
+``alternating_kernel``).  The two cohomologies are computed independently,
+so a test can compare them.
 """
 
 from __future__ import annotations
 
 from .alternating import AltBasis, alt_columns, alternating_kernel, complex_degrees
-from .complexes import boundary_matrix, sort_sign
-from .intlinalg import HomologyGroup, IntMatrix, chain_homology, restrict, sparse_columns
+from .complexes import boundary_matrix
+from .intlinalg import HomologyGroup, chain_homology, restrict, sparse_columns
 from .multiplicity import MultiplePointComplex
 
 
@@ -40,37 +40,6 @@ def cochain_homology(columns: list, degrees) -> dict:
     top = len(columns) - 1
     groups = chain_homology(columns[::-1], [top - n for n in degrees])
     return {n: groups[top - n] for n in degrees}
-
-
-def alt_star_matrix(basis: AltBasis) -> IntMatrix:
-    """Precomposition with the alternation operator: a functional on the
-    alternating basis becomes an alternating functional on raw chains.
-
-    Returns the raw_rank x basis_rank matrix applied to coordinate vectors
-    of such functionals.  Alternating the product simplex of the lifts L
-    gives the generator of sorted(L), up to the listing parity and the sign
-    of the sort, so each product record over a degree-n Y-simplex fills one
-    entry and every other raw simplex alternates to zero.
-    """
-    Z, n = basis.Z, basis.n
-    col = {(g.delta, g.lifts): j for j, g in enumerate(basis.gens)}
-    T = IntMatrix(Z.n_simplices(n), basis.n_gens)
-    for (delta, lifts), rec in Z.products.items():
-        if len(delta) == n + 1:
-            j = col[(delta, tuple(sorted(lifts)))]
-            T.data[Z.index(rec.canonical)][j] = rec.sign * sort_sign(lifts)
-    return T
-
-
-def theta_matrix(basis: AltBasis) -> IntMatrix:
-    """Evaluation of an alternating raw functional on the signed product
-    representatives of the basis generators (row g is ``g.sign`` at g's
-    product simplex); inverse to alt_star."""
-    Z = basis.Z
-    R = IntMatrix(basis.n_gens, Z.n_simplices(basis.n))
-    for row, g in zip(R.data, basis.gens):
-        row[Z.index(g.canonical)] = g.sign
-    return R
 
 
 def alternating_cochain_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:

@@ -3,10 +3,11 @@
 For a finite surjective simplicial map f: X -> Y, the k-fold fibre product
 W^k carries a triangulation whose top simplices are products of k ordered
 lifts of a common Y-simplex; D^k is the sub-triangulation coming from
-pairwise distinct lifts.  Both come with component-forgetting projections
-and the symmetric-group action permuting slots.  The chains of W^k and its
-boundary and transfer are also read straight off the lifts of each
-Y-simplex (``LiftTable``), without building W^k.
+pairwise distinct lifts.  Both come with component-forgetting projections;
+the symmetric group acts by permuting slots, that is, by reordering the
+lift tuple of each product.  The chains of W^k and its boundary and
+transfer are also read straight off the lifts of each Y-simplex
+(``LiftTable``), without building W^k.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .complexes import (
     sort_sign,
 )
 from .errors import ComplexMismatch, DegreeOutOfRange, InvalidIndex, InvalidMultiplicity
-from .intlinalg import HomologyGroup, IntMatrix
+from .intlinalg import HomologyGroup
 
 
 def ordered_lifts(f: SimplicialMap, delta) -> list:
@@ -327,14 +328,6 @@ class Tower:
         return self._k_max
 
 
-def build_W(f: SimplicialMap, k: int) -> MultiplePointComplex:
-    return Tower(f).W(k)
-
-
-def build_D(f: SimplicialMap, k: int) -> MultiplePointComplex:
-    return Tower(f).D(k)
-
-
 def projection_eps(Z: MultiplePointComplex, i: int) -> SimplicialMap:
     """The simplicial projection forgetting the i-th slot (1-based) onto the
     space one multiplicity down, ``Z.below``, as a validated map: vertex v
@@ -349,73 +342,3 @@ def projection_eps(Z: MultiplePointComplex, i: int) -> SimplicialMap:
         drop = [index[t[: i - 1] + t[i:]] for t in Z.vertex_tuples]
         Z.eps[i] = SimplicialMap(Z.complex, Z.below.complex, enumerate(drop))
     return Z.eps[i]
-
-
-@dataclass(frozen=True)
-class SkElement:
-    """Element of the symmetric group on the k slots, with its sign."""
-
-    perm: tuple  # perm[i] = sigma(i), 0-based
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise InvalidIndex(f"not a permutation: {self.perm}")
-
-    @property
-    def k(self) -> int:
-        return len(self.perm)
-
-    @property
-    def sign(self) -> int:
-        return sort_sign(self.perm)
-
-    def inverse(self) -> "SkElement":
-        inv = [0] * self.k
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return SkElement(tuple(inv))
-
-    def apply_tuple(self, t: tuple) -> tuple:
-        """Left action on slot tuples: slot sigma(i) of the result is slot i."""
-        out = [None] * self.k
-        for i, j in enumerate(self.perm):
-            out[j] = t[i]
-        return tuple(out)
-
-    @staticmethod
-    def identity(k: int) -> "SkElement":
-        return SkElement(tuple(range(k)))
-
-    @staticmethod
-    def transposition(k: int, i: int, j: int) -> "SkElement":
-        p = list(range(k))
-        p[i], p[j] = p[j], p[i]
-        return SkElement(tuple(p))
-
-    @staticmethod
-    def all(k: int):
-        return [SkElement(p) for p in permutations(range(k))]
-
-
-def sk_vertex_map(Z: MultiplePointComplex, sigma: SkElement) -> dict:
-    if sigma.k != Z.k:
-        raise InvalidIndex(f"permutation degree {sigma.k} != multiplicity {Z.k}")
-    vmap = {}
-    for v, t in enumerate(Z.vertex_tuples):
-        image = sigma.apply_tuple(t)
-        if image not in Z.tuple_index:
-            raise ComplexMismatch(f"slot permutation moves vertex {t} out of the complex")
-        vmap[v] = Z.tuple_index[image]
-    return vmap
-
-
-def sk_matrix(Z: MultiplePointComplex, sigma: SkElement, n: int):
-    """Matrix of the sigma-action on degree-n chains in the canonical basis."""
-    vmap = sk_vertex_map(Z, sigma)
-    basis = Z.simplices(n)
-    M = IntMatrix(len(basis), len(basis))
-    for jcol, s in enumerate(basis):
-        image = tuple(vmap[v] for v in s)
-        sign = sort_sign(image)
-        M.data[Z.index(tuple(sorted(image)))][jcol] += sign
-    return M

@@ -3,9 +3,14 @@
 Each one reaches its answer by a route the package does not take, so a test
 that compares the two checks the package:
 
-- ``alt_matrix`` alternates chains through the vertex-tuple action of the
-  slot permutations (``sk_matrix``), not through the product records that
-  ``AltBasis`` and ``alt_star_matrix`` read.
+- ``alt_matrix`` alternates chains through ``slot_action``, the action of
+  the slot permutations on the vertex tuples written here, with each
+  permutation's sign counted off its cycles, not through the product
+  records that ``AltBasis`` reads; ``is_alternating`` tests a chain against
+  the adjacent slot swaps of the same action.
+- ``selector`` writes the evaluation on the basis generators' signed
+  product simplices as a matrix, so a test can compare
+  ``AltBasis.coordinates``' gather with a product.
 - ``page_one_homology`` takes the homology of page one under its
   differential from the presented page-one groups, built from the grid's
   dense blocks (``d_h``, ``d_v``); page two must equal it.
@@ -33,7 +38,7 @@ that compares the two checks the package:
   by one integral solve.
 """
 
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from icss.errors import NotAComplex
 from icss.intlinalg import (
@@ -49,8 +54,40 @@ from icss.intlinalg import (
 from icss.alternating import AltBasis, alt_boundary_matrix, alternating_kernel
 from icss.complexes import boundary_matrix, pushforward_matrix, sort_sign
 from icss.intlinalg import restrict
-from icss.multiplicity import SkElement, projection_eps, sk_matrix
+from icss.multiplicity import projection_eps
 from icss.spectral import DoubleComplex
+
+
+def permutation_sign(perm) -> int:
+    """(-1)^(k - c) for a permutation of k slots with c cycles."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def slot_action(Z, perm, n: int) -> IntMatrix:
+    """The matrix of permuting the slots of Z by perm on the degree-n
+    chains: slot perm[i] of each vertex tuple's image is its slot i, and a
+    simplex goes to the sorted simplex of its vertices' images with the
+    parity of that sort."""
+    images = []
+    for t in Z.vertex_tuples:
+        moved = [None] * len(perm)
+        for i, j in enumerate(perm):
+            moved[j] = t[i]
+        images.append(Z.tuple_index[tuple(moved)])
+    m = Z.n_simplices(n)
+    M = IntMatrix(m, m)
+    for j, s in enumerate(Z.simplices(n)):
+        image = [images[v] for v in s]
+        M.data[Z.index(tuple(sorted(image)))][j] += sort_sign(image)
+    return M
 
 
 def alt_matrix(Z, n: int) -> IntMatrix:
@@ -58,9 +95,19 @@ def alt_matrix(Z, n: int) -> IntMatrix:
     sign(sigma) * sigma over the slot permutations."""
     m = Z.n_simplices(n)
     total = IntMatrix(m, m)
-    for sigma in SkElement.all(Z.k):
-        total = total + sk_matrix(Z, sigma, n).scaled(sigma.sign)
+    for perm in permutations(range(Z.k)):
+        total = total + slot_action(Z, perm, n).scaled(permutation_sign(perm))
     return total
+
+
+def selector(basis) -> IntMatrix:
+    """Evaluation on the signed product representatives of an alternating
+    basis: row g is ``g.sign`` at g's product simplex, zero elsewhere."""
+    Z = basis.Z
+    R = IntMatrix(basis.n_gens, Z.n_simplices(basis.n))
+    for row, g in zip(R.data, basis.gens):
+        row[Z.index(g.canonical)] = g.sign
+    return R
 
 
 def boundary_from_faces(K, n: int) -> IntMatrix:
@@ -113,23 +160,24 @@ def cell_bijection(Z, q: int) -> IntMatrix:
     return IntMatrix.from_columns(columns, rows=rows)
 
 
+def adjacent_swap(k: int, i: int) -> tuple:
+    """The permutation of k slots exchanging slots i and i + 1 (0-based)."""
+    perm = list(range(k))
+    perm[i], perm[i + 1] = i + 1, i
+    return tuple(perm)
+
+
 def is_alternating(Z, n: int, v) -> bool:
     """Every adjacent slot swap negates the chain v (they generate S_k)."""
     for i in range(Z.k - 1):
-        swap = SkElement.transposition(Z.k, i, i + 1)
-        if sk_matrix(Z, swap, n).mul_vec(v) != [-x for x in v]:
+        if slot_action(Z, adjacent_swap(Z.k, i), n).mul_vec(v) != [-x for x in v]:
             return False
     return True
 
 
-def compose(s: SkElement, t: SkElement) -> SkElement:
-    """The permutation s after t."""
-    return SkElement(tuple(s.perm[t.perm[i]] for i in range(s.k)))
-
-
-def bar_sigma(sigma: SkElement, j: int, k: int) -> SkElement:
-    """The element of S_k fixing slot j (1-based) that shadows sigma in
-    S_{k-1}, so that permuting slots commutes with forgetting slot j."""
+def bar_sigma(sigma: tuple, j: int, k: int) -> tuple:
+    """The permutation of k slots fixing slot j (1-based) that shadows sigma
+    on k - 1 slots, so that permuting slots commutes with forgetting slot j."""
     j0 = j - 1
 
     def d(i):
@@ -138,12 +186,12 @@ def bar_sigma(sigma: SkElement, j: int, k: int) -> SkElement:
     perm = []
     for i in range(k):
         if i < j0:
-            perm.append(d(sigma.perm[i]))
+            perm.append(d(sigma[i]))
         elif i == j0:
             perm.append(j0)
         else:
-            perm.append(d(sigma.perm[i - 1]))
-    return SkElement(tuple(perm))
+            perm.append(d(sigma[i - 1]))
+    return tuple(perm)
 
 
 def preimage_subgroup(M: IntMatrix, S: Subgroup) -> IntMatrix:

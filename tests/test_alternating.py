@@ -12,6 +12,7 @@ from reference import (
     pair_alternating_homology_kernel,
     pair_dual_alternating_homology,
     pair_homology_of_complex,
+    selector,
 )
 
 from icss.alternating import (
@@ -21,23 +22,18 @@ from icss.alternating import (
     alternating_homology,
     alternating_homology_kernel,
     alternating_kernel,
-    eps_last_matrix,
     rho_matrix,
 )
-from icss.cohomology import (
-    alternating_cochain_homology,
-    dual_alternating_homology,
-    theta_matrix,
-)
+from icss.cohomology import alternating_cochain_homology, dual_alternating_homology
 from icss.complexes import boundary_matrix, homology_of_complex, pushforward_matrix
 from icss.errors import DegreeOutOfRange, NotAlternating
 from icss.fixtures import FIXTURES, get_fixture, random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
-from icss.multiplicity import Tower, build_D, build_W, projection_eps
+from icss.multiplicity import Tower, projection_eps
 
 
 def test_alt_Z_double_cover(double_cover):
-    D2 = build_D(double_cover, 2)
+    D2 = Tower(double_cover).D(2)
     ab = D2.index((D2.tuple_index[(0, 1)],))
     ba = D2.index((D2.tuple_index[(1, 0)],))
     c = alt_matrix(D2, 0).column(ab)
@@ -46,14 +42,14 @@ def test_alt_Z_double_cover(double_cover):
 
 
 def test_alt_Z_kills_diagonal(fold):
-    W2 = build_W(fold, 2)
+    W2 = Tower(fold).W(2)
     zz = W2.index((W2.tuple_index[(1, 1)],))
     assert not any(alt_matrix(W2, 0).column(zz))
 
 
 def test_alternating_characterization(fold):
     """A chain is alternating exactly when it lies in the kernel span."""
-    D2 = build_D(fold, 2)
+    D2 = Tower(fold).D(2)
     rng = random.Random(1)
     for n in range(D2.dim + 1):
         A = alternating_kernel(D2, n)
@@ -66,15 +62,15 @@ def test_alternating_characterization(fold):
 
 
 def test_alt_basis_counts(fold, identity_map, double_cover):
-    assert AltBasis(build_D(fold, 2), 1).n_gens == 1
-    assert AltBasis(build_D(identity_map, 2), 0).n_gens == 0
-    basis = AltBasis(build_D(double_cover, 2), 0)
+    assert AltBasis(Tower(fold).D(2), 1).n_gens == 1
+    assert AltBasis(Tower(identity_map).D(2), 0).n_gens == 0
+    basis = AltBasis(Tower(double_cover).D(2), 0)
     assert basis.n_gens == 1
     assert basis.gens[0].subset == (0, 1)
 
 
 def test_alt_basis_round_trip(disc_to_rp2):
-    D2 = build_D(disc_to_rp2, 2)
+    D2 = Tower(disc_to_rp2).D(2)
     for n in range(D2.dim + 1):
         basis = AltBasis(D2, n)
         # generators contain their product representative with coefficient 1
@@ -96,19 +92,19 @@ def test_alt_basis_matches_alternation(maps):
     """to_raw_matrix, read off the product records, equals the alternation
     of each signed product representative."""
     for basis in alternating_bases(maps):
-        expected = alt_matrix(basis.Z, basis.n) @ theta_matrix(basis).transpose()
+        expected = alt_matrix(basis.Z, basis.n) @ selector(basis).transpose()
         assert basis.to_raw_matrix == expected
 
 
 def test_coordinates_gather_the_selector_rows(maps):
-    """coordinates(R) is theta_matrix @ R, the selector rows at the
+    """coordinates(R) is selector @ R, the selector rows at the
     generators' product simplices, in rows of its own, for R the alternation
     of every simplex."""
     count = 0
     for basis in alternating_bases(maps):
         R = alt_matrix(basis.Z, basis.n)
         A = basis.coordinates(R)
-        assert A == theta_matrix(basis) @ R
+        assert A == selector(basis) @ R
         assert not any(a is r for a in A.data for r in R.data)
         count += 1
     assert count == 300
@@ -125,7 +121,7 @@ def test_coordinates_of_basis_is_identity(disc_to_rp2, deep_map):
 
 
 def test_coordinates_rejects_one_bad_column(disc_to_rp2):
-    basis = AltBasis(build_D(disc_to_rp2, 2), 1)
+    basis = AltBasis(Tower(disc_to_rp2).D(2), 1)
     R = basis.to_raw_matrix
     assert R.cols >= 2
     # a row the selector skips, so only the alternation check sees the change
@@ -139,7 +135,7 @@ def test_coordinates_rejects_one_bad_column(disc_to_rp2):
 
 
 def test_raw_to_alt_rejects_non_alternating(double_cover):
-    basis = AltBasis(build_D(double_cover, 2), 0)
+    basis = AltBasis(Tower(double_cover).D(2), 0)
     with pytest.raises(NotAlternating):
         basis.coordinates(IntMatrix.from_columns([[1, 0]]))
 
@@ -197,7 +193,7 @@ def test_rho_is_the_lift_table_transfer(name, seed):
 
 
 def test_varrho_anticommutes_with_boundary(fold):
-    W2 = build_W(fold, 2)
+    W2 = Tower(fold).W(2)
     X = fold.source
     rho = {n: rho_matrix(W2, n) for n in (0, 1)}
     # with the degree sign, (-1)^n rho anticommutes with the boundary
@@ -212,7 +208,7 @@ def test_eps_preserves_alternating(deep_map):
     tower = Tower(deep_map)
     D3, D2 = tower.D(3), tower.D(2)
     n = 0
-    E = eps_last_matrix(D3, n)
+    E = pushforward_matrix(projection_eps(D3, 3), n)
     A3 = alternating_kernel(D3, n)
     span2 = Subgroup(D2.n_simplices(n), alternating_kernel(D2, n))
     for j in range(A3.cols):
@@ -229,7 +225,7 @@ def test_alt_veps_squares_to_zero(deep_map):
 
 
 def test_alt_boundary_squares_to_zero(disc_to_rp2):
-    D2 = build_D(disc_to_rp2, 2)
+    D2 = Tower(disc_to_rp2).D(2)
     b0, b1 = AltBasis(D2, 0), AltBasis(D2, 1)
     d1 = alt_boundary_matrix(b1, b0)
     assert alt_boundary_matrix(b0, None).rows == 0
@@ -251,7 +247,7 @@ def test_alternating_homology_two_routes(maps):
 
 def test_alternating_homology_rp2_double_points(disc_to_rp2):
     # the double-point space is a circle with the antipodal slot swap
-    D2 = build_D(disc_to_rp2, 2)
+    D2 = Tower(disc_to_rp2).D(2)
     assert alternating_homology(D2, 0) == HomologyGroup(0, (2,))
     # the free slot swap twists the circle: nothing survives in degree one
     assert alternating_homology(D2, 1) == HomologyGroup(0)
@@ -311,7 +307,7 @@ DEGREE_ROUTINES = {
 def test_degrees_outside_the_complex(name, disc_to_rp2):
     """Every routine refuses a negative degree.  Above dim D^2 the
     alternating groups are 0, while ``homology_of_complex`` raises."""
-    routine, D2 = DEGREE_ROUTINES[name], build_D(disc_to_rp2, 2)
+    routine, D2 = DEGREE_ROUTINES[name], Tower(disc_to_rp2).D(2)
     with pytest.raises(DegreeOutOfRange):
         routine(D2, -1)
     if name == "homology_of_complex":

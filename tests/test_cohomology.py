@@ -2,17 +2,15 @@ from reference import alt_matrix
 
 from icss.alternating import AltBasis, alternating_kernel
 from icss.cohomology import (
-    alt_star_matrix,
     alternating_cochain_homology,
     cochain_homology,
     dual_alternating_homology,
     dual_columns,
-    theta_matrix,
 )
 from icss.complexes import boundary_columns
 from icss.fixtures import random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, sparse_columns
-from icss.multiplicity import Tower, build_D
+from icss.multiplicity import Tower
 
 
 def test_dualize_transposes():
@@ -43,14 +41,17 @@ def test_projective_plane_cohomology(disc_to_rp2):
 
 
 def test_alt_star_example(double_cover):
-    basis = AltBasis(build_D(double_cover, 2), 0)
-    T = alt_star_matrix(basis)
+    """Precomposition with the alternation operator, which takes a
+    functional on the alternating basis to an alternating functional on raw
+    chains, is the matrix ``to_raw_matrix``."""
+    basis = AltBasis(Tower(double_cover).D(2), 0)
+    T = basis.to_raw_matrix
     # the functional dual to (a, b) - (b, a) takes +1 on (a, b), -1 on (b, a)
     assert T.column(0) == [1, -1]
 
 
 def test_alt_star_matches_alternation(maps):
-    """alt_star_matrix, read off the product records, is the alternation
+    """to_raw_matrix, read off the product records, is the alternation
     operator on unit chains, in alternating coordinates, transposed."""
     for f in list(maps.values()) + [random_fixture(seed) for seed in range(40)]:
         tower = Tower(f)
@@ -58,10 +59,13 @@ def test_alt_star_matches_alternation(maps):
             D = tower.D(k)
             for n in range(f.target.dim + 1):
                 b = AltBasis(D, n)
-                assert alt_star_matrix(b).transpose() == b.coordinates(alt_matrix(D, n))
+                assert b.to_raw_matrix.transpose() == b.coordinates(alt_matrix(D, n))
 
 
 def test_theta_and_alt_star_are_mutually_inverse(maps):
+    """Reading raw chains in alternating coordinates (``coordinates``) and
+    alternating them back (``to_raw_matrix``) are mutually inverse on the
+    alternating chains."""
     for name, f in maps.items():
         tower = Tower(f)
         for k in range(1, tower.k_max() + 1):
@@ -70,11 +74,10 @@ def test_theta_and_alt_star_are_mutually_inverse(maps):
                 basis = AltBasis(D, n)
                 if basis.n_gens == 0:
                     continue
-                R = theta_matrix(basis)
-                T = alt_star_matrix(basis)
-                assert R @ T == IntMatrix.identity(basis.n_gens), (name, k, n)
+                T = basis.to_raw_matrix
+                assert basis.coordinates(T) == IntMatrix.identity(basis.n_gens), (name, k, n)
                 A = alternating_kernel(D, n)
-                assert (T @ R) @ A == A, (name, k, n)
+                assert T @ basis.coordinates(A) == A, (name, k, n)
 
 
 def test_two_cochain_models_agree(maps):
@@ -89,6 +92,6 @@ def test_two_cochain_models_agree(maps):
 
 
 def test_rp2_alternating_cohomology(disc_to_rp2):
-    D2 = build_D(disc_to_rp2, 2)
+    D2 = Tower(disc_to_rp2).D(2)
     assert alternating_cochain_homology(D2, 0) == HomologyGroup(0)
     assert alternating_cochain_homology(D2, 1) == HomologyGroup(0, (2,))

@@ -73,7 +73,7 @@ def test_no_assert_statements(path):
 
 
 # the functions that take a map and build the one tower of the call
-TOWER_OWNERS = {"icss", "gvzss", "run_all", "cmd_build", "build_W", "build_D"}
+TOWER_OWNERS = {"icss", "gvzss", "run_all", "cmd_build"}
 
 
 def tower_misuse(tree) -> list:
@@ -252,10 +252,10 @@ def test_w_blocks_are_built_as_columns():
     tree = ast.parse((SRC / "spectral.py").read_text())
     dense = calls_named(
         tree,
-        {"boundary_matrix", "rho_matrix", "eps_last_matrix", "boundary_columns"},
+        {"boundary_matrix", "rho_matrix", "pushforward_matrix", "boundary_columns"},
     )
     assert not dense, f"spectral.py builds chain-level blocks: {dense}"
-    spaces = calls_named(tree, {"W", "build_W"})
+    spaces = calls_named(tree, {"W"})
     assert not spaces, f"spectral.py builds W^k: {spaces}"
     imported = {name for _, name in imported_names(tree)}
     assert not imported & {"boundary_columns", "rho_matrix"}, imported
@@ -281,7 +281,8 @@ ENTRY_PARAMETERS = {
 
 def test_entry_points_take_no_bound():
     """The map decides the grid's shape and the degrees a report covers: no
-    entry point takes a bound, and ``icss``/``gvzss`` take no option."""
+    entry point takes a bound, and ``icss``, ``gvzss`` and ``homology`` take
+    no option."""
     for name, expected in ENTRY_PARAMETERS.items():
         found = {}
         for node in ast.parse((SRC / name).read_text()).body:
@@ -294,9 +295,48 @@ def test_entry_points_take_no_bound():
 
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command in ("icss", "gvzss"):
+    for command in ("icss", "gvzss", "homology"):
         options = {o for a in commands.choices[command]._actions for o in a.option_strings}
         assert options == {"-h", "--help"}, (command, options)
+
+
+# removed in 0.8.0: a slot permutation is a reordered lift tuple, each
+# alternating map has one construction on ``AltBasis``, the last-slot
+# projection is ``pushforward_matrix(projection_eps(Z, Z.k), n)``, and a
+# space is built by ``Tower(f).W(k)``/``.D(k)``
+REMOVED_NAMES = {
+    "SkElement",
+    "sk_matrix",
+    "sk_vertex_map",
+    "alt_star_matrix",
+    "theta_matrix",
+    "eps_last_matrix",
+    "build_W",
+    "build_D",
+}
+
+
+def test_removed_names_stay_removed():
+    """No module defines, binds or imports a removed name, and ``icss``
+    exports none."""
+    import icss
+
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            if name in REMOVED_NAMES:
+                found.append((path.name, node.lineno, name))
+    assert not found, f"removed names are back: {found}"
+    exported = REMOVED_NAMES & set(dir(icss))
+    assert not exported, f"icss exports removed names: {exported}"
 
 
 MAPPING_FACTORIES = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary"}

@@ -196,15 +196,6 @@ def test_cli_output_is_deterministic(tmp_path, capsys, fold):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command", ["homology"])
-def test_cli_negative_q_max_exits_2(tmp_path, capsys, fold, command):
-    path = write_doc(tmp_path, fold_text(fold))
-    assert main([command, path, "--q-max", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "-1 must be >= 0" in captured.err
-
-
 def test_cli_verify_exits_1_when_a_grid_is_not_a_complex(tmp_path, capsys, fold, monkeypatch):
     """A W grid that fails its own identities is a failed check, exit 1,
     not malformed input."""

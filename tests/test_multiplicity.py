@@ -1,21 +1,13 @@
 import signal
 
 import pytest
-from reference import bar_sigma, compose
+from reference import adjacent_swap, bar_sigma, slot_action
 
 from icss.complexes import SimplicialMap, build_complex, pushforward_matrix
 from icss.errors import InvalidIndex, InvalidMultiplicity
 from icss.fixtures import random_fixture
 from icss.intlinalg import IntMatrix
-from icss.multiplicity import (
-    SkElement,
-    Tower,
-    build_D,
-    build_W,
-    ordered_lifts,
-    projection_eps,
-    sk_matrix,
-)
+from icss.multiplicity import Tower, ordered_lifts, projection_eps
 
 
 def test_ordered_lifts_fold(fold):
@@ -52,7 +44,7 @@ def test_ordered_lifts_match_brute_force(maps):
 
 
 def test_fold_W2(fold):
-    W2 = build_W(fold, 2)
+    W2 = Tower(fold).W(2)
     assert W2.n_simplices(0) == 5
     assert W2.n_simplices(1) == 4
     assert set(W2.vertex_tuples) == {(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)}
@@ -63,7 +55,7 @@ def test_fold_W2(fold):
 
 
 def test_fold_D2(fold):
-    D2 = build_D(fold, 2)
+    D2 = Tower(fold).D(2)
     assert set(D2.vertex_tuples) == {(0, 2), (1, 1), (2, 0)}
     assert D2.n_simplices(1) == 2
     zz = D2.tuple_index[(1, 1)]
@@ -73,7 +65,7 @@ def test_fold_D2(fold):
 
 
 def test_identity_D2_empty(identity_map):
-    D2 = build_D(identity_map, 2)
+    D2 = Tower(identity_map).D(2)
     assert D2.dim < 0
     assert Tower(identity_map).k_max() == 1
 
@@ -101,11 +93,11 @@ def test_k_max_values(maps):
 
 def test_invalid_multiplicity(fold):
     with pytest.raises(InvalidMultiplicity):
-        build_W(fold, 0)
+        Tower(fold).W(0)
 
 
 def test_projections(fold):
-    W2 = build_W(fold, 2)
+    W2 = Tower(fold).W(2)
     e1 = projection_eps(W2, 1)
     e2 = projection_eps(W2, 2)
     for v, t in enumerate(W2.vertex_tuples):
@@ -120,7 +112,7 @@ def test_projections(fold):
 
 def test_fk_map(fold):
     """The induced map W^2 -> Y is f on either slot: the slots agree."""
-    W2 = build_W(fold, 2)
+    W2 = Tower(fold).W(2)
     for t in W2.vertex_tuples:
         assert fold.vertex_map[t[0]] == fold.vertex_map[t[1]]
     for n in range(W2.dim + 1):
@@ -132,38 +124,13 @@ def test_fk_map(fold):
 def test_rho_on_double_cover_vertex(double_cover):
     from icss.alternating import rho_matrix
 
-    W2 = build_W(double_cover, 2)
+    W2 = Tower(double_cover).W(2)
     R = rho_matrix(W2, 0)
     j = W2.index((W2.tuple_index[(0, 1)],))
     col = R.column(j)
     assert col == [-1, 1]  # (a, b) maps to b - a
     j_diag = W2.index((W2.tuple_index[(0, 0)],))
     assert R.column(j_diag) == [0, 0]
-
-
-def test_sk_group_laws():
-    for k in (2, 3):
-        elems = SkElement.all(k)
-        ident = SkElement.identity(k)
-        for s in elems:
-            assert compose(s, s.inverse()) == ident
-            assert s.inverse().sign == s.sign
-            for t in elems:
-                st = compose(s, t)
-                assert st.sign == s.sign * t.sign
-                x = tuple(range(10, 10 + k))
-                assert st.apply_tuple(x) == s.apply_tuple(t.apply_tuple(x))
-    with pytest.raises(InvalidIndex):
-        SkElement((0, 0))
-
-
-def test_apply_tuple_matches_the_inverse_definition():
-    """Slot i of sigma(t) is slot sigma^-1(i) of t, on all of S_1 .. S_4."""
-    for k in range(1, 5):
-        t = tuple(range(10, 10 + k))
-        for sigma in SkElement.all(k):
-            inv = sigma.inverse().perm
-            assert sigma.apply_tuple(t) == tuple(t[inv[i]] for i in range(k))
 
 
 def test_distinct_lift_spaces_past_the_lift_count_are_empty(fold):
@@ -184,13 +151,13 @@ def test_distinct_lift_spaces_past_the_lift_count_are_empty(fold):
 
 
 def test_sk_action_is_signed_involution(fold):
-    W2 = build_W(fold, 2)
-    swap = SkElement.transposition(2, 0, 1)
+    W2 = Tower(fold).W(2)
+    swap = adjacent_swap(2, 0)
     for n in range(W2.dim + 1):
-        P = sk_matrix(W2, swap, n)
+        P = slot_action(W2, swap, n)
         assert P @ P == IntMatrix.identity(P.rows)
         assert P.transpose() == P
-    image = sk_matrix(W2, swap, 0).column(W2.index((W2.tuple_index[(0, 2)],)))
+    image = slot_action(W2, swap, 0).column(W2.index((W2.tuple_index[(0, 2)],)))
     target = W2.index((W2.tuple_index[(2, 0)],))
     assert image == [1 if i == target else 0 for i in range(len(image))]
 
@@ -202,17 +169,10 @@ def test_bar_sigma_equivariance(deep_map):
     for j in (1, 2, 3):
         P = pushforward_matrix(projection_eps(W3, j), 0)
         for i in range(1):
-            sigma = SkElement.transposition(2, 0, 1)
-            lhs = sk_matrix(W2, sigma, 0) @ P
-            rhs = P @ sk_matrix(W3, bar_sigma(sigma, j, 3), 0)
+            sigma = adjacent_swap(2, 0)
+            lhs = slot_action(W2, sigma, 0) @ P
+            rhs = P @ slot_action(W3, bar_sigma(sigma, j, 3), 0)
             assert lhs == rhs
-
-
-def test_bar_sigma_fixes_slot():
-    sigma = SkElement.transposition(2, 0, 1)
-    for j in (1, 2, 3):
-        bar = bar_sigma(sigma, j, 3)
-        assert bar.perm[j - 1] == j - 1
 
 
 def test_dropped_tower_is_freed_by_reference_counting(disc_to_rp2):

@@ -195,6 +195,31 @@ def test_d_row_fails_on_a_flipped_sign(fold, monkeypatch):
     assert any(d[0] == "sign-identity" for rep in failed for d in rep.details)
 
 
+def test_run_all_reports_swap_conditions_without_their_sign(fold, monkeypatch):
+    """Alternating kernels cut out by unsigned slot swaps are no subcomplex
+    on the fold: the Houston checks and the round trip report it, and
+    run_all returns."""
+    import icss.verify as verify
+    from reference import adjacent_swap, slot_action
+
+    from icss.intlinalg import IntMatrix, kernel_basis
+
+    def unsigned(Z, n):
+        m = Z.n_simplices(n)
+        if Z.k == 1:
+            return IntMatrix.identity(m)
+        rows = []
+        for i in range(Z.k - 1):
+            P = slot_action(Z, adjacent_swap(Z.k, i), n)
+            rows += [[abs(a) + (r == c) for c, a in enumerate(row)] for r, row in enumerate(P.data)]
+        return kernel_basis(IntMatrix(len(rows), m, rows))
+
+    monkeypatch.setattr(verify, "alternating_kernel", unsigned)
+    failed = {rep.name: rep.details for rep in run_all(fold) if not rep.passed}
+    assert failed["houston k=2 n=1"][0][0] == "not-a-subcomplex", failed
+    assert failed["cochain-round-trip"] == [("altstar-theta", 2, 1)], failed
+
+
 def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     """One run_all builds each alternating basis and alternating kernel once
     per space and degree, and checks each row lemma once per lift count.
