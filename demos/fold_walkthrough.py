@@ -3,9 +3,8 @@ a path m - z - p folded onto a single edge, so the two endpoints m, p land
 on top of each other.  Run with  python demos/fold_walkthrough.py
 """
 
-from icss import Tower, get_fixture, icss
-from icss.alternating import AltBasis, rho_matrix
-from icss.multiplicity import ordered_lifts
+from icss import IntMatrix, Tower, get_fixture, icss
+from icss.alternating import AltBasis, rho_columns
 
 f = get_fixture("fold")
 X, Y = f.source, f.target
@@ -13,10 +12,10 @@ print("source:", X)
 print("target:", Y)
 
 # the Y edge (a, b) has two ordered lifts; z always sits over a
-edge = (0, 1)
-print("\nordered lifts of the edge", [tuple(X.labels[v] for v in t) for t in ordered_lifts(f, edge)])
-
 tower = Tower(f)
+edge = (0, 1)
+print("\nordered lifts of the edge", [tuple(X.labels[v] for v in t) for t in tower.lifts[edge]])
+
 W2 = tower.W(2)
 D2 = tower.D(2)
 print("\nW^2 has", W2.n_simplices(0), "vertices and", W2.n_simplices(1), "edges")
@@ -26,7 +25,7 @@ print("D^2 vertices:", D2.vertex_tuples)
 
 # the transfer rho kills diagonal simplices and subtracts slot projections
 print("\nrho on W^2 vertices:")
-print(rho_matrix(W2, 0).data)
+print(IntMatrix.from_sparse(rho_columns(W2, 0), X.n_simplices(0)).data)
 
 # one alternating generator per increasing pair of lifts
 basis = AltBasis(D2, 1)

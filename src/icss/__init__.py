@@ -15,7 +15,6 @@ from .alternating import (
     AltBasis,
     alternating_homology,
     alternating_homology_kernel,
-    rho_matrix,
 )
 from .cohomology import (
     alternating_cochain_homology,
@@ -34,7 +33,7 @@ from .intlinalg import (
     subgroup_quotient,
 )
 from .io import MapDocument, document_from_map, emit_map, emit_report, parse_map
-from .multiplicity import MultiplePointComplex, Tower, ordered_lifts, projection_eps
+from .multiplicity import MultiplePointComplex, Tower, projection_eps
 from .spectral import (
     DoubleComplex,
     SpectralSequence,
@@ -54,4 +53,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

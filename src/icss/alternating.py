@@ -3,20 +3,20 @@
 The symmetric group permuting the k slots of W^k and D^k acts on chains,
 reordering the lift tuple of each product simplex; the alternating part
 (sigma acts by its sign) has, on D^k, a concrete free basis: one generator
-per Y-simplex and per increasing k-subset of its ordered lifts.  This
+per Y-simplex and per increasing k-subset of its lifts, the D^k grid cells
+that ``multiplicity.grid_cells`` carries to their raw alternations.  This
 module builds that basis, converts between raw and alternating coordinates,
-and assembles the transfer maps rho (signed sum of slot projections) and the
-last-slot projection used on alternating chains.
+assembles the transfer rho (signed sum of slot projections, as sparse
+columns) and the last-slot projection used on alternating chains, and keeps
+a tower's alternating complexes and transfers on it, one copy each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, permutations
 from operator import neg
 
-from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex, sort_sign
-from .errors import DegreeOutOfRange, InvalidMultiplicity, NotAlternating
+from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
+from .errors import ComplexMismatch, DegreeOutOfRange, InvalidMultiplicity, NotAlternating
 from .intlinalg import (
     HomologyGroup,
     IntMatrix,
@@ -25,7 +25,7 @@ from .intlinalg import (
     restrict,
     sparse_columns,
 )
-from .multiplicity import MultiplePointComplex, Tower, ordered_lifts, projection_eps
+from .multiplicity import MultiplePointComplex, Tower, grid_cells, projection_eps
 
 
 def alternating_kernel(Z: MultiplePointComplex, n: int) -> IntMatrix:
@@ -47,51 +47,28 @@ def alternating_kernel(Z: MultiplePointComplex, n: int) -> IntMatrix:
     return kernel_basis(IntMatrix(len(rows), m, rows))
 
 
-@dataclass(frozen=True)
-class AltGen:
-    """Basis generator of the alternating chains of D^k in one degree."""
-
-    delta: tuple  # Y-simplex underneath
-    subset: tuple  # increasing k-subset of lift indices over delta
-    lifts: tuple  # the corresponding ordered lifts
-    sign: int  # parity of the slot-major vertex listing of the product
-    canonical: tuple  # the product simplex the generator is read off from
-
-
 class AltBasis:
     """Free basis of the alternating degree-n chains of D^k.
 
-    The generator for (delta, I) is the alternation of the product simplex of
-    the lifts indexed by I, normalized by the listing parity so that raw
-    coordinates are recovered by a plain signed lookup at the product simplex.
-
-    Sign rule: a slot permutation carries the product of g's increasing lifts
-    onto the product of a reordering ``lifts`` of them, whose record ``rec``
-    holds the parity of its listing; the permutation's sign is
-    ``sort_sign(lifts)``.  Column g of ``to_raw_matrix`` therefore has the
-    entry ``sort_sign(lifts) * rec.sign`` at ``rec.canonical`` for each
-    reordering, read straight off ``Z.products``.
+    The generators are the D^k grid cells of degree n: one per Y-simplex
+    delta and increasing k-subset I of its lifts.  ``gens[j]`` is the
+    record and column j of ``to_raw_matrix`` the alternation that
+    ``grid_cells`` gives the cell (see there for the sign rule), so the
+    generator holds its own product simplex with the record's sign, and
+    raw coordinates are recovered by a signed lookup there.
     """
 
     def __init__(self, Z: MultiplePointComplex, n: int):
+        if Z.kind != "D":
+            raise ComplexMismatch("the alternating basis is built on D^k")
         self.Z = Z
         self.n = n
-        self.gens: list = []
-        for delta in Z.f.target.simplices(n):
-            lifts = ordered_lifts(Z.f, delta)
-            for subset in combinations(range(len(lifts)), Z.k):
-                combo = tuple(lifts[i] for i in subset)
-                rec = Z.products[(delta, combo)]
-                self.gens.append(AltGen(delta, subset, combo, rec.sign, rec.canonical))
+        self.gens, columns = grid_cells(Z, n)
         self.n_gens = len(self.gens)
         self._by_delta: dict = {}
         for idx, g in enumerate(self.gens):
             self._by_delta.setdefault(g.delta, []).append(idx)
-        self.to_raw_matrix = IntMatrix(Z.n_simplices(n), self.n_gens)
-        for j, g in enumerate(self.gens):
-            for lifts in permutations(g.lifts):
-                rec = Z.products[(g.delta, lifts)]
-                self.to_raw_matrix.data[Z.index(rec.canonical)][j] += sort_sign(lifts) * rec.sign
+        self.to_raw_matrix = IntMatrix.from_sparse(columns, Z.n_simplices(n))
 
     def gens_over(self, delta) -> list:
         """Indices of the generators lying over the Y-simplex delta."""
@@ -121,6 +98,29 @@ def alt_basis(tower: Tower, Z: MultiplePointComplex, n: int) -> AltBasis:
     return tower.memo(("basis", Z.kind, Z.k, n), lambda: AltBasis(Z, n))
 
 
+def alt_complex(tower: Tower, Z: MultiplePointComplex) -> list:
+    """``alt_columns`` of the tower's space Z in the degrees 0..dim Y, in the
+    tower's bases, made at the first call and kept on the tower: the Alt
+    grid's column and the checks' free-basis route read it.
+    ``chain_homology`` consumes its columns, so a caller that reduces them
+    reduces a copy."""
+    degrees = range(tower.f.target.dim + 1)
+    return tower.memo(
+        ("alt-complex", Z.k), lambda: alt_columns([alt_basis(tower, Z, q) for q in degrees])
+    )
+
+
+def alt_transfer(tower: Tower, k: int, n: int) -> IntMatrix:
+    """``alt_veps_matrix`` from D^k to D^(k-1) in degree n, in the tower's
+    bases, made at the first call and kept on the tower: the Alt grid's
+    vertical block and the D-row check read it."""
+    source, target = tower.D(k), tower.D(k - 1)
+    return tower.memo(
+        ("alt-transfer", k, n),
+        lambda: alt_veps_matrix(alt_basis(tower, source, n), alt_basis(tower, target, n)),
+    )
+
+
 def rho_columns(Z: MultiplePointComplex, n: int) -> list:
     """The transfer on raw degree-n chains, as {row: entry} columns without
     zero entries: simplex s goes to the sum over the slots i of (-1)^(i+1)
@@ -140,12 +140,6 @@ def rho_columns(Z: MultiplePointComplex, n: int) -> list:
                 col[row] = col.get(row, 0) + (-sign if i % 2 else sign)
         columns.append({row: a for row, a in col.items() if a})
     return columns
-
-
-def rho_matrix(Z: MultiplePointComplex, n: int) -> IntMatrix:
-    """Dense form of :func:`rho_columns`."""
-    rows = projection_eps(Z, 1).target.n_simplices(n)
-    return IntMatrix.from_sparse(rho_columns(Z, n), rows)
 
 
 def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMatrix:

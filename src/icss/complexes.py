@@ -197,7 +197,7 @@ class SimplicialMap:
     insist on a fully valid map, the projections need not be surjective).
     """
 
-    __slots__ = ("source", "target", "vertex_map", "report", "lift_index")
+    __slots__ = ("source", "target", "vertex_map", "report")
 
     def __init__(self, source, target, vertex_map):
         self.source = source
@@ -209,9 +209,6 @@ class SimplicialMap:
         self.report = validate_map(self.vertex_map, source, target)
         if not self.report.simplicial:
             raise InvalidSimplex("vertex map is not simplicial")
-        # Y-simplex -> its sorted ordered lifts, filled on first use by
-        # multiplicity.ordered_lifts
-        self.lift_index = None
 
     @property
     def valid(self) -> bool:

@@ -5,15 +5,19 @@ W^k carries a triangulation whose top simplices are products of k ordered
 lifts of a common Y-simplex; D^k is the sub-triangulation coming from
 pairwise distinct lifts.  Both come with component-forgetting projections;
 the symmetric group acts by permuting slots, that is, by reordering the
-lift tuple of each product.  The chains of W^k and its boundary and
-transfer are also read straight off the lifts of each Y-simplex
-(``LiftTable``), without building W^k.
+lift tuple of each product.
+
+The lifts of each Y-simplex are found and ordered in one place, the map's
+``LiftTable``, which the spaces' products, the W-chain grid (its boundary
+and transfer, without building W^k) and the alternating basis all read.
+``grid_cells`` is the one signed bridge from the grid cells to raw chains,
+where the listing sign that orients a product simplex is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct, permutations
+from itertools import combinations, permutations, product as iproduct
 
 from .complexes import (
     SimplicialComplex,
@@ -26,30 +30,10 @@ from .errors import ComplexMismatch, DegreeOutOfRange, InvalidIndex, InvalidMult
 from .intlinalg import HomologyGroup
 
 
-def ordered_lifts(f: SimplicialMap, delta) -> list:
-    """All ordered lifts of the canonical Y-simplex delta = (w_0 < ... < w_n).
-
-    A lift is the vertex tuple (v_0, ..., v_n) of an X-simplex ordered so that
-    f(v_j) = w_j.  Lifts are returned sorted, and correspond one-to-one with
-    the X-simplices lying over delta.  One pass over X indexes the lifts of
-    every Y-simplex, kept on the map for later calls.
-    """
-    if f.lift_index is None:
-        index: dict = {}
-        for s in f.source.all_simplices():
-            pairs = sorted((f.vertex_map[v], v) for v in s)
-            image = tuple(w for w, _ in pairs)
-            if len(set(image)) == len(s):
-                index.setdefault(image, []).append(tuple(v for _, v in pairs))
-        for lifts in index.values():
-            lifts.sort()
-        f.lift_index = index
-    return list(f.lift_index.get(tuple(delta), ()))
-
-
 @dataclass(frozen=True)
 class ProductRecord:
-    """One product simplex (lift_1 x ... x lift_k)/Y inside W^k or D^k."""
+    """One grid cell as a raw product simplex: (lift_1 x ... x lift_k)/Y
+    inside W^k or D^k."""
 
     delta: tuple  # canonical Y-simplex
     lifts: tuple  # k ordered lifts of delta
@@ -60,21 +44,24 @@ class ProductRecord:
 class MultiplePointComplex:
     """W^k(f) or D^k(f) with the triangulation induced by f.
 
-    ``below`` is the same-kind space at multiplicity k-1 (X for k = 2, None
-    for k = 1), the target of the slot projections, which are kept in
+    ``lifts`` is the map's lift table, which the space's products are read
+    off.  ``below`` is the same-kind space at multiplicity k-1 (X for k = 2,
+    None for k = 1), the target of the slot projections, which are kept in
     ``eps`` by slot.
     """
 
-    def __init__(self, kind, k, f, complex_, vertex_tuples, products, below=None):
+    def __init__(self, kind, k, f, lifts, complex_, vertex_tuples, products, below=None):
         self.kind = kind
         self.k = k
         self.f = f
+        self.lifts = lifts
         self.below = below
         self.eps: dict = {}
         self.complex = complex_
         self.vertex_tuples = tuple(vertex_tuples)
         self.tuple_index = {t: v for v, t in enumerate(self.vertex_tuples)}
-        # products keyed by (delta, lifts)
+        # the vertex ids of each product listed in delta's vertex order, keyed
+        # by (delta, lifts); read by grid_cells alone
         self.products = products
 
     # chain-facing delegation
@@ -95,70 +82,87 @@ class MultiplePointComplex:
         return f"MultiplePointComplex(kind={self.kind}, k={self.k}, {self.complex!r})"
 
 
-def _build(f: SimplicialMap, k: int, kind: str, below) -> MultiplePointComplex:
+def _build(f: SimplicialMap, k: int, kind: str, below, lifts) -> MultiplePointComplex:
+    """W^k or D^k of f, its products read off the lift table ``lifts``: all
+    k-tuples of each Y-simplex's lifts for W, distinct ones for D."""
     if k < 1:
         raise InvalidMultiplicity(f"multiplicity {k} < 1")
-    if not f.valid:
-        raise ComplexMismatch("map must be simplicial, finite-to-one and surjective")
-
+    deltas = f.target.all_simplices()
     if k == 1:
-        # W^1 = D^1 = X itself; products record the lifts for the splitting
-        products = {}
-        for delta in f.target.all_simplices():
-            for lift in ordered_lifts(f, delta):
-                products[(delta, (lift,))] = ProductRecord(
-                    delta, (lift,), tuple(sorted(lift)), sort_sign(lift)
-                )
-        return MultiplePointComplex(
-            kind, 1, f, f.source, [(v,) for v in range(f.source.n_vertices)], products
-        )
+        # W^1 = D^1 = X itself, vertex v the tuple (v,): a lift lists itself
+        products = {(delta, (lift,)): lift for delta in deltas for lift in lifts[delta]}
+        vertex_tuples = [(v,) for v in range(f.source.n_vertices)]
+        return MultiplePointComplex(kind, 1, f, lifts, f.source, vertex_tuples, products)
 
-    # enumerate product top simplices as tuples of tuple-vertices
-    raw_products = []  # (delta, lifts, listing of vertex tuples)
-    for delta in f.target.all_simplices():
-        lifts = ordered_lifts(f, delta)
-        combos = permutations(lifts, k) if kind == "D" else iproduct(lifts, repeat=k)
+    # vertex j of a product is the tuple of its lifts' j-th vertices
+    listings = {}
+    for delta in deltas:
+        combos = permutations(lifts[delta], k) if kind == "D" else iproduct(lifts[delta], repeat=k)
         for combo in combos:
-            listing = tuple(
-                tuple(combo[ell][j] for ell in range(k)) for j in range(len(delta))
-            )
-            raw_products.append((delta, combo, listing))
-
-    vertex_set = set()
-    for _, _, listing in raw_products:
-        vertex_set.update(listing)
-    vertex_tuples = sorted(vertex_set)
+            listings[(delta, combo)] = tuple(zip(*combo))
+    vertex_tuples = sorted({t for listing in listings.values() for t in listing})
     tuple_index = {t: v for v, t in enumerate(vertex_tuples)}
-
-    tops = []
-    for _, _, listing in raw_products:
-        tops.append(tuple(tuple_index[t] for t in listing))
-    closed = face_closure(tops) if tops else set()
+    products = {
+        key: tuple(tuple_index[t] for t in listing) for key, listing in listings.items()
+    }
+    closed = face_closure(products.values())
     by_dim: dict = {}
     for s in closed:
         by_dim.setdefault(len(s) - 1, []).append(s)
     complex_ = SimplicialComplex(len(vertex_tuples), by_dim, labels=vertex_tuples)
+    return MultiplePointComplex(kind, k, f, lifts, complex_, vertex_tuples, products, below)
 
-    products = {}
-    for delta, combo, listing in raw_products:
-        ids = tuple(tuple_index[t] for t in listing)
-        products[(delta, combo)] = ProductRecord(
-            delta, combo, tuple(sorted(ids)), sort_sign(ids)
-        )
-    return MultiplePointComplex(kind, k, f, complex_, vertex_tuples, products, below)
+
+def grid_cells(Z: MultiplePointComplex, n: int) -> tuple:
+    """The signed bridge from the grid cells of degree n on Z to its raw
+    degree-n chains, in grid order: ``(records, columns)``.
+
+    The cells over each n-simplex delta of Y, in Y's order, are the k-tuples
+    of delta's lifts (``Z.lifts``) in lexicographic order on W^k, and the
+    increasing ones on D^k.  Sign rule: the product of a lift tuple is
+    oriented by listing its vertices in delta's vertex order (vertex j is
+    the tuple of the lifts' j-th vertices), so its raw simplex is that
+    listing sorted, with the listing parity as sign.  A cell's record holds
+    its own product's simplex and parity.  A W cell goes to its parity
+    times its product simplex; a D cell (delta, I) goes to its alternation,
+    the sum over the k! reorderings of I of the permutation's sign times
+    the reordered product's parity at its simplex.  Columns are
+    {raw index: entry} dicts.
+    """
+    alternate = Z.kind == "D"
+    orders = list(permutations(range(Z.k))) if alternate else [tuple(range(Z.k))]
+    signs = [sort_sign(order) for order in orders]  # the identity comes first
+
+    def listed(delta, lifts):  # (raw simplex, listing parity) of a product
+        ids = Z.products[(delta, lifts)]
+        return tuple(sorted(ids)), sort_sign(ids)
+
+    records, columns, index = [], [], Z.complex.index
+    for delta in Z.f.target.simplices(n):
+        over = Z.lifts[delta]
+        for cell in combinations(over, Z.k) if alternate else iproduct(over, repeat=Z.k):
+            products = [listed(delta, tuple(map(cell.__getitem__, order))) for order in orders]
+            records.append(ProductRecord(delta, cell, *products[0]))
+            columns.append({index(s): sign * parity for (s, parity), sign in zip(products, signs)})
+    return records, columns
 
 
 class LiftTable:
-    """The lifts of every Y-simplex and how they restrict to its faces: all
-    that the W-chain grid is read off, with no W^k built.
+    """The lifts of every Y-simplex and how they restrict to its faces: the
+    one place where lifts are found and ordered, and all that the W-chain
+    grid is read off, with no W^k built.
+
+    A lift of the canonical Y-simplex delta = (w_0 < ... < w_n) is the
+    vertex tuple (v_0, ..., v_n) of an X-simplex ordered so that
+    f(v_j) = w_j; ``table[delta]`` holds delta's lifts sorted, as a tuple,
+    one per X-simplex over delta.  One pass over X finds them all.
 
     A q-simplex of W^k is a Y-simplex delta together with k lifts of delta,
     so the degree-q chains of W^k have one cell (delta, a) for each
     q-simplex delta of Y and each a in {0..N-1}^k, indexing delta's
-    ``counts[delta] = N`` ordered lifts.  The cells run over Y's simplices in
-    order, then over a lexicographically.  A cell is oriented by listing its
-    vertices in delta's vertex order: vertex j is the tuple of the lifts'
-    j-th vertices.
+    ``counts[delta] = N`` lifts.  The cells run over Y's simplices in
+    order, then over a lexicographically, each oriented as ``grid_cells``
+    says.
 
     ``faces[delta]`` holds (delta_i, (-1)^i, r) for i = q, ..., 0, so that
     the faces come in Y's order, where r[b] is the index among delta_i's
@@ -167,20 +171,38 @@ class LiftTable:
 
     def __init__(self, f: SimplicialMap):
         self.target = f.target
-        lifts = {delta: ordered_lifts(f, delta) for delta in f.target.all_simplices()}
-        self.counts = {delta: len(ls) for delta, ls in lifts.items()}
-        positions = {delta: {lift: b for b, lift in enumerate(ls)} for delta, ls in lifts.items()}
-        self.faces: dict = {}
-        for delta, ls in lifts.items():
-            faces = self.faces[delta] = []
-            if len(delta) == 1:
-                continue
-            for i in range(len(delta) - 1, -1, -1):
-                face = delta[:i] + delta[i + 1 :]
-                position = positions[face]
-                r = [position[lift[:i] + lift[i + 1 :]] for lift in ls]
-                faces.append((face, -1 if i % 2 else 1, r))
+        found: dict = {delta: [] for delta in f.target.all_simplices()}
+        image_of = f.vertex_map.__getitem__
+        for s in f.source.all_simplices():
+            image, lift = zip(*sorted(zip(map(image_of, s), s)))
+            if len(set(image)) == len(s):
+                found[image].append(lift)
+        self._lifts = {delta: tuple(sorted(ls)) for delta, ls in found.items()}
+        self.counts = {delta: len(ls) for delta, ls in self._lifts.items()}
+        self._faces = None
         self._drops: dict = {}  # _slot_drops by (lift count, k, twist)
+
+    def __getitem__(self, delta) -> tuple:
+        """The sorted lifts of the Y-simplex delta."""
+        return self._lifts[delta]
+
+    @property
+    def faces(self) -> dict:
+        """``faces[delta]``, made at the first use: the W grid alone reads it."""
+        if self._faces is None:
+            lifts = self._lifts
+            positions = {d: {lift: b for b, lift in enumerate(ls)} for d, ls in lifts.items()}
+            self._faces = {}
+            for delta, ls in lifts.items():
+                faces = self._faces[delta] = []
+                if len(delta) == 1:
+                    continue
+                for i in range(len(delta) - 1, -1, -1):
+                    face = delta[:i] + delta[i + 1 :]
+                    position = positions[face]
+                    r = [position[lift[:i] + lift[i + 1 :]] for lift in ls]
+                    faces.append((face, -1 if i % 2 else 1, r))
+        return self._faces
 
     def n_cells(self, k: int, q: int) -> int:
         """Rank of the degree-q chains of W^k: the sum of N_delta^k over
@@ -275,7 +297,6 @@ class Tower:
         self._cache: dict = {}
         self._memo: dict = {}
         self._lifts = None
-        self._k_max = None
         self._target_homology = None
 
     @property
@@ -295,7 +316,7 @@ class Tower:
         key = ("D" if k == 1 else kind, k)
         if key not in self._cache:
             below = self._get(kind, k - 1) if k > 1 else None
-            self._cache[key] = _build(self.f, k, key[0], below)
+            self._cache[key] = _build(self.f, k, key[0], below, self.lifts)
         return self._cache[key]
 
     def memo(self, key, make):
@@ -320,12 +341,7 @@ class Tower:
 
     def k_max(self) -> int:
         """Largest k with D^k nonempty: the maximal lift count of a Y-simplex."""
-        if self._k_max is None:
-            self._k_max = max(
-                len(ordered_lifts(self.f, delta))
-                for delta in self.f.target.all_simplices()
-            )
-        return self._k_max
+        return max(self.lifts.counts.values())
 
 
 def projection_eps(Z: MultiplePointComplex, i: int) -> SimplicialMap:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import alt_basis, alt_columns, alt_veps_matrix
+from .alternating import alt_basis, alt_complex, alt_transfer
 from .complexes import SimplicialMap
 from .errors import DegreeOutOfRange, NotAComplex, TruncationInsufficient
 from .intlinalg import (
@@ -130,11 +130,12 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
     W^k built: column p, row q has one cell per q-simplex delta of Y and
     tuple a of p+1 indices into delta's lifts, in Y's order and then
     lexicographically, and d_h, d_v are ``LiftTable.face_columns`` and
-    ``LiftTable.transfer_columns`` (see ``LiftTable`` for the orientation).
+    ``LiftTable.transfer_columns`` (see ``grid_cells`` for the orientation).
     The Alt blocks are alternating matrices on the D^k, in the bases the
-    tower keeps (``alt_basis``), which the checks of ``verify`` share: each
-    column's d_h is its alternating chain complex (``alt_columns``), and
-    each d_v block is converted to columns once.
+    tower keeps (``alt_basis``), and the tower keeps the blocks too, which
+    the checks of ``verify`` share: each column's d_h is its alternating
+    chain complex (``alt_complex``), and each d_v block (``alt_transfer``)
+    is converted to columns once.
     """
     q_max = tower.f.target.dim
     ranks, h_cols, v_cols = {}, {}, {}
@@ -150,20 +151,15 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
                     v_cols[(p, q)] = lifts.transfer_columns(p + 1, q)
     elif kind == "Alt":
         p_max = tower.k_max() - 1
-        bases = {}
         for p in range(p_max + 1):
             Z = tower.D(p + 1)
+            d_h = alt_complex(tower, Z)
             for q in range(q_max + 1):
-                bases[(p, q)] = alt_basis(tower, Z, q)
-                ranks[(p, q)] = bases[(p, q)].n_gens
-        for p in range(p_max + 1):
-            d_h = alt_columns([bases[(p, q)] for q in range(q_max + 1)])
-            for q in range(q_max + 1):
+                ranks[(p, q)] = alt_basis(tower, Z, q).n_gens
                 if q >= 1:
                     h_cols[(p, q)] = d_h[q]
                 if p >= 1:
-                    d_v = alt_veps_matrix(bases[(p, q)], bases[(p - 1, q)])
-                    v_cols[(p, q)] = sparse_columns(d_v)
+                    v_cols[(p, q)] = sparse_columns(alt_transfer(tower, p + 1, q))
     else:
         raise ValueError(f"unknown double complex kind {kind!r}")
     return DoubleComplex(kind, p_max, q_max, ranks, h_cols, v_cols, tower=tower)

@@ -10,23 +10,31 @@ Over a Y-simplex with N lifts, each multiplicity row depends on N alone, so
 the row lemmas are checked once per lift count and a failure is reported on
 every simplex with that count.  The checks of one map share what they read
 of its tower: each alternating basis and alternating kernel is computed
-once per space and degree, and each space's two alternating homologies
-(through the free basis and through the kernels) once per space, every
-degree off one reduction of its whole complex.  ``Tower.memo`` keeps them,
-so they live as long as the tower and no longer.
+once per space and degree, each alternating complex and transfer once
+(the Alt grid of the collapse check reads the same ones), and each space's
+two alternating homologies (through the free basis and through the
+kernels) once per space, every degree off one reduction of its whole
+complex.  ``Tower.memo`` keeps them, so they live as long as the tower and
+no longer.
+
+Grid cells are carried to raw chains by ``multiplicity.grid_cells`` alone,
+which computes the listing sign: the W-row check ties the grid's transfer
+to the raw one through it, and the D^2 kernel reduction reads each
+X-simplex's sign off its D^1 record.  A check whose alternating blocks
+cannot be formed (``NotAlternating``) fails rather than raising.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from math import comb
 
 from .alternating import (
     alt_basis,
-    alt_columns,
-    alt_veps_matrix,
+    alt_complex,
+    alt_transfer,
     alternating_kernel,
     kernel_columns,
     rho_columns,
@@ -34,7 +42,7 @@ from .alternating import (
 from .complexes import SimplicialMap, pushforward_matrix
 from .errors import NotAComplex, NotAlternating, NotASubgroup
 from .intlinalg import HomologyGroup, IntMatrix, Subgroup, chain_homology, compose, kernel_basis
-from .multiplicity import LiftTable, Tower, ordered_lifts, projection_eps
+from .multiplicity import LiftTable, Tower, grid_cells, projection_eps
 
 
 @dataclass
@@ -64,12 +72,13 @@ def _alt_kernel(tower: Tower, Z, n: int) -> IntMatrix:
 def _alt_homology(tower: Tower, Z, route: str) -> dict:
     """{n: H_n} of the alternating chains of the tower's space Z in every
     degree, off one reduction of its whole complex in the tower's free bases
-    ("basis", D^k only) or alternating kernels ("kernel")."""
+    ("basis", D^k only, a copy of the complex the Alt grid reads) or
+    alternating kernels ("kernel")."""
 
     def make():
         degrees = range(Z.dim + 1)
         if route == "basis":
-            columns = alt_columns([alt_basis(tower, Z, m) for m in degrees])
+            columns = [[dict(col) for col in cols] for cols in alt_complex(tower, Z)]
         else:
             columns = kernel_columns(Z, [_alt_kernel(tower, Z, m) for m in degrees])
         return chain_homology(columns, degrees)
@@ -103,7 +112,7 @@ def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
         N = counts[delta]
         for name, *info in tower.memo(("W-row", N), lambda: _w_row(tower.lifts, N, k_cap)):
             if name.startswith("homotopy"):
-                info[0] = ordered_lifts(f, delta)[info[0]]  # the base lift
+                info[0] = tower.lifts[delta][info[0]]  # the base lift
             rep.fail(name, delta, *info)
     _tie_to_chain_level(rep, tower, n, k_cap)
     return rep
@@ -170,42 +179,27 @@ def _identity(m: int) -> list:
 
 def _tie_to_chain_level(rep, tower, n, k_top):
     """The W grid's transfer columns, read off the lift table and twisted
-    back by (-1)^n, are rho on raw chains: rho of each listed cell's raw
-    simplex is its transfer column carried to raw chains by the listing
-    parities (k = 1 lands on Y).  k_top is at least 2, so the first
-    transfer's raw columns are at hand for the kernel-image check."""
+    back by (-1)^n, are rho on raw chains: rho of each cell's raw chain
+    (``grid_cells``) is its transfer column carried to raw chains by the
+    same bridge one multiplicity down (k = 1 lands on Y).  k_top is at
+    least 2, so the first transfer's raw columns are at hand for the
+    kernel-image check."""
     f, lifts = tower.f, tower.lifts
     twist = -1 if n % 2 else 1
-    below = [(row, 1) for row in range(f.target.n_simplices(n))]  # Y itself
+    below = [{row: 1} for row in range(f.target.n_simplices(n))]  # Y itself
     for k in range(1, k_top + 1):
         Zk = tower.W(k)
-        listing = _listing(Zk, n)
+        _, cells = grid_cells(Zk, n)
         rho = rho_columns(Zk, n)
         if k == 2:
             img = IntMatrix.from_sparse(rho, f.source.n_simplices(n))
-        image = [{i: sign * a for i, a in rho[raw].items()} for raw, sign in listing]
-        mapped = [
-            {below[r][0]: below[r][1] * twist * a for r, a in col.items()}
-            for col in lifts.transfer_columns(k, n)
-        ]
-        if image != mapped:
+        mapped = compose(below, lifts.transfer_columns(k, n))
+        if compose(rho, cells) != [{i: twist * a for i, a in col.items()} for col in mapped]:
             rep.fail("listing-model-mismatch", k)
-        below = listing
+        below = cells
     # kernel of the augmentation is exactly the image of the first transfer
     if not _subgroups_equal(img, _pushforward_kernel(tower, n)):
         rep.fail("global-kernel-image")
-
-
-def _listing(Z, n) -> list:
-    """(raw index, sign) of each degree-n cell of the W grid, in the grid's
-    order: the signed bijection from the tuple cells over each Y-simplex
-    onto the raw W-chains."""
-    out = []
-    for delta in Z.f.target.simplices(n):
-        for T in iproduct(ordered_lifts(Z.f, delta), repeat=Z.k):
-            rec = Z.products[(delta, T)]
-            out.append((Z.index(rec.canonical), rec.sign))
-    return out
 
 
 def _std_boundary(N: int, k: int) -> IntMatrix:
@@ -248,9 +242,11 @@ def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
     f = tower.f
     N_max = tower.k_max()
     bases = {k: alt_basis(tower, tower.D(k), n) for k in range(1, N_max + 1)}
-    eps_alt = {
-        k: alt_veps_matrix(bases[k], bases[k - 1]) for k in range(2, N_max + 1)
-    }
+    try:
+        eps_alt = {k: alt_transfer(tower, k, n) for k in range(2, N_max + 1)}
+    except NotAlternating as exc:  # a transfer leaves the alternating chains
+        rep.fail("not-alternating", str(exc))
+        return rep
     # augmentation to the chains of Y in alternating coordinates
     aug = pushforward_matrix(f, n) @ bases[1].to_raw_matrix
     for delta in f.target.simplices(n):
@@ -315,12 +311,9 @@ def check_D2_kernel(
     # pair generators indexed by (delta, ordered pair of distinct lifts)
     X = f.source
     rng = random.Random(seed)
-    lifts_of = {delta: ordered_lifts(f, delta) for delta in f.target.simplices(n)}
-    sign_of = {}
-    for delta, lifts in lifts_of.items():
-        for T in lifts:
-            rec = tower.D(1).products[(delta, (T,))]
-            sign_of[rec.canonical] = (rec.sign, delta, T)
+    # each X-simplex is the D^1 cell of its own lift, signed by the bridge
+    records, _ = grid_cells(tower.D(1), n)
+    sign_of = {rec.canonical: (rec.sign, rec.delta, rec.lifts[0]) for rec in records}
     for _ in range(samples):
         if K.cols == 0:
             rep.note("kernel-trivial")
@@ -336,7 +329,7 @@ def check_D2_kernel(
             a_s = u * c[j]
             # some other lift over delta must carry the opposite signed weight
             partner = None
-            for T2 in lifts_of[delta]:
+            for T2 in tower.lifts[delta]:
                 if T2 == T:
                     continue
                 s2 = tuple(sorted(T2))
@@ -370,7 +363,7 @@ def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
         ah_w = _alt_homology(tower, W, "kernel").get(n, zero)
         ah_d = _alt_homology(tower, D, "basis").get(n, zero)
         ah_d_kernel = _alt_homology(tower, D, "kernel").get(n, zero)
-    except NotASubgroup as exc:  # the boundary leaves an alternating kernel
+    except (NotASubgroup, NotAlternating) as exc:  # the boundary leaves the alternating chains
         rep.fail("not-a-subcomplex", str(exc))
         return rep
     if ah_d != ah_d_kernel:
@@ -414,7 +407,7 @@ def run_all(f: SimplicialMap, seed: int = 0) -> list:
         rep = VerificationReport(f"collapse-first {kind}")
         try:
             cr = check_collapse_first(first_ss(tower, kind))
-        except NotAComplex as exc:  # the grid fails its own identities
+        except (NotAComplex, NotAlternating) as exc:  # the grid fails its identities or its bases
             rep.fail("not-a-complex", str(exc))
         else:
             if not cr.ok:

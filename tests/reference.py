@@ -5,9 +5,9 @@ that compares the two checks the package:
 
 - ``alt_matrix`` alternates chains through ``slot_action``, the action of
   the slot permutations on the vertex tuples written here, with each
-  permutation's sign counted off its cycles, not through the product
-  records that ``AltBasis`` reads; ``is_alternating`` tests a chain against
-  the adjacent slot swaps of the same action.
+  permutation's sign counted off its cycles, not through the bridge
+  ``multiplicity.grid_cells`` that ``AltBasis`` reads; ``is_alternating``
+  tests a chain against the adjacent slot swaps of the same action.
 - ``selector`` writes the evaluation on the basis generators' signed
   product simplices as a matrix, so a test can compare
   ``AltBasis.coordinates``' gather with a product.
@@ -20,8 +20,9 @@ that compares the two checks the package:
   the built spaces.  ``build_double`` writes the W grid's blocks off the
   map's lift table on cells (Y-simplex, tuple of lift indices), with no
   W^k built; ``cell_bijection`` carries those cells onto the chains of W^k
-  through the space's own vertex tuples and simplex index, so a test can
-  compare the two.
+  through the space's own vertex tuples and simplex index, with lifts found
+  by a scan of its own, so a test can compare the two, and compare it with
+  the package's bridge ``multiplicity.grid_cells``.
 - ``w_grid`` writes the W grid off the map's lift table with a column cut
   of the caller's choosing, so a test can compare ``build_double``'s cut
   with a later one.

@@ -316,8 +316,17 @@ REMOVED_NAMES = {
 }
 
 
+# removed in 0.9.0: lifts are found and ordered by ``LiftTable`` alone (not
+# ``ordered_lifts`` and a ``lift_index`` slot on the map), an alternating
+# generator is a ``grid_cells`` record (not an ``AltGen``), the W cells'
+# listing is ``grid_cells`` (not ``verify._listing``), and the transfer is
+# ``rho_columns`` alone
+REMOVED_NAMES |= {"ordered_lifts", "lift_index", "_listing", "AltGen", "rho_matrix"}
+
+
 def test_removed_names_stay_removed():
-    """No module defines, binds or imports a removed name, and ``icss``
+    """No module defines, binds, imports or reads a removed name, as a name,
+    an attribute or a string such as a ``__slots__`` entry, and ``icss``
     exports none."""
     import icss
 
@@ -326,8 +335,12 @@ def test_removed_names_stay_removed():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 name = node.name
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            elif isinstance(node, ast.Name):
                 name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
             elif isinstance(node, ast.alias):
                 name = node.asname or node.name
             else:
@@ -476,3 +489,54 @@ def test_no_per_degree_homology_calls():
         for call in calls_named(ast.parse(path.read_text()), PER_DEGREE_ROUTINES)
     ]
     assert not found, f"per-degree homology called inside the package: {found}"
+
+
+def test_lifts_and_listing_sign_live_in_multiplicity():
+    """Lifts are found in ``LiftTable`` alone and the listing sign is
+    computed in ``grid_cells`` alone: outside ``multiplicity`` no module
+    reads a space's ``products`` or imports the lift-tuple enumerators
+    ``permutations`` and ``product``; inside it, only ``LiftTable`` reads
+    the map's vertices and only ``grid_cells`` reads the products or signs
+    a sort; elsewhere ``sort_sign`` signs pushforwards in ``complexes``."""
+    enumerators = {"permutations", "product"}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        if path.name == "multiplicity.py":
+            continue
+        products = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "products"
+        ]
+        assert not products, f"{path.name} reads .products at lines {products}"
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            for alias in node.names
+        }
+        assert not imported & enumerators, f"{path.name} imports {imported & enumerators}"
+        signs = calls_named(tree, {"sort_sign"})
+        if path.name != "complexes.py":
+            assert not signs, f"{path.name} signs a sort: {signs}"
+
+    tree = ast.parse((SRC / "multiplicity.py").read_text())
+    readers = {"vertex_map": set(), "products": set(), "sort_sign": set()}
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            func = node.name if func is None else f"{func}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in readers:
+            if node.attr == "vertex_map" or isinstance(node.ctx, ast.Load):
+                readers[node.attr].add(func)
+        elif isinstance(node, ast.Name) and node.id == "sort_sign":
+            readers["sort_sign"].add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    assert readers == {
+        "vertex_map": {"LiftTable.__init__"},
+        "products": {"grid_cells.listed"},
+        "sort_sign": {"grid_cells", "grid_cells.listed"},
+    }, readers

@@ -1,20 +1,22 @@
 import signal
 
 import pytest
-from reference import adjacent_swap, bar_sigma, slot_action
+from reference import adjacent_swap, bar_sigma, cell_bijection, slot_action
 
 from icss.complexes import SimplicialMap, build_complex, pushforward_matrix
 from icss.errors import InvalidIndex, InvalidMultiplicity
 from icss.fixtures import random_fixture
 from icss.intlinalg import IntMatrix
-from icss.multiplicity import Tower, ordered_lifts, projection_eps
+from icss.multiplicity import LiftTable, Tower, grid_cells, projection_eps
 
 
 def test_ordered_lifts_fold(fold):
     # the Y edge (a, b) lifts to (z, m) and (z, p): z sits over a
-    assert ordered_lifts(fold, (0, 1)) == [(1, 0), (1, 2)]
-    assert ordered_lifts(fold, (0,)) == [(1,)]
-    assert ordered_lifts(fold, (1,)) == [(0,), (2,)]
+    lifts = Tower(fold).lifts
+    assert lifts[(0, 1)] == ((1, 0), (1, 2))
+    assert lifts[(0,)] == ((1,),)
+    assert lifts[(1,)] == ((0,), (2,))
+    assert Tower(fold).k_max() == max(lifts.counts.values()) == 2
 
 
 def brute_force_lifts(f, delta):
@@ -32,15 +34,34 @@ def test_ordered_lifts_match_brute_force(maps):
     crossed = SimplicialMap(
         build_complex([(0, 3), (1, 2)]), build_complex([(0, 1)]), {0: 1, 1: 0, 2: 1, 3: 0}
     )
-    assert ordered_lifts(crossed, (0, 1)) == [(1, 2), (3, 0)]
+    assert LiftTable(crossed)[(0, 1)] == ((1, 2), (3, 0))
     for f in [crossed, *maps.values(), *(random_fixture(seed) for seed in range(40))]:
+        table = LiftTable(f)
         for delta in f.target.all_simplices():
-            assert ordered_lifts(f, delta) == brute_force_lifts(f, delta)
-        # the index is kept on the map, and callers get their own list
-        assert f.lift_index is not None
+            assert list(table[delta]) == brute_force_lifts(f, delta)
+            assert table.counts[delta] == len(table[delta])
+        # the lifts are tuples of tuples, so no caller can change them
         delta = f.target.simplices(0)[0]
-        ordered_lifts(f, delta).append(None)
-        assert ordered_lifts(f, delta) == brute_force_lifts(f, delta)
+        with pytest.raises(AttributeError):
+            table[delta].append(None)
+        with pytest.raises(TypeError):
+            table[delta][0] = None
+        assert list(table[delta]) == brute_force_lifts(f, delta)
+
+
+def test_w_bridge_is_the_cell_bijection(maps):
+    """The bridge carries each W cell to its product simplex with the
+    listing parity, and each record holds that simplex and sign: for
+    k = 1..3 the bridge is ``reference.cell_bijection``, which finds the
+    lifts by a scan of its own."""
+    for f in [*maps.values(), *(random_fixture(seed) for seed in range(40))]:
+        tower = Tower(f)
+        for k in (1, 2, 3):
+            Z = tower.W(k)
+            for q in range(f.target.dim + 1):
+                records, columns = grid_cells(Z, q)
+                assert IntMatrix.from_sparse(columns, Z.n_simplices(q)) == cell_bijection(Z, q)
+                assert columns == [{Z.index(r.canonical): r.sign} for r in records]
 
 
 def test_fold_W2(fold):
@@ -122,10 +143,10 @@ def test_fk_map(fold):
 
 
 def test_rho_on_double_cover_vertex(double_cover):
-    from icss.alternating import rho_matrix
+    from icss.alternating import rho_columns
 
     W2 = Tower(double_cover).W(2)
-    R = rho_matrix(W2, 0)
+    R = IntMatrix.from_sparse(rho_columns(W2, 0), double_cover.source.n_simplices(0))
     j = W2.index((W2.tuple_index[(0, 1)],))
     col = R.column(j)
     assert col == [-1, 1]  # (a, b) maps to b - a
@@ -179,14 +200,14 @@ def test_dropped_tower_is_freed_by_reference_counting(disc_to_rp2):
     import gc
     import weakref
 
-    from icss.alternating import rho_matrix
+    from icss.alternating import rho_columns
 
     gc.disable()
     try:
         tower = Tower(disc_to_rp2)
         tower.W(2)
         tower.D(2)
-        rho_matrix(tower.W(3), 1)
+        IntMatrix.from_sparse(rho_columns(tower.W(3), 1), tower.W(2).n_simplices(1))
         ref = weakref.ref(tower.W(2).complex)
         del tower
         assert ref() is None  # no reference cycle keeps the spaces alive

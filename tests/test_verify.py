@@ -179,9 +179,9 @@ def test_tie_fails_on_a_corrupt_transfer(fold, monkeypatch):
 
 
 def test_d_row_fails_on_a_flipped_sign(fold, monkeypatch):
-    import icss.verify as verify
+    import icss.alternating as alternating
 
-    real = verify.alt_veps_matrix
+    real = alternating.alt_veps_matrix
 
     def flipped(src, tgt):
         M = real(src, tgt)
@@ -189,7 +189,7 @@ def test_d_row_fails_on_a_flipped_sign(fold, monkeypatch):
         M.data[i][j] = -M.data[i][j]
         return M
 
-    monkeypatch.setattr(verify, "alt_veps_matrix", flipped)
+    monkeypatch.setattr(alternating, "alt_veps_matrix", flipped)
     failed = [check_D_row_exact(Tower(fold), n) for n in range(fold.target.dim + 1)]
     assert not all(rep.passed for rep in failed)
     assert any(d[0] == "sign-identity" for rep in failed for d in rep.details)
@@ -222,11 +222,16 @@ def test_run_all_reports_swap_conditions_without_their_sign(fold, monkeypatch):
 
 def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     """One run_all builds each alternating basis and alternating kernel once
-    per space and degree, and checks each row lemma once per lift count.
-    Every ``AltBasis`` is counted, so the bases of the collapse check's Alt
-    grid count too: the grid reads the ones the other checks built."""
+    per space and degree, forms each alternating transfer once per (k, n)
+    and each alternating complex once per space, and checks each row lemma
+    once per lift count.  Every ``AltBasis`` is counted, so the bases of the
+    collapse check's Alt grid count too: the grid reads the ones the other
+    checks built, and the blocks the D-row check and the free-basis route
+    read."""
     from collections import Counter
 
+    import icss.alternating as alternating
+    import icss.spectral as spectral
     import icss.verify as verify
     from icss.alternating import AltBasis
 
@@ -246,13 +251,35 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     monkeypatch.setattr(verify, "alternating_kernel", kernel)
     monkeypatch.setattr(verify, "_w_row", counting("W-row", verify._w_row, lambda t, N, k: (N,)))
     monkeypatch.setattr(verify, "_std_row", counting("D-row", verify._std_row, lambda N: (N,)))
+    blocks = {
+        "alt_veps_matrix": counting(
+            "transfer", alternating.alt_veps_matrix, lambda src, tgt: (src.Z.k, src.n)
+        ),
+        "alt_columns": counting(
+            "complex", alternating.alt_columns, lambda bases: (bases[0].Z.kind, bases[0].Z.k)
+        ),
+    }
+    for module in (alternating, spectral, verify):
+        for name, wrapper in blocks.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     assert all(r.passed for r in run_all(disc_to_rp2))
     assert max(calls.values()) == 1, calls
     counts = set(Tower(disc_to_rp2).lifts.counts.values())
     for name in ("W-row", "D-row"):
         assert {key[1] for key in calls if key[0] == name} == counts, calls
-    assert {key[0] for key in calls} == {"basis", "kernel", "W-row", "D-row"}, calls
+    assert {key[0] for key in calls} == {
+        "basis", "kernel", "W-row", "D-row", "transfer", "complex"
+    }, calls
     assert ("kernel", "W", 2, 0) in calls and ("basis", "D", 2, 0) in calls, calls
+    k_max = Tower(disc_to_rp2).k_max()
+    assert {key for key in calls if key[0] == "complex"} == {
+        ("complex", "D", k) for k in range(1, k_max + 1)
+    }, calls
+    top = min(2, disc_to_rp2.target.dim)
+    assert {key for key in calls if key[0] == "transfer"} == {
+        ("transfer", k, n) for k in range(2, k_max + 1) for n in range(top + 1)
+    }, calls
 
 
 def test_run_all_forms_each_raw_transfer_once(disc_to_rp2, monkeypatch):
@@ -339,3 +366,51 @@ def test_run_all_frees_its_towers_without_the_cycle_collector(disc_to_rp2, monke
     finally:
         gc.enable()
     assert len(refs) > 1 and not alive, alive
+
+
+def test_run_all_reports_a_flipped_bridge_sign(fold, monkeypatch):
+    """The bridge's signs are what the checks test: with the swap's sign
+    dropped from each D^2 cell's alternation, run_all returns (no
+    ``NotAlternating`` escapes it) and the checks that read the alternating
+    basis fail; with one W cell's orientation flipped, the W-row check's
+    tie to the raw transfer fails."""
+    import icss.alternating as alternating
+    import icss.verify as verify
+
+    real = alternating.grid_cells
+
+    def unsigned_swap(Z, n):
+        records, columns = real(Z, n)
+        if Z.k == 2:  # the one reordering is the swap: flip its entry
+            columns = [
+                {i: a if i == Z.index(rec.canonical) else -a for i, a in col.items()}
+                for rec, col in zip(records, columns)
+            ]
+        return records, columns
+
+    monkeypatch.setattr(alternating, "grid_cells", unsigned_swap)
+    failed = {rep.name: rep.details[0][0] for rep in run_all(fold) if not rep.passed}
+    assert failed == {
+        **{f"D-row-exact n={n}": "sign-identity" for n in (0, 1)},
+        **{f"D2-kernel n={n}": "subgroup-mismatch" for n in (0, 1)},
+        **{f"houston k=2 n={n}": "not-a-subcomplex" for n in (0, 1)},
+        "collapse-first Alt": "not-a-complex",
+        "cochain-round-trip": "altstar-theta",
+    }, failed
+    monkeypatch.undo()
+
+    real = verify.grid_cells
+
+    def one_flipped(Z, n):
+        records, columns = real(Z, n)
+        if Z.kind == "W" and Z.k == 2:  # the first cell, oriented the other way
+            columns = [{i: -a for i, a in columns[0].items()}, *columns[1:]]
+        return records, columns
+
+    monkeypatch.setattr(verify, "grid_cells", one_flipped)
+    failed = {rep.name: rep.details for rep in run_all(fold) if not rep.passed}
+    # the first cell is diagonal, which rho kills, so k = 2 still ties; the
+    # transfer from W^3 lands on it
+    assert failed == {
+        f"W-row-exact n={n}": [("listing-model-mismatch", 3)] for n in (0, 1)
+    }, failed
