@@ -53,4 +53,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

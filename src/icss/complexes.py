@@ -4,13 +4,15 @@ validated simplicial maps.
 Vertices are dense integer indices; the canonical representative of a
 geometric simplex is its strictly increasing vertex tuple.  Reorderings are
 identified up to permutation sign, so each geometric simplex contributes one
-oriented generator to the chain groups.
+oriented generator to the chain groups.  A complex is built in one sweep:
+each given simplex is sorted once and its faces read into one set per
+dimension.  ``maximal_faces`` reads maximal simplices off given ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import ComplexMismatch, DegreeOutOfRange, InvalidSimplex
 from .intlinalg import HomologyGroup, IntMatrix, chain_homology
@@ -36,7 +38,8 @@ class SimplicialComplex:
 
     ``labels[v]`` is an arbitrary hashable naming vertex ``v``; plain string
     names for input complexes, k-tuples of vertex ids for fibre products.
-    Immutable after construction.
+    ``simplices_by_dim`` maps each dimension to distinct increasing vertex
+    tuples, as :func:`face_closure` gives them.  Immutable after construction.
     """
 
     def __init__(self, n_vertices: int, simplices_by_dim, labels=None):
@@ -44,24 +47,19 @@ class SimplicialComplex:
         self.labels = tuple(labels) if labels is not None else tuple(range(n_vertices))
         if len(self.labels) != n_vertices:
             raise ValueError("label count mismatch")
-        self.label_index = {lab: v for v, lab in enumerate(self.labels)}
+        self.label_index = dict(zip(self.labels, range(n_vertices)))
         if len(self.label_index) != n_vertices:
             raise ValueError("duplicate labels")
-        # per-dimension sorted tuple list, lexicographic order fixes the bases
-        self._simplices = {
-            d: tuple(sorted(set(map(tuple, ss)))) for d, ss in simplices_by_dim.items() if ss
-        }
-        self._index = {
-            d: {s: i for i, s in enumerate(ss)} for d, ss in self._simplices.items()
-        }
+        # per-dimension sorted tuples, lexicographic order fixes the bases
+        self._simplices = {d: tuple(sorted(ss)) for d, ss in sorted(simplices_by_dim.items()) if ss}
+        self._index = {d: dict(zip(ss, range(len(ss)))) for d, ss in self._simplices.items()}
         self.dim = max(self._simplices) if self._simplices else -1
 
     def simplices(self, dim: int) -> tuple:
         return self._simplices.get(dim, ())
 
     def all_simplices(self):
-        for d in sorted(self._simplices):
-            yield from self._simplices[d]
+        return chain.from_iterable(self._simplices.values())
 
     def n_simplices(self, dim: int) -> int:
         return len(self._simplices.get(dim, ()))
@@ -73,12 +71,8 @@ class SimplicialComplex:
         return self._index[len(s) - 1][tuple(s)]
 
     def maximal_simplices(self) -> list:
-        """Simplices that are faces of no other simplex.  The complex is
-        closed under faces, so these are the ones that are no facet."""
-        facets = {s[:i] + s[i + 1 :] for s in self.all_simplices() for i in range(len(s))}
-        return sorted(
-            (s for s in self.all_simplices() if s not in facets), key=lambda s: (len(s), s)
-        )
+        """Simplices that are faces of no other simplex."""
+        return maximal_faces(self.all_simplices())
 
     def __eq__(self, other):
         return (
@@ -95,41 +89,59 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, counts={counts})"
 
 
-def face_closure(simplices) -> set:
-    closed = set()
-    for s in simplices:
-        s = tuple(sorted(s))
-        for d in range(1, len(s) + 1):
-            closed.update(combinations(s, d))
-    return closed
+def face_closure(simplices) -> dict:
+    """{d: set of the d-faces} of a list of sorted vertex sequences."""
+    return {
+        d: set(chain.from_iterable(map(combinations, simplices, repeat(d + 1))))
+        for d in range(max(map(len, simplices), default=0))
+    }
+
+
+def maximal_faces(simplices) -> list:
+    """The given increasing vertex tuples that are no proper face of another
+    given one, each once, by dimension and then lexicographically."""
+    given, faces = set(simplices), set()
+    for size in set(map(len, given)):
+        faces.update(chain.from_iterable(combinations(s, size) for s in given if len(s) > size))
+    out = sorted(given - faces)
+    out.sort(key=len)
+    return out
+
+
+def index_simplices(simplices, labels=None) -> tuple:
+    """``(n_vertices, tops)``: the given simplices as increasing vertex-id
+    tuples, labels read as their index in ``labels``.  Raises ``KeyError``
+    for an unknown label, ``InvalidSimplex`` for an empty or repeated one."""
+    if labels is None:
+        given = list(map(tuple, simplices))
+        n_vertices = 1 + max(map(max, filter(None, given)), default=-1)
+    else:
+        index, n_vertices = dict(zip(labels, range(len(labels)))), len(labels)
+        if len(index) != n_vertices:
+            raise ValueError("duplicate labels")
+        given = list(map(tuple, map(map, repeat(index.__getitem__), simplices)))
+    tops = list(map(tuple, map(sorted, map(set, given))))
+    if not all(tops) or list(map(len, tops)) != list(map(len, given)):
+        for s in given:
+            if not s:
+                raise InvalidSimplex("empty simplex")
+            if len(set(s)) != len(s):
+                raise InvalidSimplex(f"repeated vertex in simplex {s!r}")
+    return n_vertices, tops
 
 
 def build_complex(maximal_simplices, labels=None) -> SimplicialComplex:
-    """Face closure of the given maximal simplices (vertex-id tuples).
+    """Face closure of the given maximal simplices (vertex-id tuples), read
+    off each given simplex once into per-dimension sets.
 
     With ``labels`` given, the tuples may use labels instead of indices and
     the vertex order is the label order; a labelled vertex that lies in no
     given simplex is a 0-simplex of its own.
     """
+    n_vertices, tops = index_simplices(maximal_simplices, labels)
+    by_dim = face_closure(tops)
     if labels is not None:
-        lab_ix = {lab: i for i, lab in enumerate(labels)}
-        maximal_simplices = [
-            tuple(lab_ix[v] for v in s) for s in maximal_simplices
-        ]
-        n_vertices = len(labels)
-    else:
-        n_vertices = 1 + max((max(s) for s in maximal_simplices if s), default=-1)
-    for s in maximal_simplices:
-        if not s:
-            raise InvalidSimplex("empty simplex")
-        if len(set(s)) != len(s):
-            raise InvalidSimplex(f"repeated vertex in simplex {s!r}")
-    closed = face_closure(maximal_simplices)
-    if labels is not None:
-        closed.update((v,) for v in range(n_vertices))
-    by_dim: dict = {}
-    for s in closed:
-        by_dim.setdefault(len(s) - 1, []).append(s)
+        by_dim[0] = list(zip(range(n_vertices)))
     return SimplicialComplex(n_vertices, by_dim, labels=labels)
 
 
@@ -168,25 +180,26 @@ class MapReport:
 
 
 def validate_map(vertex_map, X: SimplicialComplex, Y: SimplicialComplex) -> MapReport:
-    """Check that vertex_map induces a finite-to-one surjective simplicial map."""
-    failures = []
-    simplicial = True
-    finite_to_one = True
-    hit = set()
-    for s in X.all_simplices():
-        image = tuple(sorted({vertex_map[v] for v in s}))
-        if len(image) != len(s):
-            finite_to_one = False
-            failures.append(("collapsed", s))
-        if Y.has_simplex(image):
-            hit.add(image)
-        else:
-            simplicial = False
-            failures.append(("not-a-simplex", s))
-    missed = [("missed", s) for s in Y.all_simplices() if s not in hit]
-    surjective = not missed
-    failures.extend(missed)
-    return MapReport(simplicial, finite_to_one, surjective, tuple(failures))
+    """Check that vertex_map induces a finite-to-one surjective simplicial map.
+    X is walked simplex by simplex only to name the failures of a map with an
+    image (sorted, repeats kept) outside Y's simplices."""
+    get = vertex_map.__getitem__
+    images = set(map(tuple, map(sorted, map(map, repeat(get), X.all_simplices()))))
+    failures, hit, in_y = [], images, set(Y.all_simplices())
+    if not images <= in_y:
+        hit = set()
+        for s in X.all_simplices():
+            image = tuple(sorted({vertex_map[v] for v in s}))
+            if len(image) != len(s):
+                failures.append(("collapsed", s))
+            if image in in_y:
+                hit.add(image)
+            else:
+                failures.append(("not-a-simplex", s))
+    missed = [] if hit == in_y else [("missed", s) for s in Y.all_simplices() if s not in hit]
+    kinds = {kind for kind, _ in failures}
+    simplicial, finite_to_one = "not-a-simplex" not in kinds, "collapsed" not in kinds
+    return MapReport(simplicial, finite_to_one, not missed, tuple(failures + missed))
 
 
 class SimplicialMap:

@@ -92,12 +92,7 @@ def random_fixture(seed: int = 0) -> SimplicialMap:
         maximal.add((v,))  # keep every vertex in play
     X = build_complex(sorted(maximal, key=lambda s: (len(s), s)))
 
-    adjacent = set()
-    for s in X.all_simplices():
-        for a in s:
-            for b in s:
-                if a != b:
-                    adjacent.add((a, b))
+    adjacent = {pair for a, b in X.simplices(1) for pair in ((a, b), (b, a))}
     classes = [{v} for v in range(n)]
     for _ in range(rng.randint(1, 3)):
         rng.shuffle(classes)
@@ -114,15 +109,8 @@ def random_fixture(seed: int = 0) -> SimplicialMap:
             if merged:
                 break
     classes.sort(key=min)
-    vmap = {}
-    for c, members in enumerate(classes):
-        for v in members:
-            vmap[v] = c
-    y_max = sorted(
-        {tuple(sorted({vmap[v] for v in s})) for s in X.maximal_simplices()},
-        key=lambda s: (len(s), s),
-    )
-    Y = build_complex(y_max)
+    vmap = {v: c for c, members in enumerate(classes) for v in members}
+    Y = build_complex({tuple(sorted({vmap[v] for v in s})) for s in X.maximal_simplices()})
     return SimplicialMap(X, Y, vmap)
 
 

@@ -105,10 +105,7 @@ def _build(f: SimplicialMap, k: int, kind: str, below, lifts) -> MultiplePointCo
     products = {
         key: tuple(tuple_index[t] for t in listing) for key, listing in listings.items()
     }
-    closed = face_closure(products.values())
-    by_dim: dict = {}
-    for s in closed:
-        by_dim.setdefault(len(s) - 1, []).append(s)
+    by_dim = face_closure(list(map(sorted, products.values())))
     complex_ = SimplicialComplex(len(vertex_tuples), by_dim, labels=vertex_tuples)
     return MultiplePointComplex(kind, k, f, lifts, complex_, vertex_tuples, products, below)
 

@@ -37,11 +37,17 @@ that compares the two checks the package:
   as sparse columns and reads every degree off one reduction of it.
 - ``solve``, ``contains`` and ``contains_subgroup`` are membership tests
   by one integral solve.
+- ``build_complex_by_closure``, ``canonical_by_closure`` and
+  ``validate_map_by_walk`` are the load route the package replaced: one
+  face-closure set regrouped by dimension, a canonical form read off a
+  built complex's facets, and a map checked simplex by simplex.  The
+  package sorts each given simplex once into per-dimension sets, reads the
+  canonical form off the given simplices and compares image sets.
 """
 
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
-from icss.errors import NotAComplex
+from icss.errors import InvalidSimplex, NotAComplex
 from icss.intlinalg import (
     HomologyGroup,
     IntMatrix,
@@ -53,7 +59,14 @@ from icss.intlinalg import (
     subgroup_quotient,
 )
 from icss.alternating import AltBasis, alt_boundary_matrix, alternating_kernel
-from icss.complexes import boundary_matrix, pushforward_matrix, sort_sign
+from icss.complexes import (
+    MapReport,
+    SimplicialComplex,
+    boundary_matrix,
+    pushforward_matrix,
+    sort_sign,
+)
+from icss.io import MapDocument
 from icss.intlinalg import restrict
 from icss.multiplicity import projection_eps
 from icss.spectral import DoubleComplex
@@ -488,3 +501,74 @@ def pair_alternating_cochain_homology(Z, n: int):
     if n > Z.dim:
         return HomologyGroup(0)
     return homology_pair(*pair_kernel_differentials(Z, n, transpose=True))
+
+
+def build_complex_by_closure(maximal_simplices, labels=None) -> SimplicialComplex:
+    """Face closure of the given simplices as one set, grouped by dimension."""
+    if labels is not None:
+        lab_ix = {lab: i for i, lab in enumerate(labels)}
+        maximal_simplices = [tuple(lab_ix[v] for v in s) for s in maximal_simplices]
+        n_vertices = len(labels)
+    else:
+        n_vertices = 1 + max((max(s) for s in maximal_simplices if s), default=-1)
+    for s in maximal_simplices:
+        if not s:
+            raise InvalidSimplex("empty simplex")
+        if len(set(s)) != len(s):
+            raise InvalidSimplex(f"repeated vertex in simplex {s!r}")
+    closed = set()
+    for s in maximal_simplices:
+        s = tuple(sorted(s))
+        for d in range(1, len(s) + 1):
+            closed.update(combinations(s, d))
+    if labels is not None:
+        closed.update((v,) for v in range(n_vertices))
+    by_dim: dict = {}
+    for s in closed:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return SimplicialComplex(n_vertices, by_dim, labels=labels)
+
+
+def maximal_by_facets(K) -> list:
+    """Simplices of K that are no facet of another, by (dimension, vertices)."""
+    facets = {s[:i] + s[i + 1 :] for s in K.all_simplices() for i in range(len(s))}
+    return sorted((s for s in K.all_simplices() if s not in facets), key=lambda s: (len(s), s))
+
+
+def canonical_by_closure(doc) -> MapDocument:
+    """The canonical form read off each side's built complex."""
+
+    def canon_side(vertices, simplices):
+        order = {v: i for i, v in enumerate(vertices)}
+        complex_ = build_complex_by_closure(simplices, labels=vertices)
+        out = [[vertices[v] for v in s] for s in maximal_by_facets(complex_)]
+        return sorted(out, key=lambda s: (len(s), [order[v] for v in s]))
+
+    return MapDocument(
+        list(doc.x_vertices),
+        canon_side(doc.x_vertices, doc.x_simplices),
+        list(doc.y_vertices),
+        canon_side(doc.y_vertices, doc.y_simplices),
+        {v: doc.vertex_map[v] for v in doc.x_vertices},
+        dict(doc.metadata),
+    )
+
+
+def validate_map_by_walk(vertex_map, X, Y) -> MapReport:
+    """validate_map walking every simplex of X, then every simplex of Y."""
+    failures = []
+    simplicial = finite_to_one = True
+    hit = set()
+    for s in X.all_simplices():
+        image = tuple(sorted({vertex_map[v] for v in s}))
+        if len(image) != len(s):
+            finite_to_one = False
+            failures.append(("collapsed", s))
+        if Y.has_simplex(image):
+            hit.add(image)
+        else:
+            simplicial = False
+            failures.append(("not-a-simplex", s))
+    missed = [("missed", s) for s in Y.all_simplices() if s not in hit]
+    failures.extend(missed)
+    return MapReport(simplicial, finite_to_one, not missed, tuple(failures))
