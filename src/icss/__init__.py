@@ -11,16 +11,7 @@ from .complexes import (
     pushforward_matrix,
     validate_map,
 )
-from .alternating import (
-    AltBasis,
-    alternating_homology,
-    alternating_homology_kernel,
-)
-from .cohomology import (
-    alternating_cochain_homology,
-    cochain_homology,
-    dual_alternating_homology,
-)
+from .alternating import AltBasis, alternating_homology
 from .errors import IcssError
 from .fixtures import FIXTURES, fixture_names, get_fixture
 from .intlinalg import (
@@ -53,4 +44,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -207,13 +207,3 @@ def alternating_homology(Z: MultiplePointComplex, n: int) -> HomologyGroup:
     """Homology of the alternating chain complex of D^k via its free basis."""
     bases = [AltBasis(Z, m) for m in complex_degrees(Z, n)]
     return chain_homology(alt_columns(bases), [n])[n]
-
-
-def alternating_homology_kernel(Z: MultiplePointComplex, n: int) -> HomologyGroup:
-    """Homology of the alternating subcomplex cut out inside the raw chains.
-
-    Works for W^k as well as D^k; this is the independent route used to
-    compare the two models of alternating homology.
-    """
-    kernels = [alternating_kernel(Z, m) for m in complex_degrees(Z, n)]
-    return chain_homology(kernel_columns(Z, kernels), [n])[n]

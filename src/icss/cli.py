@@ -10,10 +10,11 @@ tower, a map that is not finite-to-one and surjective.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .complexes import homology_groups
-from .errors import ComplexMismatch, IcssError
+from .errors import ComplexMismatch, IcssError, ParseError
 from .fixtures import fixture_names, get_fixture
 from .io import (
     document_from_map,
@@ -28,13 +29,18 @@ from .verify import run_all
 
 
 def _load_map(path: str):
-    """The map of the document at ``path``; "-" reads standard input."""
+    """The map of the document at ``path``; "-" reads standard input.  The
+    bytes are decoded as strict UTF-8, with universal newlines."""
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_map(text).to_simplicial_map()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
+    return parse_map(io.StringIO(text, newline=None).read()).to_simplicial_map()
 
 
 def _load_valid_map(path: str):

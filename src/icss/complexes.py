@@ -64,9 +64,6 @@ class SimplicialComplex:
     def n_simplices(self, dim: int) -> int:
         return len(self._simplices.get(dim, ()))
 
-    def has_simplex(self, s) -> bool:
-        return tuple(s) in self._index.get(len(s) - 1, {})
-
     def index(self, s) -> int:
         return self._index[len(s) - 1][tuple(s)]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import NotAComplex, NotASubgroup
 
@@ -19,10 +19,10 @@ from .errors import NotAComplex, NotASubgroup
 class IntMatrix:
     """Integer matrix with explicit shape (so 0xN and Nx0 make sense).
 
-    Storage is dense rows of Python ints.  Products, sums, transposes and
-    ``sparse_columns`` find the nonzeros of a row by C-level iteration
-    (``itertools.compress``, ``map``, ``zip``), so they pay Python work per
-    nonzero entry only; elimination steps skip zero entries.
+    Storage is dense rows of Python ints.  Products and ``sparse_columns``
+    find the nonzeros of a row by C-level iteration (``itertools.compress``,
+    ``map``), so they pay Python work per nonzero entry only; elimination
+    steps skip zero entries.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -45,28 +45,6 @@ class IntMatrix:
         return m
 
     @staticmethod
-    def from_rows(rows_list, cols: int | None = None) -> "IntMatrix":
-        rows_list = [list(r) for r in rows_list]
-        if cols is None:
-            if not rows_list:
-                raise ValueError("cols required for empty matrix")
-            cols = len(rows_list[0])
-        return IntMatrix(len(rows_list), cols, rows_list)
-
-    @staticmethod
-    def from_columns(cols_list, rows: int | None = None) -> "IntMatrix":
-        cols_list = [list(c) for c in cols_list]
-        if rows is None:
-            if not cols_list:
-                raise ValueError("rows required for empty matrix")
-            rows = len(cols_list[0])
-        if any(map(rows.__ne__, map(len, cols_list))):
-            raise ValueError("column length mismatch")
-        if not cols_list:
-            return IntMatrix(rows, 0)
-        return IntMatrix(rows, len(cols_list), list(zip(*cols_list)))
-
-    @staticmethod
     def from_sparse(cols_list, rows: int) -> "IntMatrix":
         """The dense form of {row: entry} columns (``sparse_columns``'s form)."""
         M = IntMatrix(rows, len(cols_list))
@@ -75,16 +53,8 @@ class IntMatrix:
                 M.data[i][j] = a
         return M
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
-
     def column(self, j: int) -> list:
         return list(map(itemgetter(j), self.data))
-
-    def transpose(self) -> "IntMatrix":
-        if not self.rows:
-            return IntMatrix(self.cols, 0)
-        return IntMatrix(self.cols, self.rows, list(zip(*self.data)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -120,16 +90,6 @@ class IntMatrix:
     def scaled(self, a: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[a * x for x in r] for r in self.data])
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            self.rows, self.cols, [list(map(add, r, s)) for r, s in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scaled(-1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -140,9 +100,6 @@ class IntMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.data))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -364,10 +321,6 @@ def column_echelon(M: IntMatrix, reduce: bool = False, transform: bool = True):
     return IntMatrix(m, n, H), IntMatrix(n, n, T) if transform else None, pivots
 
 
-def rank(M: IntMatrix) -> int:
-    return len(column_echelon(M, transform=False)[2])
-
-
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Columns generate the integer kernel of M (a saturated lattice basis)."""
     H, T, pivots = column_echelon(M)
@@ -486,15 +439,11 @@ class Subgroup:
 
     __slots__ = ("ambient_rank", "basis", "_hnf")
 
-    def __init__(self, ambient_rank: int, generators: IntMatrix | list):
-        if isinstance(generators, IntMatrix):
-            gens = generators
-        else:
-            gens = IntMatrix.from_columns(generators, rows=ambient_rank)
-        if gens.rows != ambient_rank:
+    def __init__(self, ambient_rank: int, generators: IntMatrix):
+        if generators.rows != ambient_rank:
             raise ValueError("generator length mismatch")
         self.ambient_rank = ambient_rank
-        self.basis = self._hnf = hermite_basis(gens)
+        self.basis = self._hnf = hermite_basis(generators)
 
     @staticmethod
     def of_basis(ambient_rank: int, basis: IntMatrix) -> "Subgroup":

@@ -124,6 +124,8 @@ def parse_map(text: str) -> MapDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")
     for key in ("x", "y", "map"):

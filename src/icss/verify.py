@@ -385,8 +385,10 @@ def check_houston(tower: Tower, k: int, n: int) -> VerificationReport:
 
 
 def run_all(f: SimplicialMap, seed: int = 0) -> list:
-    """Every structural check, plus collapse and cohomology round-trips, all
-    reading one tower of f, in the degrees n <= min(2, dim Y)."""
+    """Every structural check, plus the collapse checks and the round trip
+    between raw and alternating coordinates (reported as
+    ``cochain-round-trip``), all reading one tower of f, in the degrees
+    n <= min(2, dim Y)."""
     from .spectral import check_collapse_first, first_ss
 
     reports = []

@@ -40,25 +40,49 @@ that compares the two checks the package:
 - ``build_complex_by_closure``, ``canonical_by_closure`` and
   ``validate_map_by_walk`` are the load route the package replaced: one
   face-closure set regrouped by dimension, a canonical form read off a
-  built complex's facets, and a map checked simplex by simplex.  The
-  package sorts each given simplex once into per-dimension sets, reads the
+  built complex's facets, and a map checked simplex by simplex (with
+  ``has_simplex``, a scan of one dimension's simplices).  The package
+  sorts each given simplex once into per-dimension sets, reads the
   canonical form off the given simplices and compares image sets.
+- ``from_rows``, ``from_columns``, ``copy``, ``transpose``, ``add``,
+  ``sub``, ``is_zero`` and ``rank`` are the dense matrix helpers that only
+  tests call; the package builds its matrices from sparse columns.
+- ``alternating_homology_kernel`` reads alternating homology off the raw
+  chains restricted to the alternating kernels, where the package reads it
+  off the free basis of ``AltBasis``.  ``dual_alternating_homology`` and
+  ``alternating_cochain_homology`` are the two models of alternating
+  cohomology, the dual of the free basis complex and the alternating
+  functionals on raw chains, each read off one reduction of its whole
+  cochain complex (``dual_columns``, ``cochain_homology``); no command
+  reads cohomology, so they serve as the duality checks of the tests.
 """
 
 from itertools import combinations, permutations, product as iproduct
+from operator import add as add_entries
 
 from icss.errors import InvalidSimplex, NotAComplex
 from icss.intlinalg import (
     HomologyGroup,
     IntMatrix,
     Subgroup,
+    chain_homology,
+    column_echelon,
     group_from_presentation,
     invariant_factors,
     kernel_basis,
+    restrict,
     solve_columns,
+    sparse_columns,
     subgroup_quotient,
 )
-from icss.alternating import AltBasis, alt_boundary_matrix, alternating_kernel
+from icss.alternating import (
+    AltBasis,
+    alt_boundary_matrix,
+    alt_columns,
+    alternating_kernel,
+    complex_degrees,
+    kernel_columns,
+)
 from icss.complexes import (
     MapReport,
     SimplicialComplex,
@@ -67,9 +91,65 @@ from icss.complexes import (
     sort_sign,
 )
 from icss.io import MapDocument
-from icss.intlinalg import restrict
 from icss.multiplicity import projection_eps
 from icss.spectral import DoubleComplex
+
+
+def from_rows(rows, cols: int | None = None) -> IntMatrix:
+    """The matrix with the given rows; ``cols`` is needed when there are none."""
+    rows = [list(r) for r in rows]
+    if cols is None:
+        if not rows:
+            raise ValueError("cols required for empty matrix")
+        cols = len(rows[0])
+    return IntMatrix(len(rows), cols, rows)
+
+
+def from_columns(columns, rows: int | None = None) -> IntMatrix:
+    """The matrix with the given columns; ``rows`` is needed when there are none."""
+    columns = [list(c) for c in columns]
+    if rows is None:
+        if not columns:
+            raise ValueError("rows required for empty matrix")
+        rows = len(columns[0])
+    if any(map(rows.__ne__, map(len, columns))):
+        raise ValueError("column length mismatch")
+    if not columns:
+        return IntMatrix(rows, 0)
+    return IntMatrix(rows, len(columns), list(zip(*columns)))
+
+
+def copy(M: IntMatrix) -> IntMatrix:
+    return IntMatrix(M.rows, M.cols, M.data)
+
+
+def transpose(M: IntMatrix) -> IntMatrix:
+    if not M.rows:
+        return IntMatrix(M.cols, 0)
+    return IntMatrix(M.cols, M.rows, list(zip(*M.data)))
+
+
+def add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    if (A.rows, A.cols) != (B.rows, B.cols):
+        raise ValueError("shape mismatch")
+    return IntMatrix(A.rows, A.cols, [list(map(add_entries, r, s)) for r, s in zip(A.data, B.data)])
+
+
+def sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    return add(A, B.scaled(-1))
+
+
+def is_zero(M: IntMatrix) -> bool:
+    return not any(map(any, M.data))
+
+
+def rank(M: IntMatrix) -> int:
+    return len(column_echelon(M, transform=False)[2])
+
+
+def has_simplex(K, s) -> bool:
+    """Whether the vertex tuple s, sorted, is a simplex of K."""
+    return tuple(s) in K.simplices(len(s) - 1)
 
 
 def permutation_sign(perm) -> int:
@@ -110,7 +190,7 @@ def alt_matrix(Z, n: int) -> IntMatrix:
     m = Z.n_simplices(n)
     total = IntMatrix(m, m)
     for perm in permutations(range(Z.k)):
-        total = total + slot_action(Z, perm, n).scaled(permutation_sign(perm))
+        total = add(total, slot_action(Z, perm, n).scaled(permutation_sign(perm)))
     return total
 
 
@@ -145,7 +225,7 @@ def transfer_from_projections(Z, n: int) -> IntMatrix:
     ]
     total = terms[0]
     for term in terms[1:]:
-        total = total + term
+        total = add(total, term)
     return total
 
 
@@ -171,7 +251,7 @@ def cell_bijection(Z, q: int) -> IntMatrix:
             column = [0] * rows
             column[Z.complex.index(sorted(listing))] = sort_sign(listing)
             columns.append(column)
-    return IntMatrix.from_columns(columns, rows=rows)
+    return from_columns(columns, rows=rows)
 
 
 def adjacent_swap(k: int, i: int) -> tuple:
@@ -418,7 +498,7 @@ def quotient(A: IntMatrix, B: IntMatrix):
 
 def solve(M: IntMatrix, target) -> list | None:
     """An integral x with M @ x == target, or None if there is none."""
-    X = solve_columns(M, IntMatrix.from_columns([target], rows=M.rows))
+    X = solve_columns(M, from_columns([target], rows=M.rows))
     return None if X is None else X.column(0)
 
 
@@ -437,7 +517,7 @@ def homology_pair(d_n: IntMatrix, d_next: IntMatrix):
     raises NotAComplex unless d_n @ d_next == 0."""
     if d_n.cols != d_next.rows:
         raise ValueError("shape mismatch: d_n.cols must equal d_next.rows")
-    if not (d_n @ d_next).is_zero():
+    if not is_zero(d_n @ d_next):
         raise NotAComplex("d_n @ d_next != 0")
     return quotient(kernel_basis(d_n), d_next)
 
@@ -465,10 +545,10 @@ def pair_dual_alternating_homology(Z, n: int):
     """Degree-n cohomology of the dual of the free alternating complex: the
     transposed pair, in the opposite order."""
     d_n, d_next = pair_alt_differentials(Z, n)
-    return homology_pair(d_next.transpose(), d_n.transpose())
+    return homology_pair(transpose(d_next), transpose(d_n))
 
 
-def pair_kernel_differentials(Z, n: int, transpose: bool) -> tuple:
+def pair_kernel_differentials(Z, n: int, dual: bool) -> tuple:
     """The raw boundaries into and out of degree n restricted to the
     alternating kernels (or their transposes, the coboundaries out of and
     into degree n), 0 above dim Z."""
@@ -476,14 +556,14 @@ def pair_kernel_differentials(Z, n: int, transpose: bool) -> tuple:
 
     def raw(m):  # the map between degrees m and m - 1, in its direction
         d = boundary_matrix(Z.complex, m)
-        if transpose:
-            return restrict(d.transpose(), A[m - 1], A[m])
+        if dual:
+            return restrict(transpose(d), A[m - 1], A[m])
         return restrict(d, A[m], A[m - 1])
 
     width = A[n].cols
     into = raw(n) if n >= 1 else None
     out = raw(n + 1) if n + 1 <= Z.dim else None
-    if transpose:  # the coboundary out of degree n comes first
+    if dual:  # the coboundary out of degree n comes first
         into, out = out, into
     first = into if into is not None else IntMatrix(0, width)
     return first, out if out is not None else IntMatrix(width, 0)
@@ -493,14 +573,66 @@ def pair_alternating_homology_kernel(Z, n: int):
     """Alternating homology of W^k or D^k in degree n, inside the raw chains."""
     if n > Z.dim:
         return HomologyGroup(0)
-    return homology_pair(*pair_kernel_differentials(Z, n, transpose=False))
+    return homology_pair(*pair_kernel_differentials(Z, n, dual=False))
 
 
 def pair_alternating_cochain_homology(Z, n: int):
     """Degree-n cohomology of the alternating functionals on raw chains."""
     if n > Z.dim:
         return HomologyGroup(0)
-    return homology_pair(*pair_kernel_differentials(Z, n, transpose=True))
+    return homology_pair(*pair_kernel_differentials(Z, n, dual=True))
+
+
+def alternating_homology_kernel(Z, n: int) -> HomologyGroup:
+    """Homology of the alternating subcomplex cut out inside the raw chains
+    of W^k or D^k, off one reduction of the complex up to degree n + 1."""
+    kernels = [alternating_kernel(Z, m) for m in complex_degrees(Z, n)]
+    return chain_homology(kernel_columns(Z, kernels), [n])[n]
+
+
+def dual_columns(columns: list) -> list:
+    """The cochain complex dual to the chain complex with boundary columns
+    ``columns``: entry m holds the sparse columns of the coboundary out of
+    degree m, the transpose of the boundary out of m + 1 (zero at the top)."""
+    out = [[{} for _ in cells] for cells in columns]
+    for m in range(1, len(columns)):
+        for j, col in enumerate(columns[m]):
+            for i, a in col.items():
+                out[m - 1][i][j] = a
+    return out
+
+
+def cochain_homology(columns: list, degrees) -> dict:
+    """{n: H^n} for each n in ``degrees`` of the cochain complex whose
+    coboundary from degree n to n + 1 has the sparse columns ``columns[n]``
+    (one empty dict per cell of the last degree); the dicts are consumed.
+    Read from the last degree down, the cochain complex is a chain complex,
+    and H^n is its homology in degree top - n."""
+    top = len(columns) - 1
+    groups = chain_homology(columns[::-1], [top - n for n in degrees])
+    return {n: groups[top - n] for n in degrees}
+
+
+def alternating_cochain_homology(Z, n: int) -> HomologyGroup:
+    """Degree-n cohomology of the alternating functionals on the raw chains.
+    The slot permutations act by signed involutions, so the transposed swap
+    conditions are the chain-level ones: ``alternating_kernel`` is also a
+    basis of the alternating functionals."""
+    kernels = [alternating_kernel(Z, m) for m in complex_degrees(Z, n)]
+    last = len(kernels) - 1
+    columns = [
+        sparse_columns(restrict(transpose(boundary_matrix(Z.complex, m + 1)), A, kernels[m + 1]))
+        if m < last
+        else [{} for _ in range(A.cols)]
+        for m, A in enumerate(kernels)
+    ]
+    return cochain_homology(columns, [n])[n]
+
+
+def dual_alternating_homology(Z, n: int) -> HomologyGroup:
+    """Degree-n cohomology of the dual of the free alternating basis complex."""
+    bases = [AltBasis(Z, m) for m in complex_degrees(Z, n)]
+    return cochain_homology(dual_columns(alt_columns(bases)), [n])[n]
 
 
 def build_complex_by_closure(maximal_simplices, labels=None) -> SimplicialComplex:
@@ -564,7 +696,7 @@ def validate_map_by_walk(vertex_map, X, Y) -> MapReport:
         if len(image) != len(s):
             finite_to_one = False
             failures.append(("collapsed", s))
-        if Y.has_simplex(image):
+        if has_simplex(Y, image):
             hit.add(image)
         else:
             simplicial = False

@@ -1,12 +1,14 @@
-from reference import alt_matrix
-
-from icss.alternating import AltBasis, alternating_kernel
-from icss.cohomology import (
+from reference import (
+    alt_matrix,
     alternating_cochain_homology,
     cochain_homology,
     dual_alternating_homology,
     dual_columns,
+    from_rows,
+    transpose,
 )
+
+from icss.alternating import AltBasis, alternating_kernel
 from icss.complexes import boundary_columns
 from icss.fixtures import random_fixture
 from icss.intlinalg import HomologyGroup, IntMatrix, sparse_columns
@@ -16,9 +18,9 @@ from icss.multiplicity import Tower
 def test_dualize_transposes():
     """Dualizing a complex transposes each boundary into the coboundary one
     degree down, and the last degree's coboundary is zero."""
-    d1 = IntMatrix.from_rows([[-1, 0], [1, -1], [0, 1]], cols=2)
+    d1 = from_rows([[-1, 0], [1, -1], [0, 1]], cols=2)
     cochains = dual_columns([[{}, {}, {}], sparse_columns(d1)])
-    assert cochains == [sparse_columns(d1.transpose()), [{}, {}]]
+    assert cochains == [sparse_columns(transpose(d1)), [{}, {}]]
 
 
 def cohomology_of(X) -> dict:
@@ -59,7 +61,7 @@ def test_alt_star_matches_alternation(maps):
             D = tower.D(k)
             for n in range(f.target.dim + 1):
                 b = AltBasis(D, n)
-                assert b.to_raw_matrix.transpose() == b.coordinates(alt_matrix(D, n))
+                assert transpose(b.to_raw_matrix) == b.coordinates(alt_matrix(D, n))
 
 
 def test_theta_and_alt_star_are_mutually_inverse(maps):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference import has_simplex, is_zero
 
 from icss.complexes import (
     SimplicialMap,
@@ -28,7 +29,7 @@ def test_build_complex_closure():
     X = build_complex([(0, 1, 2)])
     assert X.dim == 2
     assert X.n_simplices(0) == 3 and X.n_simplices(1) == 3 and X.n_simplices(2) == 1
-    assert X.has_simplex((0, 2))
+    assert has_simplex(X, (0, 2))
     assert X.maximal_simplices() == [(0, 1, 2)]
 
 
@@ -64,7 +65,7 @@ def test_boundary_of_triangle():
 def test_boundary_squares_to_zero():
     X = build_complex([(0, 1, 2), (1, 2, 3), (0, 3)])
     for n in range(1, X.dim + 1):
-        assert (boundary_matrix(X, n - 1) @ boundary_matrix(X, n)).is_zero()
+        assert is_zero(boundary_matrix(X, n - 1) @ boundary_matrix(X, n))
 
 
 def test_boundary_degree_bounds():
@@ -91,7 +92,7 @@ def test_pushforward_degenerate():
     Y = build_complex([(0,)])
     f = SimplicialMap(X, Y, {0: 0, 1: 0})  # collapses the edge
     assert not f.valid
-    assert pushforward_matrix(f, 1).is_zero()
+    assert is_zero(pushforward_matrix(f, 1))
 
 
 def test_validate_map_reports():

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -121,6 +123,39 @@ def test_cli_non_string_name_exits_2(tmp_path, capsys, doc):
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# input that never becomes a document: bytes that are no UTF-8, and JSON
+# nested deeper than the decoder can recurse; (bytes, text the one error
+# line must hold)
+UNREADABLE = {
+    "not_utf8": (b'\xff{"x": {}}', "not UTF-8"),
+    "deep": (b"[" * 200_000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("doc", sorted(UNREADABLE))
+def test_cli_unreadable_input_exits_2(tmp_path, capsys, monkeypatch, doc, source):
+    data, message = UNREADABLE[doc]
+    if source == "file":
+        arg = tmp_path / "map.json"
+        arg.write_bytes(data)
+    else:
+        arg = "-"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["validate", str(arg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_cli_reads_a_map_from_stdin(capsys, monkeypatch, fold):
+    text = fold_text(fold).replace("\n", "\r\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+    assert main(["validate", "-"]) == 0
+    assert "valid: True" in capsys.readouterr().out
 
 
 # y lists a vertex "q" that lies in no simplex: it is a point of Y that

@@ -1,7 +1,7 @@
 import signal
 
 import pytest
-from reference import adjacent_swap, bar_sigma, cell_bijection, slot_action
+from reference import adjacent_swap, bar_sigma, cell_bijection, slot_action, transpose
 
 from icss.complexes import SimplicialMap, build_complex, pushforward_matrix
 from icss.errors import InvalidIndex, InvalidMultiplicity
@@ -177,7 +177,7 @@ def test_sk_action_is_signed_involution(fold):
     for n in range(W2.dim + 1):
         P = slot_action(W2, swap, n)
         assert P @ P == IntMatrix.identity(P.rows)
-        assert P.transpose() == P
+        assert transpose(P) == P
     image = slot_action(W2, swap, 0).column(W2.index((W2.tuple_index[(0, 2)],)))
     target = W2.index((W2.tuple_index[(2, 0)],))
     assert image == [1 if i == target else 0 for i in range(len(image))]
