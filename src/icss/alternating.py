@@ -65,14 +65,7 @@ class AltBasis:
         self.n = n
         self.gens, columns = grid_cells(Z, n)
         self.n_gens = len(self.gens)
-        self._by_delta: dict = {}
-        for idx, g in enumerate(self.gens):
-            self._by_delta.setdefault(g.delta, []).append(idx)
         self.to_raw_matrix = IntMatrix.from_sparse(columns, Z.n_simplices(n))
-
-    def gens_over(self, delta) -> list:
-        """Indices of the generators lying over the Y-simplex delta."""
-        return self._by_delta.get(tuple(delta), [])
 
     def coordinates(self, R: IntMatrix) -> IntMatrix:
         """Alternating coordinates of the raw columns of R; raises

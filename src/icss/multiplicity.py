@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product as iproduct
+from math import comb
 
 from .complexes import (
     SimplicialComplex,
@@ -164,6 +165,10 @@ class LiftTable:
     ``faces[delta]`` holds (delta_i, (-1)^i, r) for i = q, ..., 0, so that
     the faces come in Y's order, where r[b] is the index among delta_i's
     lifts of lift b with vertex i dropped: the face map r_{delta,i}.
+
+    The D^k cells (delta, I), I an increasing k-subset of delta's lift
+    indices in lexicographic order, are the alternating generators of
+    ``grid_cells``; the table gives their transfer too.
     """
 
     def __init__(self, f: SimplicialMap):
@@ -177,7 +182,7 @@ class LiftTable:
         self._lifts = {delta: tuple(sorted(ls)) for delta, ls in found.items()}
         self.counts = {delta: len(ls) for delta, ls in self._lifts.items()}
         self._faces = None
-        self._drops: dict = {}  # _slot_drops by (lift count, k, twist)
+        self._drops: dict = {}  # drops by (kind, lift count, k, twist)
 
     def __getitem__(self, delta) -> tuple:
         """The sorted lifts of the Y-simplex delta."""
@@ -206,19 +211,20 @@ class LiftTable:
         the q-simplices of Y, which k = 0 counts."""
         return sum(self.counts[delta] ** k for delta in self.target.simplices(q))
 
-    def _offsets(self, k: int, q: int) -> dict:
-        """Position of each q-simplex delta's first cell among those of W^k."""
+    def _offsets(self, k: int, q: int, kind: str) -> dict:
+        """Position of each q-simplex delta's first cell among those of W^k or D^k."""
         offsets, n = {}, 0
         for delta in self.target.simplices(q):
             offsets[delta] = n
-            n += self.counts[delta] ** k
+            N = self.counts[delta]
+            n += comb(N, k) if kind == "D" else N**k
         return offsets
 
     def face_columns(self, k: int, q: int) -> list:
         """Columns of the boundary of the degree-q chains of W^k (q >= 1):
         (delta, a) goes to the sum of (-1)^i (delta_i, r_{delta,i}(a)), with r
         applied slot by slot; {row: +-1} dicts, rows increasing."""
-        offsets = self._offsets(k, q - 1)
+        offsets = self._offsets(k, q - 1, "W")
         columns = []
         for delta in self.target.simplices(q):
             rows, signs = [], []
@@ -232,30 +238,32 @@ class LiftTable:
             columns.extend(dict(zip(cell, signs)) for cell in zip(*rows))
         return columns
 
-    def transfer_columns(self, k: int, q: int) -> list:
+    def transfer_columns(self, k: int, q: int, kind: str = "W") -> list:
         """Columns of the degree-twisted transfer (-1)^q rho on the degree-q
-        chains of W^k: (delta, a) goes to (-1)^q times the sum of (-1)^j
-        (delta, a without slot j), onto the cells of W^(k-1), and for k = 1
-        (delta, (b)) goes to (-1)^q delta, onto the chains of Y.  Entries
-        that cancel are dropped; rows increase."""
+        cells of W^k or D^k, by ``kind``: on W^k, (delta, a) goes to (-1)^q
+        times the sum of (-1)^j (delta, a without slot j), onto the cells of
+        W^(k-1); on D^k, (delta, I) goes to (-1)^q times the sum of
+        (-1)^(k-1-j) (delta, I without its place j), onto the cells of
+        D^(k-1).  For k = 1 both send (delta, (b)) to (-1)^q delta, onto the
+        chains of Y.  Entries that cancel are dropped; rows increase."""
         twist = -1 if q % 2 else 1
         simplices = self.target.simplices(q)
         if k == 1:
             return [{row: twist} for row, d in enumerate(simplices) for _ in range(self.counts[d])]
-        offsets = self._offsets(k - 1, q)
+        offsets = self._offsets(k - 1, q, kind)
         columns = []
         for delta in simplices:
             o = offsets[delta]
-            drops = self.slot_drops(self.counts[delta], k, twist)
+            drops = self.drops(kind, self.counts[delta], k, twist)
             columns.extend({o + row: a for row, a in col} for col in drops)
         return columns
 
-    def slot_drops(self, n: int, k: int, twist: int) -> list:
-        """``_slot_drops(n, k, twist)``, made once per table: the transfer
-        over a simplex with n lifts, which the grid and the row check read."""
-        key = (n, k, twist)
+    def drops(self, kind: str, n: int, k: int, twist: int) -> list:
+        """The transfer over a simplex with n lifts, ``_slot_drops`` for W and
+        ``_subset_drops`` for D, made once per table."""
+        key = (kind, n, k, twist)
         if key not in self._drops:
-            self._drops[key] = _slot_drops(*key)
+            self._drops[key] = (_subset_drops if kind == "D" else _slot_drops)(n, k, twist)
         return self._drops[key]
 
 
@@ -273,6 +281,19 @@ def _slot_drops(n: int, k: int, twist: int) -> list:
             col[row] = col.get(row, 0) + (twist if j % 2 == 0 else -twist)
         columns.append(sorted((row, a) for row, a in col.items() if a))
     return columns
+
+
+def _subset_drops(n: int, k: int, twist: int) -> list:
+    """twist times the sum over the places j of (-1)^(k-1-j) times dropping
+    place j, from the increasing k-subsets of {0..n-1} to the (k-1)-subsets,
+    both in lexicographic order, as (row, entry) lists, rows increasing:
+    dropping a later place leaves a smaller subset, and none cancel."""
+    rows = {s: row for row, s in enumerate(combinations(range(n), k - 1))}
+    signs = [twist if (k - 1 - j) % 2 == 0 else -twist for j in range(k)]
+    return [
+        [(rows[s[:j] + s[j + 1 :]], signs[j]) for j in reversed(range(k))]
+        for s in combinations(range(n), k)
+    ]
 
 
 class Tower:

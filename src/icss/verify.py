@@ -8,14 +8,17 @@ multiplies out their defining identities.
 
 Over a Y-simplex with N lifts, each multiplicity row depends on N alone, so
 the row lemmas are checked once per lift count and a failure is reported on
-every simplex with that count.  The checks of one map share what they read
-of its tower: each alternating basis and alternating kernel is computed
-once per space and degree, each alternating complex and transfer once
-(the Alt grid of the collapse check reads the same ones), and each space's
-two alternating homologies (through the free basis and through the
-kernels) once per space, every degree off one reduction of its whole
-complex.  ``Tower.memo`` keeps them, so they live as long as the tower and
-no longer.
+every simplex with that count.  Both rows are read off the map's
+``LiftTable``, the W row as slot drops on k-tuples of lifts and the D row
+as subset drops on increasing k-subsets (the augmented boundary of the
+standard (N-1)-simplex), and one routine, ``_row_failures``, checks both.
+The checks of one map share what they read of its tower: each alternating
+basis and alternating kernel is computed once per space and degree, each
+alternating complex and transfer once (the Alt grid of the collapse check
+reads the same ones), and each space's two alternating homologies (through
+the free basis and through the kernels) once per space, every degree off
+one reduction of its whole complex.  ``Tower.memo`` keeps them, so they
+live as long as the tower and no longer.
 
 Grid cells are carried to raw chains by ``multiplicity.grid_cells`` alone,
 which computes the listing sign: the W-row check ties the grid's transfer
@@ -28,8 +31,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 
 from .alternating import (
     alt_basis,
@@ -41,7 +42,15 @@ from .alternating import (
 )
 from .complexes import SimplicialMap, pushforward_matrix
 from .errors import NotAComplex, NotAlternating, NotASubgroup
-from .intlinalg import HomologyGroup, IntMatrix, Subgroup, chain_homology, compose, kernel_basis
+from .intlinalg import (
+    HomologyGroup,
+    IntMatrix,
+    Subgroup,
+    chain_homology,
+    compose,
+    kernel_basis,
+    sparse_columns,
+)
 from .multiplicity import LiftTable, Tower, grid_cells, projection_eps
 
 
@@ -118,28 +127,36 @@ def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
     return rep
 
 
-def _w_row(table: LiftTable, N: int, k_cap: int) -> list:
-    """The failures of the W row over a simplex with N lifts.
-
-    The transfer rho_k on the tuples {0..N-1}^k is the lift table's slot
-    drops, for k up to k_cap + 1.  It must square to zero, be onto Z at
-    k = 1 and be exact up to k_cap.  For each base lift t, prepending t
-    must satisfy the slot identities and contract the row.  A homotopy
-    failure names t by its lift index.
-    """
+def _row_failures(rho: dict) -> list:
+    """The failures of an augmented row: ``rho[k]``, for k = 1..top, holds
+    the {row: entry} columns of the transfer from the rank-k cells over one
+    simplex onto the rank-(k-1) ones, and rho[1] maps onto Z.  The row must
+    square to zero, be onto Z and be exact at k = 1..top-1."""
     out = []
-    top = k_cap + 1
-    rho = {k: [dict(col) for col in table.slot_drops(N, k, 1)] for k in range(1, top + 1)}
-    dense = {k: IntMatrix.from_sparse(cols, N ** (k - 1)) for k, cols in rho.items()}
+    top = max(rho)
+    dense = {k: IntMatrix.from_sparse(rho[k], len(rho[k - 1]) if k > 1 else 1) for k in rho}
     for k in range(2, top + 1):
         if any(compose(rho[k - 1], rho[k])):
             out.append(("rho-square", k))
     if Subgroup(1, dense[1]) != Subgroup.full(1):
         out.append(("augmentation-not-surjective",))
-    for k in range(1, k_cap + 1):
+    for k in range(1, top):
         ker = kernel_basis(dense[k])
         if not _subgroups_equal(dense[k + 1], ker):
             out.append(("row-not-exact", k, ker.cols))
+    return out
+
+
+def _w_row(table: LiftTable, N: int, k_cap: int) -> list:
+    """The failures of the W row over a simplex with N lifts.
+
+    The transfer rho_k on the tuples {0..N-1}^k is the lift table's slot
+    drops, for k up to k_cap + 1, and must pass ``_row_failures``.  For
+    each base lift t, prepending t must satisfy the slot identities and
+    contract the row.  A homotopy failure names t by its lift index.
+    """
+    rho = {k: [dict(col) for col in table.drops("W", N, k, 1)] for k in range(1, k_cap + 2)}
+    out = _row_failures(rho)
     for t in range(N):
         S = [_prepend(N, k, t) for k in range(k_cap + 1)]
         if compose(_drop(N, 1, 1), S[0]) != _identity(1):
@@ -202,82 +219,47 @@ def _tie_to_chain_level(rep, tower, n, k_top):
         rep.fail("global-kernel-image")
 
 
-def _std_boundary(N: int, k: int) -> IntMatrix:
-    """Augmented boundary of the standard (N-1)-simplex in face degree k-1."""
-    src = list(combinations(range(N), k))
-    tgt = list(combinations(range(N), k - 1)) if k >= 2 else [()]
-    idx = {t: i for i, t in enumerate(tgt)}
-    M = IntMatrix(len(tgt), len(src))
-    for j, I in enumerate(src):
-        for pos in range(k):
-            face = I[:pos] + I[pos + 1 :]
-            M.data[idx[face]][j] += (-1) ** pos
-    return M
-
-
-def _std_row(N: int) -> tuple:
-    """The augmented boundaries of the standard (N-1)-simplex, k = 1..N,
-    and the failures of their exactness."""
-    chain = [_std_boundary(N, k) for k in range(1, N + 1)]
-    failures = []
-    for k in range(1, N):
-        if not _subgroups_equal(chain[k], kernel_basis(chain[k - 1])):
-            failures.append(("column-not-exact", k))
-    if chain and kernel_basis(chain[N - 1]).cols != 0:
-        failures.append(("top-not-injective",))
-    return chain, failures
+def _d_row(table: LiftTable, N: int) -> list:
+    """The failures of the D row over a simplex with N lifts: the table's
+    subset drops for k up to N + 1, where no (N+1)-subsets leave exactness
+    at N to say that the top boundary is injective."""
+    rho = {k: [dict(col) for col in table.drops("D", N, k, 1)] for k in range(1, N + 2)}
+    return _row_failures(rho)
 
 
 def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
     """Exactness of the alternating multiplicity row of degree-n chains of
     the map ``tower.f``.
 
-    Over a Y-simplex with N lifts the alternating generators in multiplicity
-    k biject with k-subsets, and the signed vertical transfer is carried to
-    (-1)^(k+n-1) times the augmented boundary of the standard (N-1)-simplex.
-    That boundary complex is acyclic, which is the exactness statement; it
-    is checked once per lift count, the identification once per simplex.
+    The alternating transfer formed on raw chains (``alt_transfer``), and
+    the augmentation onto Y twisted by (-1)^n, must be the lift table's D
+    columns as whole blocks: over a simplex with N lifts, (-1)^n times the
+    augmented boundary of the standard (N-1)-simplex, whose exactness
+    (``_d_row``) is checked once per lift count.  The two ends are also
+    checked on the assembled matrices.
     """
     rep = VerificationReport(f"D-row-exact n={n}")
-    f = tower.f
+    f, lifts = tower.f, tower.lifts
     N_max = tower.k_max()
-    bases = {k: alt_basis(tower, tower.D(k), n) for k in range(1, N_max + 1)}
     try:
         eps_alt = {k: alt_transfer(tower, k, n) for k in range(2, N_max + 1)}
     except NotAlternating as exc:  # a transfer leaves the alternating chains
         rep.fail("not-alternating", str(exc))
         return rep
     # augmentation to the chains of Y in alternating coordinates
-    aug = pushforward_matrix(f, n) @ bases[1].to_raw_matrix
+    aug = pushforward_matrix(f, n) @ alt_basis(tower, tower.D(1), n).to_raw_matrix
+    twist = -1 if n % 2 else 1
+    blocks = {1: [{row: twist * a for row, a in col.items()} for col in sparse_columns(aug)]}
+    blocks.update((k, sparse_columns(M)) for k, M in eps_alt.items())
+    for k, columns in blocks.items():
+        if columns != lifts.transfer_columns(k, n, "D"):
+            rep.fail("sign-identity", k)
     for delta in f.target.simplices(n):
-        N = tower.lifts.counts[delta]
-        chain, failures = tower.memo(("D-row", N), lambda: _std_row(N))
-        for k in range(1, N + 1):
-            idx_src = bases[k].gens_over(delta)
-            if len(idx_src) != comb(N, k):
-                rep.fail("basis-count", delta, k)
-                continue
-            if k == 1:
-                # the unsigned augmentation hits the base simplex once per
-                # lift; the degree sign then matches the k = 1 exponent
-                row = [aug.data[f.target.index(delta)][j] for j in idx_src]
-                if row != [1] * N:
-                    rep.fail("sign-identity-augmentation", delta, row)
-                continue
-            idx_tgt = bases[k - 1].gens_over(delta)
-            R = IntMatrix(
-                len(idx_tgt),
-                len(idx_src),
-                [[eps_alt[k].data[i][j] for j in idx_src] for i in idx_tgt],
-            )
-            expected = chain[k - 1].scaled((-1) ** (k + n - 1))
-            if R != expected:
-                rep.fail("sign-identity", delta, k, R.data, expected.data)
-        # exactness of the restricted augmented column (subset coordinates)
-        for name, *info in failures:
+        N = lifts.counts[delta]
+        for name, *info in tower.memo(("D-row", N), lambda: _d_row(lifts, N)):
             rep.fail(name, delta, *info)
-    # the identification above plus acyclicity gives global exactness; also
-    # confirm the two ends directly on the assembled matrices
+    # the identification above plus the row lemma gives global exactness;
+    # also confirm the two ends directly on the assembled matrices
     if Subgroup(aug.rows, aug) != Subgroup.full(aug.rows):
         rep.fail("augmentation-not-surjective")
     if N_max >= 2:

@@ -137,6 +137,23 @@ MUTANTS = (
         ("tests/test_io_cli.py::test_cli_unreadable_input_exits_2",),
         "bytes that are no UTF-8 are read as replacement characters",
     ),
+    Mutant(
+        "multiplicity.py",
+        "signs = [twist if (k - 1 - j) % 2 == 0 else -twist for j in range(k)]",
+        "signs = [twist if (k - j) % 2 == 0 else -twist for j in range(k)]",
+        (
+            "tests/test_alternating.py::test_alt_transfer_is_the_lift_table_transfer",
+            "tests/test_verify.py::test_d_row_exact",
+        ),
+        "the D grid's subset drops lose the sign (-1)^(k-1) of their first place",
+    ),
+    Mutant(
+        "verify.py",
+        "    for k in range(1, top):\n",
+        "    for k in range(1, top - 1):\n",
+        ("tests/test_verify.py::test_row_failures_on_standard_simplex_rows",),
+        "a row's exactness is not checked at its top cells",
+    ),
 )
 
 

@@ -26,6 +26,7 @@ from reference import (
 from icss.alternating import (
     AltBasis,
     alt_boundary_matrix,
+    alt_transfer,
     alt_veps_matrix,
     alternating_homology,
     alternating_kernel,
@@ -34,7 +35,7 @@ from icss.alternating import (
 from icss.complexes import boundary_matrix, homology_of_complex, pushforward_matrix
 from icss.errors import DegreeOutOfRange, NotAlternating
 from icss.fixtures import FIXTURES, get_fixture, random_fixture
-from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup
+from icss.intlinalg import HomologyGroup, IntMatrix, Subgroup, sparse_columns
 from icss.multiplicity import Tower, projection_eps
 
 
@@ -203,6 +204,19 @@ def test_rho_is_the_lift_table_transfer(name, seed):
                 below = cell_bijection(Z.below, q)
             rhs = (below @ cells).scaled((-1) ** q)
             assert rho_dense(Z, q) @ cell_bijection(Z, q) == rhs, (name, seed, k, q)
+
+
+def test_alt_transfer_is_the_lift_table_transfer(maps, deep_map):
+    """The alternating transfer formed on raw chains, in the free bases, is
+    the lift table's D columns: the signed drops of the increasing subsets
+    of each simplex's lifts."""
+    for name, f in [*maps.items(), ("deep_map", deep_map)]:
+        tower = Tower(f)
+        lifts = tower.lifts
+        for k in range(2, tower.k_max() + 1):
+            for q in range(f.target.dim + 1):
+                expected = sparse_columns(alt_transfer(tower, k, q))
+                assert lifts.transfer_columns(k, q, "D") == expected, (name, k, q)
 
 
 def test_varrho_anticommutes_with_boundary(fold):

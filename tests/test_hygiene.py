@@ -325,6 +325,12 @@ REMOVED_NAMES = {
 REMOVED_NAMES |= {"ordered_lifts", "lift_index", "_listing", "AltGen", "rho_matrix"}
 
 
+# removed in 0.12.0: the D row is the lift table's subset drops, checked by
+# the routine that checks the W row, and the alternating transfer is
+# compared with the table's D columns as whole blocks, not per simplex
+REMOVED_NAMES |= {"_std_boundary", "_std_row", "gens_over"}
+
+
 def test_removed_names_stay_removed():
     """No module defines, binds, imports or reads a removed name, as a name,
     an attribute or a string such as a ``__slots__`` entry, and ``icss``

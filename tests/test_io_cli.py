@@ -238,9 +238,9 @@ def test_cli_verify_exits_1_when_a_grid_is_not_a_complex(tmp_path, capsys, fold,
 
     real = LiftTable.transfer_columns
 
-    def flipped(self, k, q):
-        cols = real(self, k, q)
-        if k == 2:
+    def flipped(self, k, q, kind="W"):
+        cols = real(self, k, q, kind)
+        if (k, kind) == (2, "W"):
             j = next(j for j, col in enumerate(cols) if col)
             row, a = next(iter(cols[j].items()))
             cols[j] = {**cols[j], row: -a}

@@ -29,6 +29,30 @@ def test_rows_exact_on_deeper_fibres(deep_map):
         assert check_D_row_exact(Tower(deep_map), n).passed
 
 
+def standard_row(N):
+    """The augmented boundaries of the standard (N-1)-simplex, k = 1..N+1,
+    as the D-row check reads them."""
+    from icss.multiplicity import _subset_drops
+
+    return {k: [dict(col) for col in _subset_drops(N, k, 1)] for k in range(1, N + 2)}
+
+
+def test_row_failures_on_standard_simplex_rows():
+    from icss.verify import _row_failures
+
+    for N in (1, 2, 3, 4):
+        assert _row_failures(standard_row(N)) == [], N
+        # the top boundary zeroed: the full subset becomes a cycle no
+        # boundary hits, so the row is no longer exact at N
+        rho = standard_row(N)
+        rho[N] = [{}]
+        assert ("row-not-exact", N) in [f[:2] for f in _row_failures(rho)], N
+    # one flipped entry of the second boundary: it no longer squares to zero
+    rho = standard_row(3)
+    rho[2] = flip_first_entry(rho[2])
+    assert ("rho-square", 2) in _row_failures(rho)
+
+
 def test_d2_kernel(maps):
     for name, f in maps.items():
         for n in range(f.target.dim + 1):
@@ -250,7 +274,7 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     kernel = counting("kernel", verify.alternating_kernel, space)
     monkeypatch.setattr(verify, "alternating_kernel", kernel)
     monkeypatch.setattr(verify, "_w_row", counting("W-row", verify._w_row, lambda t, N, k: (N,)))
-    monkeypatch.setattr(verify, "_std_row", counting("D-row", verify._std_row, lambda N: (N,)))
+    monkeypatch.setattr(verify, "_d_row", counting("D-row", verify._d_row, lambda t, N: (N,)))
     blocks = {
         "alt_veps_matrix": counting(
             "transfer", alternating.alt_veps_matrix, lambda src, tgt: (src.Z.k, src.n)
