@@ -44,4 +44,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -7,16 +7,18 @@ per Y-simplex and per increasing k-subset of its lifts, the D^k grid cells
 that ``multiplicity.grid_cells`` carries to their raw alternations.  This
 module builds that basis, converts between raw and alternating coordinates,
 assembles the transfer rho (signed sum of slot projections, as sparse
-columns) and the last-slot projection used on alternating chains, and keeps
-a tower's alternating complexes and transfers on it, one copy each.
+columns) and the alternating chain complexes, and keeps a tower's
+alternating complexes on it, one copy each.  The last-slot projection on
+alternating chains, the alternating grid's vertical differential, is read
+off the lift table (``LiftTable.transfer_columns``), not built here.
 """
 
 from __future__ import annotations
 
 from operator import neg
 
-from .complexes import boundary_matrix, pushforward_matrix, pushforward_simplex
-from .errors import ComplexMismatch, DegreeOutOfRange, InvalidMultiplicity, NotAlternating
+from .complexes import boundary_matrix, pushforward_simplex
+from .errors import ComplexMismatch, DegreeOutOfRange, NotAlternating
 from .intlinalg import (
     HomologyGroup,
     IntMatrix,
@@ -103,17 +105,6 @@ def alt_complex(tower: Tower, Z: MultiplePointComplex) -> list:
     )
 
 
-def alt_transfer(tower: Tower, k: int, n: int) -> IntMatrix:
-    """``alt_veps_matrix`` from D^k to D^(k-1) in degree n, in the tower's
-    bases, made at the first call and kept on the tower: the Alt grid's
-    vertical block and the D-row check read it."""
-    source, target = tower.D(k), tower.D(k - 1)
-    return tower.memo(
-        ("alt-transfer", k, n),
-        lambda: alt_veps_matrix(alt_basis(tower, source, n), alt_basis(tower, target, n)),
-    )
-
-
 def rho_columns(Z: MultiplePointComplex, n: int) -> list:
     """The transfer on raw degree-n chains, as {row: entry} columns without
     zero entries: simplex s goes to the sum over the slots i of (-1)^(i+1)
@@ -145,25 +136,6 @@ def alt_boundary_matrix(basis_n: AltBasis, basis_prev: AltBasis | None) -> IntMa
     if basis_n.n_gens == 0:
         return IntMatrix(basis_prev.n_gens, 0)
     return basis_prev.coordinates(boundary_matrix(Z.complex, n) @ basis_n.to_raw_matrix)
-
-
-def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
-    """Last-slot projection in alternating coordinates, D^k to D^{k-1}, with
-    the degree sign (-1)^n that makes it anticommute with the boundary: the
-    vertical differential of the alternating double complex.
-
-    For k = 2 the target basis lives on D^1 = X.
-    """
-    Z = basis_src.Z
-    if Z.k < 2:
-        raise InvalidMultiplicity("source multiplicity must be at least 2")
-    if basis_tgt.n != basis_src.n or basis_tgt.Z.k != Z.k - 1:
-        raise DegreeOutOfRange("target basis must have multiplicity k-1, same degree")
-    n = basis_src.n
-    A = basis_tgt.coordinates(
-        pushforward_matrix(projection_eps(Z, Z.k), n) @ basis_src.to_raw_matrix
-    )
-    return A if n % 2 == 0 else A.scaled(-1)
 
 
 def alt_columns(bases: list) -> list:

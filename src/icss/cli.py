@@ -68,7 +68,10 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     tower = Tower(_load_valid_map(args.file))
-    Z = tower.W(args.k) if args.kind == "W" else tower.D(args.k)
+    if args.kind == "W":
+        Z = tower.W(args.k)
+    else:  # D^k is empty past the largest lift count, so one empty level stands for all
+        Z = tower.D(min(args.k, tower.k_max() + 1))
     payload = {
         "kind": args.kind,
         "k": args.k,

@@ -87,9 +87,6 @@ class IntMatrix:
             [self.data[i] + other.data[i] for i in range(self.rows)],
         )
 
-    def scaled(self, a: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[a * x for x in r] for r in self.data])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)

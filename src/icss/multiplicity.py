@@ -8,8 +8,9 @@ the symmetric group acts by permuting slots, that is, by reordering the
 lift tuple of each product.
 
 The lifts of each Y-simplex are found and ordered in one place, the map's
-``LiftTable``, which the spaces' products, the W-chain grid (its boundary
-and transfer, without building W^k) and the alternating basis all read.
+``LiftTable``, which the spaces' products, both grids (the W grid's
+boundary, and each grid's ranks and transfer, without building W^k or
+D^k) and the alternating basis all read.
 ``grid_cells`` is the one signed bridge from the grid cells to raw chains,
 where the listing sign that orients a product simplex is computed.
 """
@@ -148,7 +149,8 @@ def grid_cells(Z: MultiplePointComplex, n: int) -> tuple:
 class LiftTable:
     """The lifts of every Y-simplex and how they restrict to its faces: the
     one place where lifts are found and ordered, and all that the W-chain
-    grid is read off, with no W^k built.
+    grid is read off, with no W^k built, as are the alternating grid's
+    ranks and vertical differential.
 
     A lift of the canonical Y-simplex delta = (w_0 < ... < w_n) is the
     vertex tuple (v_0, ..., v_n) of an X-simplex ordered so that
@@ -168,7 +170,9 @@ class LiftTable:
 
     The D^k cells (delta, I), I an increasing k-subset of delta's lift
     indices in lexicographic order, are the alternating generators of
-    ``grid_cells``; the table gives their transfer too.
+    ``grid_cells``; the table counts them and gives their transfer, the
+    last-slot projection in alternating coordinates, which is the
+    alternating grid's d_v.
     """
 
     def __init__(self, f: SimplicialMap):
@@ -206,18 +210,18 @@ class LiftTable:
                     faces.append((face, -1 if i % 2 else 1, r))
         return self._faces
 
-    def n_cells(self, k: int, q: int) -> int:
-        """Rank of the degree-q chains of W^k: the sum of N_delta^k over
-        the q-simplices of Y, which k = 0 counts."""
-        return sum(self.counts[delta] ** k for delta in self.target.simplices(q))
+    def n_cells(self, k: int, q: int, kind: str = "W") -> int:
+        """Rank of the degree-q cells of W^k or D^k, by ``kind``: the sum of
+        N_delta^k, or of C(N_delta, k), over the q-simplices of Y, which
+        k = 0 counts."""
+        return sum(_cell_count(self.counts[delta], k, kind) for delta in self.target.simplices(q))
 
     def _offsets(self, k: int, q: int, kind: str) -> dict:
         """Position of each q-simplex delta's first cell among those of W^k or D^k."""
         offsets, n = {}, 0
         for delta in self.target.simplices(q):
             offsets[delta] = n
-            N = self.counts[delta]
-            n += comb(N, k) if kind == "D" else N**k
+            n += _cell_count(self.counts[delta], k, kind)
         return offsets
 
     def face_columns(self, k: int, q: int) -> list:
@@ -239,13 +243,15 @@ class LiftTable:
         return columns
 
     def transfer_columns(self, k: int, q: int, kind: str = "W") -> list:
-        """Columns of the degree-twisted transfer (-1)^q rho on the degree-q
-        cells of W^k or D^k, by ``kind``: on W^k, (delta, a) goes to (-1)^q
-        times the sum of (-1)^j (delta, a without slot j), onto the cells of
-        W^(k-1); on D^k, (delta, I) goes to (-1)^q times the sum of
-        (-1)^(k-1-j) (delta, I without its place j), onto the cells of
-        D^(k-1).  For k = 1 both send (delta, (b)) to (-1)^q delta, onto the
-        chains of Y.  Entries that cancel are dropped; rows increase."""
+        """Columns of the degree-twisted transfer on the degree-q cells of
+        W^k or D^k, by ``kind``, the grids' d_v: on W^k, (-1)^q rho, so
+        (delta, a) goes to (-1)^q times the sum of (-1)^j (delta, a without
+        slot j), onto the cells of W^(k-1); on D^k, (-1)^q times the
+        last-slot projection eps_k of the cells' alternations, so (delta, I)
+        goes to (-1)^q times the sum of (-1)^(k-1-j) (delta, I without its
+        place j), onto the cells of D^(k-1).  For k = 1 both send
+        (delta, (b)) to (-1)^q delta, onto the chains of Y.  Entries that
+        cancel are dropped; rows increase."""
         twist = -1 if q % 2 else 1
         simplices = self.target.simplices(q)
         if k == 1:
@@ -265,6 +271,12 @@ class LiftTable:
         if key not in self._drops:
             self._drops[key] = (_subset_drops if kind == "D" else _slot_drops)(n, k, twist)
         return self._drops[key]
+
+
+def _cell_count(n: int, k: int, kind: str) -> int:
+    """The cells over a simplex with n lifts: the k-tuples of its lifts on
+    W^k, the increasing k-subsets on D^k."""
+    return comb(n, k) if kind == "D" else n**k
 
 
 def _slot_drops(n: int, k: int, twist: int) -> list:

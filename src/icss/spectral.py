@@ -5,10 +5,12 @@ p+1 space.  The horizontal differential is the simplicial boundary (q drops
 by one); the vertical differential is the degree-signed transfer to
 multiplicity p (the signed sum of slot projections on W, the last-slot
 projection on alternating D-chains).  The sign twist makes the two
-differentials anticommute, so the total complex squares to zero.  The
-W-chain grid is written off the map's lift table (``Tower.lifts``) on the
-cells (Y-simplex, tuple of lift indices), with no W^k built; the
-alternating grid is assembled from the D^k.
+differentials anticommute, so the total complex squares to zero.  Both
+grids are cells on the map's lift table (``Tower.lifts``): a Y-simplex
+with a tuple of lift indices (W) or an increasing subset of them (Alt).
+The table gives both grids' ranks and vertical differentials and the W
+grid's horizontal one, with no W^k built; the alternating grid's
+horizontal differential is the alternating chain complex of each D^k.
 
 Filtering the total complex by columns (p) gives the multiple-point spectral
 sequences; filtering by rows (q) gives the collapsing one whose second page
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alternating import alt_basis, alt_complex, alt_transfer
+from .alternating import alt_complex
 from .complexes import SimplicialMap
 from .errors import DegreeOutOfRange, NotAComplex, TruncationInsufficient
 from .intlinalg import (
@@ -55,7 +57,6 @@ from .intlinalg import (
     homology_by_reduction,
     kernel_basis,
     reduce_complex,
-    sparse_columns,
     subgroup_quotient,
 )
 from .multiplicity import Tower
@@ -126,42 +127,36 @@ def build_double(tower: Tower, kind: str) -> DoubleComplex:
     column, so it is cut at p_max = dim Y + 2, which supports every total
     degree up to dim Y + 1.
 
-    The W blocks are written as sparse columns off ``tower.lifts``, with no
-    W^k built: column p, row q has one cell per q-simplex delta of Y and
-    tuple a of p+1 indices into delta's lifts, in Y's order and then
-    lexicographically, and d_h, d_v are ``LiftTable.face_columns`` and
-    ``LiftTable.transfer_columns`` (see ``grid_cells`` for the orientation).
-    The Alt blocks are alternating matrices on the D^k, in the bases the
-    tower keeps (``alt_basis``), and the tower keeps the blocks too, which
-    the checks of ``verify`` share: each column's d_h is its alternating
-    chain complex (``alt_complex``), and each d_v block (``alt_transfer``)
-    is converted to columns once.
+    Both grids are cells on the lift table (``tower.lifts``): column p, row
+    q has one cell per q-simplex delta of Y and tuple (W) or increasing
+    subset (Alt) of p+1 indices into delta's lifts, in Y's order and then
+    lexicographically (see ``grid_cells`` for the orientation).  Ranks
+    and d_v come off the table, ``LiftTable.n_cells`` and
+    ``LiftTable.transfer_columns``, with no W^k or D^k built.  d_h is
+    ``LiftTable.face_columns`` on W; on Alt it is each column's alternating
+    chain complex (``alt_complex``), kept on the tower in the bases the
+    checks of ``verify`` share.
     """
     q_max = tower.f.target.dim
-    ranks, h_cols, v_cols = {}, {}, {}
+    lifts = tower.lifts
     if kind == "W":
-        p_max = q_max + 2
-        lifts = tower.lifts
-        for p in range(p_max + 1):
-            for q in range(q_max + 1):
-                ranks[(p, q)] = lifts.n_cells(p + 1, q)
-                if q >= 1:
-                    h_cols[(p, q)] = lifts.face_columns(p + 1, q)
-                if p >= 1:
-                    v_cols[(p, q)] = lifts.transfer_columns(p + 1, q)
+        p_max, cells, d_h = q_max + 2, "W", lifts.face_columns
     elif kind == "Alt":
-        p_max = tower.k_max() - 1
-        for p in range(p_max + 1):
-            Z = tower.D(p + 1)
-            d_h = alt_complex(tower, Z)
-            for q in range(q_max + 1):
-                ranks[(p, q)] = alt_basis(tower, Z, q).n_gens
-                if q >= 1:
-                    h_cols[(p, q)] = d_h[q]
-                if p >= 1:
-                    v_cols[(p, q)] = sparse_columns(alt_transfer(tower, p + 1, q))
+        p_max, cells = tower.k_max() - 1, "D"
+
+        def d_h(k, q):
+            return alt_complex(tower, tower.D(k))[q]
+
     else:
         raise ValueError(f"unknown double complex kind {kind!r}")
+    ranks, h_cols, v_cols = {}, {}, {}
+    for p in range(p_max + 1):
+        for q in range(q_max + 1):
+            ranks[(p, q)] = lifts.n_cells(p + 1, q, cells)
+            if q >= 1:
+                h_cols[(p, q)] = d_h(p + 1, q)
+            if p >= 1:
+                v_cols[(p, q)] = lifts.transfer_columns(p + 1, q, cells)
     return DoubleComplex(kind, p_max, q_max, ranks, h_cols, v_cols, tower=tower)
 
 

@@ -12,19 +12,22 @@ every simplex with that count.  Both rows are read off the map's
 ``LiftTable``, the W row as slot drops on k-tuples of lifts and the D row
 as subset drops on increasing k-subsets (the augmented boundary of the
 standard (N-1)-simplex), and one routine, ``_row_failures``, checks both.
+One tie, ``_tie_to_chain_level``, checks both rows' table columns against
+the raw transfer: rho on W^k, the last-slot projection on D^k.
 The checks of one map share what they read of its tower: each alternating
 basis and alternating kernel is computed once per space and degree, each
-alternating complex and transfer once (the Alt grid of the collapse check
-reads the same ones), and each space's two alternating homologies (through
-the free basis and through the kernels) once per space, every degree off
-one reduction of its whole complex.  ``Tower.memo`` keeps them, so they
-live as long as the tower and no longer.
+alternating complex once (the Alt grid of the collapse check reads the
+same ones), and each space's two alternating homologies (through the free
+basis and through the kernels) once per space, every degree off one
+reduction of its whole complex.  ``Tower.memo`` keeps them, so they live
+as long as the tower and no longer.
 
 Grid cells are carried to raw chains by ``multiplicity.grid_cells`` alone,
-which computes the listing sign: the W-row check ties the grid's transfer
-to the raw one through it, and the D^2 kernel reduction reads each
-X-simplex's sign off its D^1 record.  A check whose alternating blocks
-cannot be formed (``NotAlternating``) fails rather than raising.
+which computes the listing sign: the tie carries the W cells through it
+and the D cells through the alternating bases built from it, and the D^2
+kernel reduction reads each X-simplex's sign off its D^1 record.  A check
+whose alternating blocks cannot be formed (``NotAlternating``) fails
+rather than raising.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass, field
 from .alternating import (
     alt_basis,
     alt_complex,
-    alt_transfer,
     alternating_kernel,
     kernel_columns,
     rho_columns,
@@ -111,8 +113,8 @@ def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
     block over a simplex with N lifts is the row of the tuples {0..N-1}^k,
     which depends on N alone.  So the row is checked once per lift count
     (``_w_row``), and each failure is reported on every simplex with that
-    count.  The transfer the W grid reads is tied back to the honest
-    chain-level matrices at low multiplicity.
+    count.  The transfer the W grid reads is tied back to raw chains at low
+    multiplicity (``_tie_to_chain_level``).
     """
     rep = VerificationReport(f"W-row-exact n={n}")
     f, counts = tower.f, tower.lifts.counts
@@ -123,7 +125,11 @@ def check_W_row_exact(tower: Tower, n: int) -> VerificationReport:
             if name.startswith("homotopy"):
                 info[0] = tower.lifts[delta][info[0]]  # the base lift
             rep.fail(name, delta, *info)
-    _tie_to_chain_level(rep, tower, n, k_cap)
+    raw = _tie_to_chain_level(rep, tower, n, "W", k_cap)
+    # kernel of the augmentation is exactly the image of the first transfer
+    img = IntMatrix.from_sparse(raw[2], f.source.n_simplices(n))
+    if not _subgroups_equal(img, _pushforward_kernel(tower, n)):
+        rep.fail("global-kernel-image")
     return rep
 
 
@@ -194,29 +200,35 @@ def _identity(m: int) -> list:
     return [{j: 1} for j in range(m)]
 
 
-def _tie_to_chain_level(rep, tower, n, k_top):
-    """The W grid's transfer columns, read off the lift table and twisted
-    back by (-1)^n, are rho on raw chains: rho of each cell's raw chain
-    (``grid_cells``) is its transfer column carried to raw chains by the
-    same bridge one multiplicity down (k = 1 lands on Y).  k_top is at
-    least 2, so the first transfer's raw columns are at hand for the
-    kernel-image check."""
+def _tie_to_chain_level(rep, tower, n, kind, k_top) -> dict:
+    """The grid's transfer columns of ``kind`` ("W" or "D"), read off the
+    lift table and twisted back by (-1)^n, are the raw transfer: rho
+    (``rho_columns``) on W^k, the last-slot projection eps_k on D^k.  For
+    k = 1..k_top, the raw transfer of each cell's raw chain must be its
+    table column carried to raw chains one multiplicity down (k = 1 lands
+    on Y).  A W cell's raw chain is its product (``grid_cells``), a D
+    cell's its alternation, read off the tower's ``alt_basis``, which forms
+    it once per space and degree.  A mismatch at k fails as
+    ``listing-model-mismatch`` on W and ``sign-identity`` on D.  Returns
+    the raw transfers as {k: columns}."""
     f, lifts = tower.f, tower.lifts
     twist = -1 if n % 2 else 1
+    name = "listing-model-mismatch" if kind == "W" else "sign-identity"
     below = [{row: 1} for row in range(f.target.n_simplices(n))]  # Y itself
+    raw = {}
     for k in range(1, k_top + 1):
-        Zk = tower.W(k)
-        _, cells = grid_cells(Zk, n)
-        rho = rho_columns(Zk, n)
-        if k == 2:
-            img = IntMatrix.from_sparse(rho, f.source.n_simplices(n))
-        mapped = compose(below, lifts.transfer_columns(k, n))
-        if compose(rho, cells) != [{i: twist * a for i, a in col.items()} for col in mapped]:
-            rep.fail("listing-model-mismatch", k)
+        if kind == "W":
+            Zk = tower.W(k)
+            raw[k], cells = rho_columns(Zk, n), grid_cells(Zk, n)[1]
+        else:
+            Zk = tower.D(k)
+            raw[k] = sparse_columns(pushforward_matrix(projection_eps(Zk, k), n))
+            cells = sparse_columns(alt_basis(tower, Zk, n).to_raw_matrix)
+        mapped = compose(below, lifts.transfer_columns(k, n, kind))
+        if compose(raw[k], cells) != [{i: twist * a for i, a in col.items()} for col in mapped]:
+            rep.fail(name, k)
         below = cells
-    # kernel of the augmentation is exactly the image of the first transfer
-    if not _subgroups_equal(img, _pushforward_kernel(tower, n)):
-        rep.fail("global-kernel-image")
+    return raw
 
 
 def _d_row(table: LiftTable, N: int) -> list:
@@ -231,44 +243,38 @@ def check_D_row_exact(tower: Tower, n: int) -> VerificationReport:
     """Exactness of the alternating multiplicity row of degree-n chains of
     the map ``tower.f``.
 
-    The alternating transfer formed on raw chains (``alt_transfer``), and
-    the augmentation onto Y twisted by (-1)^n, must be the lift table's D
-    columns as whole blocks: over a simplex with N lifts, (-1)^n times the
-    augmented boundary of the standard (N-1)-simplex, whose exactness
-    (``_d_row``) is checked once per lift count.  The two ends are also
-    checked on the assembled matrices.
+    The row is the lift table's D columns, tied to the raw last-slot
+    projection and augmentation (``_tie_to_chain_level``): over a simplex
+    with N lifts, (-1)^n times the augmented boundary of the standard
+    (N-1)-simplex, whose exactness (``_d_row``) is checked once per lift
+    count.  The two ends are also checked on the assembled blocks, which
+    are the raw transfer in alternating coordinates whenever the tie
+    passes, since the alternating cells are independent.
     """
     rep = VerificationReport(f"D-row-exact n={n}")
     f, lifts = tower.f, tower.lifts
     N_max = tower.k_max()
-    try:
-        eps_alt = {k: alt_transfer(tower, k, n) for k in range(2, N_max + 1)}
-    except NotAlternating as exc:  # a transfer leaves the alternating chains
-        rep.fail("not-alternating", str(exc))
-        return rep
-    # augmentation to the chains of Y in alternating coordinates
-    aug = pushforward_matrix(f, n) @ alt_basis(tower, tower.D(1), n).to_raw_matrix
-    twist = -1 if n % 2 else 1
-    blocks = {1: [{row: twist * a for row, a in col.items()} for col in sparse_columns(aug)]}
-    blocks.update((k, sparse_columns(M)) for k, M in eps_alt.items())
-    for k, columns in blocks.items():
-        if columns != lifts.transfer_columns(k, n, "D"):
-            rep.fail("sign-identity", k)
+    _tie_to_chain_level(rep, tower, n, "D", N_max)
     for delta in f.target.simplices(n):
         N = lifts.counts[delta]
         for name, *info in tower.memo(("D-row", N), lambda: _d_row(lifts, N)):
             rep.fail(name, delta, *info)
-    # the identification above plus the row lemma gives global exactness;
-    # also confirm the two ends directly on the assembled matrices
+    # the tie plus the row lemma gives global exactness; also confirm the
+    # two ends directly on the assembled blocks
+    rho = {
+        k: IntMatrix.from_sparse(lifts.transfer_columns(k, n, "D"), lifts.n_cells(k - 1, n, "D"))
+        for k in range(1, N_max + 1)
+    }
+    aug = rho[1]
     if Subgroup(aug.rows, aug) != Subgroup.full(aug.rows):
         rep.fail("augmentation-not-surjective")
     if N_max >= 2:
-        if not _subgroups_equal(eps_alt[2], kernel_basis(aug)):
+        if not _subgroups_equal(rho[2], kernel_basis(aug)):
             rep.fail("kernel-not-image-at-1")
         for k in range(2, N_max):
-            if not _subgroups_equal(eps_alt[k + 1], kernel_basis(eps_alt[k])):
+            if not _subgroups_equal(rho[k + 1], kernel_basis(rho[k])):
                 rep.fail("kernel-not-image", k)
-        if kernel_basis(eps_alt[N_max]).cols != 0:
+        if kernel_basis(rho[N_max]).cols != 0:
             rep.fail("top-not-injective-global")
     return rep
 

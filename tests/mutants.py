@@ -154,6 +154,26 @@ MUTANTS = (
         ("tests/test_verify.py::test_row_failures_on_standard_simplex_rows",),
         "a row's exactness is not checked at its top cells",
     ),
+    Mutant(
+        "verify.py",
+        "raw[k] = sparse_columns(pushforward_matrix(projection_eps(Zk, k), n))",
+        "raw[k] = sparse_columns(pushforward_matrix(projection_eps(Zk, 1), n))",
+        (
+            "tests/test_verify.py::test_d_row_exact",
+            "tests/test_verify.py::test_rows_exact_on_deeper_fibres",
+        ),
+        "the D tie projects away slot 1 instead of the last slot k",
+    ),
+    Mutant(
+        "spectral.py",
+        "ranks[(p, q)] = lifts.n_cells(p + 1, q, cells)",
+        "ranks[(p, q)] = lifts.n_cells(p + 1, q)",
+        (
+            "tests/test_spectral.py::test_alt_blocks_match_the_alternating_basis_route[fold-None]",
+            "tests/test_spectral.py::test_build_double_double_cover_alt",
+        ),
+        "the Alt grid counts the W cells, all k-tuples of lifts",
+    ),
 )
 
 

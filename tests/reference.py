@@ -45,8 +45,14 @@ that compares the two checks the package:
   sorts each given simplex once into per-dimension sets, reads the
   canonical form off the given simplices and compares image sets.
 - ``from_rows``, ``from_columns``, ``copy``, ``transpose``, ``add``,
-  ``sub``, ``is_zero`` and ``rank`` are the dense matrix helpers that only
-  tests call; the package builds its matrices from sparse columns.
+  ``sub``, ``scaled``, ``is_zero`` and ``rank`` are the dense matrix
+  helpers that only tests call; the package builds its matrices from
+  sparse columns.
+- ``alt_veps_matrix`` and ``alt_transfer`` form the alternating grid's
+  vertical differential on raw chains: the last-slot projection of each
+  generator's alternation, read back in alternating coordinates.  The
+  package writes it off the lift table as subset drops
+  (``LiftTable.transfer_columns(k, q, "D")``).
 - ``alternating_homology_kernel`` reads alternating homology off the raw
   chains restricted to the alternating kernels, where the package reads it
   off the free basis of ``AltBasis``.  ``dual_alternating_homology`` and
@@ -77,6 +83,7 @@ from icss.intlinalg import (
 )
 from icss.alternating import (
     AltBasis,
+    alt_basis,
     alt_boundary_matrix,
     alt_columns,
     alternating_kernel,
@@ -135,8 +142,12 @@ def add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(A.rows, A.cols, [list(map(add_entries, r, s)) for r, s in zip(A.data, B.data)])
 
 
+def scaled(M: IntMatrix, a: int) -> IntMatrix:
+    return IntMatrix(M.rows, M.cols, [[a * x for x in r] for r in M.data])
+
+
 def sub(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return add(A, B.scaled(-1))
+    return add(A, scaled(B, -1))
 
 
 def is_zero(M: IntMatrix) -> bool:
@@ -190,7 +201,7 @@ def alt_matrix(Z, n: int) -> IntMatrix:
     m = Z.n_simplices(n)
     total = IntMatrix(m, m)
     for perm in permutations(range(Z.k)):
-        total = add(total, slot_action(Z, perm, n).scaled(permutation_sign(perm)))
+        total = add(total, scaled(slot_action(Z, perm, n), permutation_sign(perm)))
     return total
 
 
@@ -220,13 +231,33 @@ def transfer_from_projections(Z, n: int) -> IntMatrix:
     """(-1)^n times the sum over the slots i of (-1)^(i+1) times the
     pushforward by the validated projection ``projection_eps(Z, i)``."""
     terms = [
-        pushforward_matrix(projection_eps(Z, i), n).scaled((-1) ** (i + 1 + n))
+        scaled(pushforward_matrix(projection_eps(Z, i), n), (-1) ** (i + 1 + n))
         for i in range(1, Z.k + 1)
     ]
     total = terms[0]
     for term in terms[1:]:
         total = add(total, term)
     return total
+
+
+def alt_veps_matrix(basis_src: AltBasis, basis_tgt: AltBasis) -> IntMatrix:
+    """Last-slot projection in alternating coordinates, D^k to D^(k-1), with
+    the degree sign (-1)^n: the raw pushforward by ``projection_eps(Z, k)``
+    of each generator's alternation, read back in the target basis by
+    ``AltBasis.coordinates``.  For k = 2 the target basis lives on X."""
+    Z, n = basis_src.Z, basis_src.n
+    A = basis_tgt.coordinates(
+        pushforward_matrix(projection_eps(Z, Z.k), n) @ basis_src.to_raw_matrix
+    )
+    return A if n % 2 == 0 else scaled(A, -1)
+
+
+def alt_transfer(tower, k: int, n: int) -> IntMatrix:
+    """``alt_veps_matrix`` from D^k to D^(k-1) in degree n, in the tower's
+    alternating bases."""
+    return alt_veps_matrix(
+        alt_basis(tower, tower.D(k), n), alt_basis(tower, tower.D(k - 1), n)
+    )
 
 
 def cell_bijection(Z, q: int) -> IntMatrix:
@@ -290,7 +321,7 @@ def bar_sigma(sigma: tuple, j: int, k: int) -> tuple:
 
 def preimage_subgroup(M: IntMatrix, S: Subgroup) -> IntMatrix:
     """Columns generating {x : M @ x lies in S}."""
-    stacked = M.hstack(S.basis.scaled(-1))
+    stacked = M.hstack(scaled(S.basis, -1))
     K = kernel_basis(stacked)
     return IntMatrix(M.cols, K.cols, K.data[: M.cols])
 

@@ -4,6 +4,8 @@ import pytest
 from reference import (
     add,
     alt_matrix,
+    alt_transfer,
+    alt_veps_matrix,
     alternating_cochain_homology,
     alternating_homology_kernel,
     cell_bijection,
@@ -19,6 +21,7 @@ from reference import (
     pair_alternating_homology_kernel,
     pair_dual_alternating_homology,
     pair_homology_of_complex,
+    scaled,
     selector,
     transpose,
 )
@@ -26,8 +29,6 @@ from reference import (
 from icss.alternating import (
     AltBasis,
     alt_boundary_matrix,
-    alt_transfer,
-    alt_veps_matrix,
     alternating_homology,
     alternating_kernel,
     rho_columns,
@@ -181,7 +182,7 @@ def test_rho_is_the_signed_sum_of_projections(maps):
                 total = None
                 for i in range(1, Z.k + 1):
                     P = pushforward_matrix(projection_eps(Z, i), n)
-                    P = P if i % 2 else P.scaled(-1)
+                    P = P if i % 2 else scaled(P, -1)
                     total = P if total is None else add(total, P)
                 assert rho_dense(Z, n) == total, (name, Z, n)
 
@@ -202,7 +203,7 @@ def test_rho_is_the_lift_table_transfer(name, seed):
                 below = IntMatrix.identity(f.target.n_simplices(q))
             else:
                 below = cell_bijection(Z.below, q)
-            rhs = (below @ cells).scaled((-1) ** q)
+            rhs = scaled(below @ cells, (-1) ** q)
             assert rho_dense(Z, q) @ cell_bijection(Z, q) == rhs, (name, seed, k, q)
 
 
@@ -224,7 +225,7 @@ def test_varrho_anticommutes_with_boundary(fold):
     X = fold.source
     rho = {n: rho_dense(W2, n) for n in (0, 1)}
     # with the degree sign, (-1)^n rho anticommutes with the boundary
-    lhs = boundary_matrix(X, 1) @ rho[1].scaled(-1)
+    lhs = boundary_matrix(X, 1) @ scaled(rho[1], -1)
     rhs = rho[0] @ boundary_matrix(W2.complex, 1)
     assert not is_zero(rhs) and is_zero(add(lhs, rhs))
     # the unsigned rho commutes with it instead

@@ -216,33 +216,14 @@ def test_one_reduction_per_rung_and_per_complex():
 
 
 def test_blocks_become_sparse_columns_once():
-    """A dense block is converted to sparse columns at most once, in
-    ``build_double``'s Alt branch; the W blocks are written as columns off
-    the map's lift table, and the identity checks, the total complex and
+    """``spectral`` converts no dense block to sparse columns: both grids'
+    ranks and vertical blocks, and the W grid's horizontal ones, are
+    written as columns off the map's lift table, and the Alt grid's
+    horizontal blocks are the tower's alternating complexes, made as
+    columns once per space.  The identity checks, the total complex and
     the page-one oracle read the columns."""
-    outside = []
-
-    def visit(node, func, alt):
-        if isinstance(node, ast.FunctionDef):
-            func = node.name
-        elif isinstance(node, ast.If):
-            tests_alt = any(
-                isinstance(n, ast.Constant) and n.value == "Alt" for n in ast.walk(node.test)
-            )
-            for child in node.body:
-                visit(child, func, alt or tests_alt)
-            for child in node.orelse:
-                visit(child, func, alt)
-            return
-        elif isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "sparse_columns" and not (func == "build_double" and alt):
-                outside.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, func, alt)
-
-    visit(ast.parse((SRC / "spectral.py").read_text()), None, False)
-    assert not outside, f"spectral.py calls sparse_columns outside the Alt branch: {outside}"
+    found = calls_named(ast.parse((SRC / "spectral.py").read_text()), {"sparse_columns"})
+    assert not found, f"spectral.py converts dense blocks: {found}"
 
 
 def test_w_blocks_are_built_as_columns():
@@ -364,12 +345,16 @@ def test_removed_names_stay_removed():
 MOVED_FUNCTIONS = {
     "alternating_homology_kernel", "rank", "dual_columns", "cochain_homology",
     "alternating_cochain_homology", "dual_alternating_homology",
+    "alt_transfer", "alt_veps_matrix",
 }
 MOVED_METHODS = {
     ("SimplicialComplex", "has_simplex"),
     *(
         ("IntMatrix", name)
-        for name in ("from_rows", "from_columns", "copy", "transpose", "__add__", "__sub__", "is_zero")
+        for name in (
+            "from_rows", "from_columns", "copy", "transpose", "__add__", "__sub__", "is_zero",
+            "scaled",
+        )
     ),
 }
 

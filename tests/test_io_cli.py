@@ -206,6 +206,16 @@ def test_cli_build(tmp_path, capsys, fold):
     assert payload["simplex_counts"] == [3, 2]
 
 
+def test_cli_build_far_past_the_largest_fibre(tmp_path, capsys, fold):
+    """D^k is empty for every k past the largest lift count, and a k far
+    past it prints that empty space without building the levels between."""
+    path = write_doc(tmp_path, fold_text(fold))
+    for k in (3, 3000):
+        assert main(["--format", "json", "build", path, "--kind", "D", "--k", str(k)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"dim": -1, "k": k, "kind": "D", "simplex_counts": [], "vertices": []}
+
+
 def test_cli_homology(tmp_path, capsys, disc_to_rp2):
     path = write_doc(tmp_path, fold_text(disc_to_rp2))
     assert main(["--format", "json", "homology", path]) == 0

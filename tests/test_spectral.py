@@ -3,6 +3,7 @@ import re
 import pytest
 from reference import (
     GenericSequence,
+    alt_transfer,
     boundary_from_faces,
     cell_bijection,
     d_h,
@@ -15,7 +16,7 @@ from reference import (
 )
 
 from icss import complexes
-from icss.alternating import alternating_homology
+from icss.alternating import alt_basis, alternating_homology
 from icss.complexes import homology_of_complex
 from icss.errors import NotAComplex, TruncationInsufficient
 from icss.fixtures import FIXTURES, get_fixture
@@ -316,6 +317,31 @@ def test_w_blocks_match_an_independent_construction(name, seed):
                     assert lhs == cell_bijection(Z.below, q) @ d_v(dc, p, q), (p, q)
                 blocks = dc.h_columns(p, q) + dc.v_columns(p, q)
                 assert all(all(col.values()) for col in blocks), (p, q)  # no zero entries
+
+
+ALT_BLOCK_MAPS = [
+    *((name, None) for name in FIXTURES if name != "random"),
+    ("deep_map", None),
+    *(("random", seed) for seed in range(20)),
+]
+
+
+@pytest.mark.parametrize("name, seed", ALT_BLOCK_MAPS)
+def test_alt_blocks_match_the_alternating_basis_route(name, seed, request):
+    """The Alt grid's ranks and vertical blocks, read off the lift table,
+    are the size of each alternating basis and the last-slot projection
+    formed on raw chains and read back in alternating coordinates (the
+    oracle ``alt_transfer``)."""
+    f = request.getfixturevalue(name) if name == "deep_map" else get_fixture(name, seed)
+    tower = Tower(f)
+    dc = build_double(tower, "Alt")
+    assert dc.p_max == tower.k_max() - 1
+    for p in range(dc.p_max + 1):
+        for q in range(dc.q_max + 1):
+            assert dc.rank(p, q) == alt_basis(tower, tower.D(p + 1), q).n_gens, (p, q)
+            if p >= 1:
+                expected = sparse_columns(alt_transfer(tower, p + 1, q))
+                assert dc.v_columns(p, q) == expected, (p, q)
 
 
 def test_w_grid_builds_no_fibre_product(disc_to_rp2, monkeypatch):

@@ -191,9 +191,9 @@ def test_tie_fails_on_a_corrupt_transfer(fold, monkeypatch):
 
     real = LiftTable.transfer_columns
 
-    def flipped(self, k, q):
-        cols = real(self, k, q)
-        return flip_first_entry(cols) if k == 2 else cols
+    def flipped(self, k, q, kind="W"):
+        cols = real(self, k, q, kind)
+        return flip_first_entry(cols) if (k, kind) == (2, "W") else cols
 
     monkeypatch.setattr(LiftTable, "transfer_columns", flipped)
     tower = Tower(fold)
@@ -203,17 +203,17 @@ def test_tie_fails_on_a_corrupt_transfer(fold, monkeypatch):
 
 
 def test_d_row_fails_on_a_flipped_sign(fold, monkeypatch):
-    import icss.alternating as alternating
+    """One flipped entry of the lift table's D columns at k = 2 no longer
+    ties to the raw last-slot projection of the cells' alternations."""
+    from icss.multiplicity import LiftTable
 
-    real = alternating.alt_veps_matrix
+    real = LiftTable.transfer_columns
 
-    def flipped(src, tgt):
-        M = real(src, tgt)
-        i, j = next((i, j) for i, row in enumerate(M.data) for j, a in enumerate(row) if a)
-        M.data[i][j] = -M.data[i][j]
-        return M
+    def flipped(self, k, q, kind="W"):
+        cols = real(self, k, q, kind)
+        return flip_first_entry(cols) if (k, kind) == (2, "D") else cols
 
-    monkeypatch.setattr(alternating, "alt_veps_matrix", flipped)
+    monkeypatch.setattr(LiftTable, "transfer_columns", flipped)
     failed = [check_D_row_exact(Tower(fold), n) for n in range(fold.target.dim + 1)]
     assert not all(rep.passed for rep in failed)
     assert any(d[0] == "sign-identity" for rep in failed for d in rep.details)
@@ -246,12 +246,11 @@ def test_run_all_reports_swap_conditions_without_their_sign(fold, monkeypatch):
 
 def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     """One run_all builds each alternating basis and alternating kernel once
-    per space and degree, forms each alternating transfer once per (k, n)
-    and each alternating complex once per space, and checks each row lemma
-    once per lift count.  Every ``AltBasis`` is counted, so the bases of the
-    collapse check's Alt grid count too: the grid reads the ones the other
-    checks built, and the blocks the D-row check and the free-basis route
-    read."""
+    per space and degree and each alternating complex once per space, and
+    checks each row lemma once per lift count.  Every ``AltBasis`` is
+    counted, so the bases of the collapse check's Alt grid count too: the
+    grid reads the ones the other checks built, and the complexes the
+    free-basis route reads."""
     from collections import Counter
 
     import icss.alternating as alternating
@@ -276,9 +275,6 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     monkeypatch.setattr(verify, "_w_row", counting("W-row", verify._w_row, lambda t, N, k: (N,)))
     monkeypatch.setattr(verify, "_d_row", counting("D-row", verify._d_row, lambda t, N: (N,)))
     blocks = {
-        "alt_veps_matrix": counting(
-            "transfer", alternating.alt_veps_matrix, lambda src, tgt: (src.Z.k, src.n)
-        ),
         "alt_columns": counting(
             "complex", alternating.alt_columns, lambda bases: (bases[0].Z.kind, bases[0].Z.k)
         ),
@@ -293,16 +289,12 @@ def test_run_all_shares_per_space_data(disc_to_rp2, monkeypatch):
     for name in ("W-row", "D-row"):
         assert {key[1] for key in calls if key[0] == name} == counts, calls
     assert {key[0] for key in calls} == {
-        "basis", "kernel", "W-row", "D-row", "transfer", "complex"
+        "basis", "kernel", "W-row", "D-row", "complex"
     }, calls
     assert ("kernel", "W", 2, 0) in calls and ("basis", "D", 2, 0) in calls, calls
     k_max = Tower(disc_to_rp2).k_max()
     assert {key for key in calls if key[0] == "complex"} == {
         ("complex", "D", k) for k in range(1, k_max + 1)
-    }, calls
-    top = min(2, disc_to_rp2.target.dim)
-    assert {key for key in calls if key[0] == "transfer"} == {
-        ("transfer", k, n) for k in range(2, k_max + 1) for n in range(top + 1)
     }, calls
 
 
