@@ -3,8 +3,9 @@
 Commands operate on a JSON map document (see the io module) and print a
 human table by default or JSON with --format json.  Exit status: 0 on
 success or a passing check, 1 when a verification or convergence check
-fails, 2 on malformed input or, for the commands that build the map's
-tower, a map that is not finite-to-one and surjective.
+fails, 2 on malformed input, a ``build`` over its size limit or, for the
+commands that build the map's tower, a map that is not finite-to-one and
+surjective.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import sys
 
 from .complexes import homology_groups
-from .errors import ComplexMismatch, IcssError, ParseError
+from .errors import ComplexMismatch, IcssError, InvalidMultiplicity, ParseError
 from .fixtures import fixture_names, get_fixture
 from .io import (
     document_from_map,
@@ -66,12 +67,26 @@ def cmd_validate(args) -> int:
     return 0 if rep.valid else 1
 
 
+# the most simplices ``build`` makes over all the levels it builds; fold's
+# W^1..W^14 have 65,546
+MAX_BUILD_SIMPLICES = 100_000
+
+
 def cmd_build(args) -> int:
     tower = Tower(_load_valid_map(args.file))
-    if args.kind == "W":
-        Z = tower.W(args.k)
-    else:  # D^k is empty past the largest lift count, so one empty level stands for all
-        Z = tower.D(min(args.k, tower.k_max() + 1))
+    # D^k is empty past the largest lift count, so one empty level stands for all
+    top = args.k if args.kind == "W" else min(args.k, tower.k_max() + 1)
+    # building a level builds those below it, and sum_delta N_delta^j
+    # simplices make W^j, which contains D^j
+    counts, total = tower.lifts.counts.values(), 0
+    for j in range(1, top + 1):
+        total += sum(N**j for N in counts)
+        if total > MAX_BUILD_SIMPLICES:
+            raise InvalidMultiplicity(
+                f"{args.kind}^1..{args.kind}^{top} would have more than "
+                f"{MAX_BUILD_SIMPLICES} simplices"
+            )
+    Z = tower.W(top) if args.kind == "W" else tower.D(top)
     payload = {
         "kind": args.kind,
         "k": args.k,
@@ -141,7 +156,7 @@ def cmd_gvzss(args) -> int:
 
 def cmd_verify(args) -> int:
     f = _load_valid_map(args.file)
-    reports = run_all(f, seed=args.seed)
+    reports = run_all(f)
     payload = {
         "checks": [
             {
@@ -204,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, help="run every structural check")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("fixtures", cmd_fixtures, help="emit a built-in example document")
     p.add_argument("name", nargs="?", default=None)

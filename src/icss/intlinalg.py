@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import NotAComplex, NotASubgroup
 
@@ -70,13 +70,6 @@ class IntMatrix:
                 for j, b in support[k]:
                     orow[j] += a * b
         return out
-
-    def mul_vec(self, v) -> list:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        ks = list(compress(range(self.cols), v))
-        xs = [v[k] for k in ks]
-        return [sum(map(mul, map(row.__getitem__, ks), xs)) for row in self.data]
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:

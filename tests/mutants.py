@@ -174,6 +174,16 @@ MUTANTS = (
         ),
         "the Alt grid counts the W cells, all k-tuples of lifts",
     ),
+    Mutant(
+        "verify.py",
+        "c[j] -= alpha * u",
+        "c[j] += alpha * u",
+        (
+            "tests/test_verify.py::test_d2_kernel",
+            "tests/test_acceptance.py::test_criterion_6_double_point_kernel",
+        ),
+        "a D^2 reduction step adds the pair generator instead of subtracting it",
+    ),
 )
 
 

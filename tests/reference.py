@@ -45,9 +45,9 @@ that compares the two checks the package:
   sorts each given simplex once into per-dimension sets, reads the
   canonical form off the given simplices and compares image sets.
 - ``from_rows``, ``from_columns``, ``copy``, ``transpose``, ``add``,
-  ``sub``, ``scaled``, ``is_zero`` and ``rank`` are the dense matrix
-  helpers that only tests call; the package builds its matrices from
-  sparse columns.
+  ``sub``, ``scaled``, ``mul_vec``, ``is_zero`` and ``rank`` are the dense
+  matrix helpers that only tests call; the package builds its matrices
+  from sparse columns.
 - ``alt_veps_matrix`` and ``alt_transfer`` form the alternating grid's
   vertical differential on raw chains: the last-slot projection of each
   generator's alternation, read back in alternating coordinates.  The
@@ -63,8 +63,8 @@ that compares the two checks the package:
   reads cohomology, so they serve as the duality checks of the tests.
 """
 
-from itertools import combinations, permutations, product as iproduct
-from operator import add as add_entries
+from itertools import combinations, compress, permutations, product as iproduct
+from operator import add as add_entries, mul
 
 from icss.errors import InvalidSimplex, NotAComplex
 from icss.intlinalg import (
@@ -140,6 +140,15 @@ def add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise ValueError("shape mismatch")
     return IntMatrix(A.rows, A.cols, [list(map(add_entries, r, s)) for r, s in zip(A.data, B.data)])
+
+
+def mul_vec(M: IntMatrix, v) -> list:
+    """The product of M with the coordinate vector v."""
+    if len(v) != M.cols:
+        raise ValueError("vector length mismatch")
+    ks = list(compress(range(M.cols), v))
+    xs = [v[k] for k in ks]
+    return [sum(map(mul, map(row.__getitem__, ks), xs)) for row in M.data]
 
 
 def scaled(M: IntMatrix, a: int) -> IntMatrix:
@@ -295,7 +304,7 @@ def adjacent_swap(k: int, i: int) -> tuple:
 def is_alternating(Z, n: int, v) -> bool:
     """Every adjacent slot swap negates the chain v (they generate S_k)."""
     for i in range(Z.k - 1):
-        if slot_action(Z, adjacent_swap(Z.k, i), n).mul_vec(v) != [-x for x in v]:
+        if mul_vec(slot_action(Z, adjacent_swap(Z.k, i), n), v) != [-x for x in v]:
             return False
     return True
 

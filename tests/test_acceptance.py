@@ -157,7 +157,7 @@ def test_criterion_6_double_point_kernel(capsys):
     def body():
         for name, f in named_maps():
             for n in range(min(2, f.target.dim) + 1):
-                rep = check_D2_kernel(Tower(f), n, samples=100, seed=0)
+                rep = check_D2_kernel(Tower(f), n)
                 assert rep.passed, (name, n, rep.details)
 
     criterion(capsys, 6, "double points project onto the chain kernel", body)

@@ -246,7 +246,7 @@ def test_w_blocks_are_built_as_columns():
 
 
 # every parameter of the map- and grid-level entry points: the map, its tower
-# or its sequence, plus the kind, the filtration or the seed
+# or its sequence, plus the kind, the filtration or the degree
 ENTRY_PARAMETERS = {
     "spectral.py": {
         "build_double": ["tower", "kind"],
@@ -257,14 +257,14 @@ ENTRY_PARAMETERS = {
         "icss_report": ["f"],
         "gvzss_report": ["f"],
     },
-    "verify.py": {"run_all": ["f", "seed"]},
+    "verify.py": {"run_all": ["f"], "check_D2_kernel": ["tower", "n"]},
 }
 
 
 def test_entry_points_take_no_bound():
     """The map decides the grid's shape and the degrees a report covers: no
-    entry point takes a bound, and ``icss``, ``gvzss`` and ``homology`` take
-    no option."""
+    entry point takes a bound or a seed, and ``icss``, ``gvzss``,
+    ``homology`` and ``verify`` take no option."""
     for name, expected in ENTRY_PARAMETERS.items():
         found = {}
         for node in ast.parse((SRC / name).read_text()).body:
@@ -277,7 +277,7 @@ def test_entry_points_take_no_bound():
 
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command in ("icss", "gvzss", "homology"):
+    for command in ("icss", "gvzss", "homology", "verify"):
         options = {o for a in commands.choices[command]._actions for o in a.option_strings}
         assert options == {"-h", "--help"}, (command, options)
 
@@ -353,7 +353,7 @@ MOVED_METHODS = {
         ("IntMatrix", name)
         for name in (
             "from_rows", "from_columns", "copy", "transpose", "__add__", "__sub__", "is_zero",
-            "scaled",
+            "scaled", "mul_vec",
         )
     ),
 }

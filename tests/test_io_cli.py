@@ -216,6 +216,21 @@ def test_cli_build_far_past_the_largest_fibre(tmp_path, capsys, fold):
         assert payload == {"dim": -1, "k": k, "kind": "D", "simplex_counts": [], "vertices": []}
 
 
+def test_cli_build_refuses_a_tower_over_the_limit(tmp_path, capsys, fold):
+    """W^1..W^K of fold have 5, 14, 31, ... simplices in all (doubling per
+    level), so K = 14 builds and K = 40 is refused before any level is
+    built: exit 2, one error line and nothing on stdout."""
+    from icss.cli import MAX_BUILD_SIMPLICES
+
+    path = write_doc(tmp_path, fold_text(fold))
+    assert main(["--format", "json", "build", path, "--kind", "W", "--k", "14"]) == 0
+    assert json.loads(capsys.readouterr().out)["simplex_counts"] == [16385, 16384]
+    assert main(["build", path, "--kind", "W", "--k", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(MAX_BUILD_SIMPLICES) in captured.err
+
+
 def test_cli_homology(tmp_path, capsys, disc_to_rp2):
     path = write_doc(tmp_path, fold_text(disc_to_rp2))
     assert main(["--format", "json", "homology", path]) == 0

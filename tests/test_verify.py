@@ -51,13 +51,64 @@ def test_row_failures_on_standard_simplex_rows():
     rho = standard_row(3)
     rho[2] = flip_first_entry(rho[2])
     assert ("rho-square", 2) in _row_failures(rho)
+    # two rows side by side, onto Z^2, as the D-row check's global blocks are
+    for N in (1, 2, 3, 4):
+        rho = side_by_side(standard_row(N), standard_row(N))
+        assert _row_failures(rho, 2) == [], N
+        rho[N] = [{}, {}]
+        assert ("row-not-exact", N) in [f[:2] for f in _row_failures(rho, 2)], N
+
+
+def side_by_side(a, b):
+    """The block row of the rows a and b: b's cells follow a's at every
+    rank, and its augmentation lands on the second copy of Z."""
+    shifted = {k: len(a[k - 1]) if k > 1 else 1 for k in a}
+    return {k: a[k] + [{i + shifted[k]: x for i, x in col.items()} for col in b[k]] for k in a}
 
 
 def test_d2_kernel(maps):
     for name, f in maps.items():
         for n in range(f.target.dim + 1):
-            rep = check_D2_kernel(Tower(f), n, samples=20, seed=1)
+            rep = check_D2_kernel(Tower(f), n)
             assert rep.passed, (name, n, rep.details)
+
+
+def test_d2_reduction_fails_on_a_flipped_point_sign(maps, monkeypatch):
+    """With the sign of one X-simplex in the support of a kernel column
+    flipped on D^1, that column's signed weights over its Y-simplex no
+    longer cancel, so the reduction runs out of partners."""
+    import dataclasses
+
+    import icss.verify as verify
+
+    real = verify.grid_cells
+    reached = []
+    for name, f in maps.items():
+        for n in range(f.target.dim + 1):
+            tower = Tower(f)
+            K = verify._pushforward_kernel(tower, n)
+            if K.cols == 0:
+                continue
+            s = f.source.simplices(n)[next(i for i, x in enumerate(K.column(0)) if x)]
+
+            def flipped(Z, degree, s=s):
+                records, rest = real(Z, degree)
+                if Z.k == 1:
+                    records = [
+                        dataclasses.replace(r, sign=-r.sign) if r.canonical == s else r
+                        for r in records
+                    ]
+                return records, rest
+
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "grid_cells", flipped)
+                rep = check_D2_kernel(tower, n)
+            assert not rep.passed and rep.details[0][0] == "no-reduction-partner", (name, n)
+            reached.append((name, n))
+    assert reached == [
+        ("fold", 0), ("fold", 1), ("double_cover", 0), ("figure_eight", 0),
+        ("disc_to_rp2", 0), ("disc_to_rp2", 1),
+    ]
 
 
 def test_houston(maps):
@@ -70,7 +121,7 @@ def test_houston(maps):
 
 
 def test_run_all_passes(fold):
-    reports = run_all(fold, seed=0)
+    reports = run_all(fold)
     assert reports and all(r.passed for r in reports)
     names = {r.name for r in reports}
     assert any(n.startswith("W-row-exact") for n in names)
