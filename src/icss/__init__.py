@@ -44,4 +44,4 @@ from .verify import (
     run_all,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

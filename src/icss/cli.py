@@ -67,24 +67,25 @@ def cmd_validate(args) -> int:
     return 0 if rep.valid else 1
 
 
-# the most simplices ``build`` makes over all the levels it builds; fold's
-# W^1..W^14 have 65,546
-MAX_BUILD_SIMPLICES = 100_000
+# the most vertex-tuple entries ``build`` stores over all the levels it
+# builds: a level-j simplex lists j lifts, so level j weighs j times its
+# simplex count; fold's W^1..W^14 weigh 852,077
+MAX_BUILD_ENTRIES = 1_000_000
 
 
 def cmd_build(args) -> int:
     tower = Tower(_load_valid_map(args.file))
     # D^k is empty past the largest lift count, so one empty level stands for all
     top = args.k if args.kind == "W" else min(args.k, tower.k_max() + 1)
-    # building a level builds those below it, and sum_delta N_delta^j
-    # simplices make W^j, which contains D^j
-    counts, total = tower.lifts.counts.values(), 0
+    # building a level builds those below it, and W^j, which contains D^j,
+    # has the lift table's W cells as its simplices
+    lifts, total = tower.lifts, 0
     for j in range(1, top + 1):
-        total += sum(N**j for N in counts)
-        if total > MAX_BUILD_SIMPLICES:
+        total += j * sum(lifts.n_cells(j, q) for q in range(tower.f.target.dim + 1))
+        if total > MAX_BUILD_ENTRIES:
             raise InvalidMultiplicity(
-                f"{args.kind}^1..{args.kind}^{top} would have more than "
-                f"{MAX_BUILD_SIMPLICES} simplices"
+                f"{args.kind}^1..{args.kind}^{top} would store more than "
+                f"{MAX_BUILD_ENTRIES} vertex-tuple entries"
             )
     Z = tower.W(top) if args.kind == "W" else tower.D(top)
     payload = {

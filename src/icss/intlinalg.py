@@ -516,33 +516,6 @@ def compose(a_cols: list, b_cols: list) -> list:
     return out
 
 
-class Differentials:
-    """The differentials of a chain complex of free groups, held as sparse
-    columns: ``columns[n]`` are the {row: entry} columns of the map from
-    degree n to degree n-1 (one empty dict per cell of degree 0).  ``D[n]``
-    is that map as an ``IntMatrix``, made the first time it is read."""
-
-    __slots__ = ("columns", "_dense")
-
-    def __init__(self, columns: list):
-        self.columns = columns
-        self._dense = [None] * len(columns)
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __getitem__(self, n: int) -> IntMatrix:
-        if not 0 <= n < len(self.columns):
-            raise IndexError(n)
-        if self._dense[n] is None:
-            rows = len(self.columns[n - 1]) if n else 0
-            self._dense[n] = IntMatrix.from_sparse(self.columns[n], rows)
-        return self._dense[n]
-
-    def is_zero(self, n: int) -> bool:
-        return not any(self.columns[n])
-
-
 def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
     """Cancel the admissible unit pairs of a filtered chain complex of free
     groups.
@@ -587,9 +560,10 @@ def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
     0, page two is Z/2 at level 1 plus Z at level 0, but cancelling
     (sigma, tau) would leave rho alone and read Z.
 
-    Returns ``(D, kept)``: ``D`` holds the reduced differentials as
-    ``Differentials`` (sparse columns, dense on read) and ``kept[n]`` the
-    levels of the surviving degree-n cells, in their original order.
+    Returns ``(D, kept)``: ``D[n]`` holds the reduced differential out of
+    degree n as {row: entry} columns, one per surviving degree-n cell (the
+    form of ``columns``), and ``kept[n]`` the levels of those cells, in
+    their original order.  No dense matrix is made here.
     """
     top = len(columns) - 1
     # the columns holding each cell, as lists: a cell lies in few
@@ -653,7 +627,7 @@ def reduce_complex(columns: list, levels: list, gap: int = 0) -> tuple:
         D.append([{pos[i]: a for i, a in columns[n][j].items()} for j in cells])
         columns[n] = None  # each degree's input is freed once renumbered
     kept = [[levels[n][j] for j in cells] for n, cells in enumerate(survivors)]
-    return Differentials(D), kept
+    return D, kept
 
 
 def chain_homology(columns: list, degrees) -> dict:
@@ -677,8 +651,9 @@ def homology_by_reduction(columns: list, degrees) -> dict:
 
     One ``reduce_complex`` call with one filtration level cancels the unit
     pairs of the whole complex, so the kernel, solve and Smith steps see
-    only the cells no unit entry cancels, and a zero differential needs no
-    kernel.
+    only the cells no unit entry cancels, each on a dense matrix formed
+    from the reduced columns as its input, and a zero differential needs
+    no kernel.
     """
     D, _ = reduce_complex(columns, [[0] * len(c) for c in columns])
     out = {}
@@ -686,11 +661,11 @@ def homology_by_reduction(columns: list, degrees) -> dict:
         if not 0 <= n < len(D):  # no cells
             out[n] = HomologyGroup(0)
             continue
-        d_next = D[n + 1] if n + 1 < len(D) else IntMatrix(len(D.columns[n]), 0)
-        if D.is_zero(n):
+        d_next = IntMatrix.from_sparse(D[n + 1] if n + 1 < len(D) else [], len(D[n]))
+        if not any(D[n]):
             cycles, rel = d_next.rows, invariant_factors(d_next)
         else:
-            K = kernel_basis(D[n])
+            K = kernel_basis(IntMatrix.from_sparse(D[n], len(D[n - 1])))
             rel = solution_factors(K, d_next)
             if rel is None:  # cannot happen for a genuine complex with saturated kernel
                 raise NotAComplex("boundary not inside the kernel lattice")

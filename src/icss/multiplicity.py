@@ -87,8 +87,6 @@ class MultiplePointComplex:
 def _build(f: SimplicialMap, k: int, kind: str, below, lifts) -> MultiplePointComplex:
     """W^k or D^k of f, its products read off the lift table ``lifts``: all
     k-tuples of each Y-simplex's lifts for W, distinct ones for D."""
-    if k < 1:
-        raise InvalidMultiplicity(f"multiplicity {k} < 1")
     deltas = f.target.all_simplices()
     if k == 1:
         # W^1 = D^1 = X itself, vertex v the tuple (v,): a lift lists itself
@@ -343,11 +341,17 @@ class Tower:
         return self._get("D", k)
 
     def _get(self, kind, k):
-        key = ("D" if k == 1 else kind, k)
-        if key not in self._cache:
-            below = self._get(kind, k - 1) if k > 1 else None
-            self._cache[key] = _build(self.f, k, key[0], below, self.lifts)
-        return self._cache[key]
+        """W^k or D^k, building the missing levels from the bottom up in a
+        loop, so that no depth of k recurses."""
+        if k < 1:
+            raise InvalidMultiplicity(f"multiplicity {k} < 1")
+        Z = None
+        for j in range(1, k + 1):
+            key = ("D" if j == 1 else kind, j)
+            if key not in self._cache:
+                self._cache[key] = _build(self.f, j, key[0], Z, self.lifts)
+            Z = self._cache[key]
+        return Z
 
     def memo(self, key, make):
         """``make()``, computed at the first call with ``key`` and kept for

@@ -29,7 +29,8 @@ How the usual symbols of the subject map onto this module:
 
 - Tot(C)_n: the blocks of total degree n; ``tot_rank(n, g)`` is the rank of
   rung g
-- D_n: ``SpectralSequence.D(n, g)``, the differential of rung g
+- D_n: ``rung(g)[0][n]``, the {row: entry} columns of the differential of
+  rung g out of degree n
 - F^s: the cells ``SpectralSequence._coords_leq(n, s, g)`` of rung g
 - Z^r_{s,t}: ``SpectralSequence.cycle_subgroup(s + t, s, r, g)``, on rung g
 - E^r_{p,q}: ``SpectralSequence.page_group`` at the filtration spot of the
@@ -235,8 +236,10 @@ class SpectralSequence:
 
     def rung(self, g: int) -> tuple:
         """``(D, levels)`` of rung g of the ladder: the total complex with
-        its unit pairs admissible at gap g cancelled (``reduce_complex``),
-        as ``Differentials`` and the levels of the surviving cells.
+        its unit pairs admissible at gap g cancelled (``reduce_complex``):
+        the {row: entry} columns of its differential out of each degree,
+        and the levels of the surviving cells.  A dense matrix is formed
+        only where a kernel, a subgroup or an image is taken.
 
         Rung 0 is reduced from the total complex itself and every higher
         rung from a copy of the highest rung below it.  Rung g keeps every
@@ -248,7 +251,7 @@ class SpectralSequence:
                 columns, levels = self._total_complex()
             else:
                 D, levels = self._rungs[max(k for k in self._rungs if k < g)]
-                columns = [[dict(col) for col in cols] for cols in D.columns]
+                columns = [[dict(col) for col in cols] for cols in D]
             self._rungs[g] = reduce_complex(columns, levels, g)
         return self._rungs[g]
 
@@ -257,15 +260,9 @@ class SpectralSequence:
         """Rank in degree n of rung g."""
         return len(self.rung(g)[1][n]) if 0 <= n <= self.n_top else 0
 
-    def D(self, n: int, g: int = 0) -> IntMatrix:
-        """Differential of rung g from degree n to n-1."""
-        if 0 <= n <= self.n_top:
-            return self.rung(g)[0][n]
-        return IntMatrix(self.tot_rank(n - 1, g), self.tot_rank(n, g))
-
     def _bounds_nothing(self, n: int, g: int) -> bool:
         """The differential of rung g into degree n is zero."""
-        return n >= self.n_top or self.rung(g)[0].is_zero(n + 1)
+        return n >= self.n_top or not any(self.rung(g)[0][n + 1])
 
     def _filt_index(self, cell) -> int:
         p, q = cell
@@ -295,13 +292,8 @@ class SpectralSequence:
             # the rows the boundary must vanish on: levels above s - r
             rows = [i for i, level in enumerate(levels[n - 1] if n else []) if level > s - r]
             pos = {i: k for k, i in enumerate(rows)}
-            restricted = [
-                {pos[i]: a for i, a in D.columns[n][j].items() if i in pos} for j in cols
-            ]
-            if any(restricted):
-                K = kernel_basis(IntMatrix.from_sparse(restricted, len(rows)))
-            else:
-                K = IntMatrix.identity(len(cols))  # the kernel of a zero map
+            restricted = [{pos[i]: a for i, a in D[n][j].items() if i in pos} for j in cols]
+            K = kernel_basis(IntMatrix.from_sparse(restricted, len(rows)))
             emb = IntMatrix(ambient, K.cols)
             for local, coord in enumerate(cols):
                 emb.data[coord] = K.data[local]
@@ -334,17 +326,9 @@ class SpectralSequence:
             if not self._bounds_nothing(n, g):
                 up = self.cycle_subgroup(n + 1, s + r - 1, r - 1, g)
                 if up.rank:
-                    cells = self._coords_leq(n + 1, s + r - 1, g)
-                    if up.rank == len(cells):
-                        # the restricted boundary is zero, so up is these
-                        # cells and D's columns span D(up)
-                        columns = self.rung(g)[0].columns[n + 1]
-                        image = IntMatrix.from_sparse(
-                            [columns[j] for j in cells], self.tot_rank(n, g)
-                        )
-                    else:
-                        image = self.D(n + 1, g) @ up.basis
-                    B = Subgroup(self.tot_rank(n, g), B.basis.hstack(image))
+                    ambient = self.tot_rank(n, g)
+                    image = IntMatrix.from_sparse(self.rung(g)[0][n + 1], ambient) @ up.basis
+                    B = Subgroup(ambient, B.basis.hstack(image))
             grp = subgroup_quotient(Z, B)
         self._pages[key] = grp
         return grp
@@ -366,7 +350,7 @@ class SpectralSequence:
                 pos.append({j: k for k, j in enumerate(cells)})
             columns = [[{} for _ in pos[0]]]
             for n in range(1, len(pos)):
-                rows, cols = pos[n - 1], D.columns[n]
+                rows, cols = pos[n - 1], D[n]
                 columns.append(
                     [{rows[i]: a for i, a in cols[j].items() if i in rows} for j in pos[n]]
                 )
@@ -395,7 +379,7 @@ class SpectralSequence:
             D, _ = self.rung(self.top_gap)
             last = min(max(n, self.dc.q_max), self.n_top)
             cut = min(last + 1, self.n_top)  # the cells above do not touch degree last
-            columns = [[dict(col) for col in D.columns[m]] for m in range(cut + 1)]
+            columns = [[dict(col) for col in D[m]] for m in range(cut + 1)]
             self._total.update(chain_homology(columns, range(last + 1)))
         return self._total[n]
 
@@ -422,7 +406,8 @@ class SpectralSequence:
         if self._bounds_nothing(n, g):
             boundaries = Subgroup.zero(ambient)
         else:
-            boundaries = Subgroup(ambient, self.D(n + 1, g))
+            image = IntMatrix.from_sparse(self.rung(g)[0][n + 1], ambient)
+            boundaries = Subgroup(ambient, image)
         s_values = sorted({self._filt_index(c) for c in self._blocks.get(n, [])})
         prev = boundaries
         graded, infinity = [], []

@@ -184,6 +184,24 @@ MUTANTS = (
         ),
         "a D^2 reduction step adds the pair generator instead of subtracting it",
     ),
+    Mutant(
+        "spectral.py",
+        "image = IntMatrix.from_sparse(self.rung(g)[0][n + 1], ambient) @ up.basis",
+        "image = IntMatrix.from_sparse("
+        "[self.rung(g)[0][n + 1][j] for j in self._coords_leq(n + 1, s + r - 1, g)], ambient)",
+        (
+            "tests/test_golden.py::test_cli_output_is_unchanged[disc_to_rp2-gvzss]",
+            "tests/test_acceptance.py::test_criterion_1_convergence",
+        ),
+        "a page's boundary image reads every cell of level <= s + r - 1, not D of the cycles up",
+    ),
+    Mutant(
+        "cli.py",
+        "total += j * sum(",
+        "total += sum(",
+        ("tests/test_io_cli.py::test_cli_build_refuses_a_deep_tower_with_one_error_line",),
+        "the build budget counts simplices, not the j entries of each level-j tuple",
+    ),
 )
 
 

@@ -44,6 +44,8 @@ that compares the two checks the package:
   ``has_simplex``, a scan of one dimension's simplices).  The package
   sorts each given simplex once into per-dimension sets, reads the
   canonical form off the given simplices and compares image sets.
+- ``rung_block`` forms one degree of a reduced complex, which the package
+  holds as sparse columns, as a dense matrix, so a test can multiply it.
 - ``from_rows``, ``from_columns``, ``copy``, ``transpose``, ``add``,
   ``sub``, ``scaled``, ``mul_vec``, ``is_zero`` and ``rank`` are the dense
   matrix helpers that only tests call; the package builds its matrices
@@ -343,6 +345,20 @@ def d_h(dc, p: int, q: int) -> IntMatrix:
 def d_v(dc, p: int, q: int) -> IntMatrix:
     """The vertical block of cell (p, q) of dc, dense, from its columns."""
     return IntMatrix.from_sparse(dc.v_columns(p, q), dc.rank(p - 1, q))
+
+
+def rung_block(rung, n: int) -> IntMatrix:
+    """The differential of a reduced complex ``(D, kept)``, as
+    ``reduce_complex`` and ``SpectralSequence.rung`` give it, from degree n
+    to n - 1 as a dense matrix: zero outside the degrees it has."""
+    D, kept = rung
+
+    def rank(m):
+        return len(kept[m]) if 0 <= m < len(kept) else 0
+
+    if 0 <= n < len(D):
+        return IntMatrix.from_sparse(D[n], rank(n - 1))
+    return IntMatrix(rank(n - 1), rank(n))
 
 
 def d0_block(ss, p: int, q: int) -> IntMatrix:

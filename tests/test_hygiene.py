@@ -312,10 +312,16 @@ REMOVED_NAMES |= {"ordered_lifts", "lift_index", "_listing", "AltGen", "rho_matr
 REMOVED_NAMES |= {"_std_boundary", "_std_row", "gens_over"}
 
 
+# removed in 0.15.0: a reduced complex is its sparse columns, and a reader
+# forms a dense matrix where a kernel, subgroup or Smith form takes one
+REMOVED_NAMES |= {"Differentials"}
+
+
 def test_removed_names_stay_removed():
     """No module defines, binds, imports or reads a removed name, as a name,
-    an attribute or a string such as a ``__slots__`` entry, and ``icss``
-    exports none."""
+    an attribute or a string such as a ``__slots__`` entry, ``icss``
+    exports none, and a spectral sequence has no dense differential ``D``
+    (a rung's differential is ``rung(g)[0]``)."""
     import icss
 
     found = []
@@ -338,6 +344,7 @@ def test_removed_names_stay_removed():
     assert not found, f"removed names are back: {found}"
     exported = REMOVED_NAMES & set(dir(icss))
     assert not exported, f"icss exports removed names: {exported}"
+    assert not hasattr(icss.SpectralSequence, "D")
 
 
 # routines that no command, report or check reads, kept in tests/reference.py

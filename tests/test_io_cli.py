@@ -220,7 +220,7 @@ def test_cli_build_refuses_a_tower_over_the_limit(tmp_path, capsys, fold):
     """W^1..W^K of fold have 5, 14, 31, ... simplices in all (doubling per
     level), so K = 14 builds and K = 40 is refused before any level is
     built: exit 2, one error line and nothing on stdout."""
-    from icss.cli import MAX_BUILD_SIMPLICES
+    from icss.cli import MAX_BUILD_ENTRIES
 
     path = write_doc(tmp_path, fold_text(fold))
     assert main(["--format", "json", "build", path, "--kind", "W", "--k", "14"]) == 0
@@ -228,7 +228,45 @@ def test_cli_build_refuses_a_tower_over_the_limit(tmp_path, capsys, fold):
     assert main(["build", path, "--kind", "W", "--k", "40"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and str(MAX_BUILD_SIMPLICES) in captured.err
+    assert captured.err.count("\n") == 1 and str(MAX_BUILD_ENTRIES) in captured.err
+
+
+POINT = {
+    "x": {"vertices": ["a"], "simplices": [["a"]]},
+    "y": {"vertices": ["p"], "simplices": [["p"]]},
+    "map": {"a": "p"},
+}
+
+
+def test_cli_build_refuses_a_deep_tower_with_one_error_line(tmp_path, capsys, identity_map):
+    """identity's W^j has 6 simplices of j-tuples, so W^1..W^1200 would
+    store 3 * 1200 * 1201 entries: the budget refuses it before any level
+    is built, with exit 2, one error line and nothing on stdout."""
+    path = write_doc(tmp_path, fold_text(identity_map))
+    assert main(["build", path, "--kind", "W", "--k", "1200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_cli_build_reaches_the_deepest_level_the_budget_accepts(tmp_path, capsys):
+    """A one-point map's W^j is one simplex, a j-tuple, so the deepest K the
+    budget accepts has K (K + 1) / 2 entries at most; that K lies above
+    1,000 for any budget that accepts fold's W^1..W^14, and its levels are
+    built with no recursion."""
+    from icss.cli import MAX_BUILD_ENTRIES
+
+    k = 1
+    while (k + 1) * (k + 2) // 2 <= MAX_BUILD_ENTRIES:
+        k += 1
+    assert k > 1000
+    path = write_doc(tmp_path, json.dumps(POINT))
+    assert main(["--format", "json", "build", path, "--kind", "W", "--k", str(k)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["simplex_counts"] == [1]
+    assert payload["vertices"] == ["(" + ",".join(["0"] * k) + ")"]
+    assert main(["build", path, "--kind", "W", "--k", str(k + 1)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_homology(tmp_path, capsys, disc_to_rp2):

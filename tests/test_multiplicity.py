@@ -1,11 +1,12 @@
 import signal
+from math import factorial
 
 import pytest
 from reference import adjacent_swap, bar_sigma, cell_bijection, slot_action, transpose
 
 from icss.complexes import SimplicialMap, build_complex, pushforward_matrix
 from icss.errors import InvalidIndex, InvalidMultiplicity
-from icss.fixtures import random_fixture
+from icss.fixtures import FIXTURES, get_fixture, random_fixture
 from icss.intlinalg import IntMatrix
 from icss.multiplicity import LiftTable, Tower, grid_cells, projection_eps
 
@@ -17,6 +18,26 @@ def test_ordered_lifts_fold(fold):
     assert lifts[(0,)] == ((1,),)
     assert lifts[(1,)] == ((0,), (2,))
     assert Tower(fold).k_max() == max(lifts.counts.values()) == 2
+
+
+SIZE_MAPS = [(name, None) for name in FIXTURES if name != "random"] + [
+    ("random", seed) for seed in range(10)
+]
+
+
+@pytest.mark.parametrize("name, seed", SIZE_MAPS)
+def test_cell_counts_predict_the_built_spaces(name, seed):
+    """The lift table's count of W cells is W^k's raw simplex count, degree
+    by degree, and k! times its count of D cells (increasing subsets) is at
+    most D^k's: each subset's k! orderings are distinct products, and
+    D^k's face closure adds faces whose restricted lifts meet."""
+    f = get_fixture(name, seed)
+    tower = Tower(f)
+    for k in (1, 2, 3):
+        W, D = tower.W(k), tower.D(k)
+        for q in range(f.target.dim + 1):
+            assert tower.lifts.n_cells(k, q, "W") == W.n_simplices(q), (k, q)
+            assert factorial(k) * tower.lifts.n_cells(k, q, "D") <= D.n_simplices(q), (k, q)
 
 
 def brute_force_lifts(f, delta):

@@ -11,6 +11,7 @@ from reference import (
     from_rows,
     is_zero,
     page_one_homology,
+    rung_block,
     transfer_from_projections,
     w_grid,
 )
@@ -253,7 +254,7 @@ def page_off_rung(ss, r, s, n, g):
     Z = ss.cycle_subgroup(n, s, r, g)
     below = ss.cycle_subgroup(n, s - 1, r - 1, g)
     up = ss.cycle_subgroup(n + 1, s + r - 1, r - 1, g)
-    B = Subgroup(Z.ambient_rank, below.basis.hstack(ss.D(n + 1, g) @ up.basis))
+    B = Subgroup(Z.ambient_rank, below.basis.hstack(rung_block(ss.rung(g), n + 1) @ up.basis))
     return subgroup_quotient(Z, B)
 
 
@@ -470,7 +471,8 @@ def test_cycle_subgroups_keep_their_kernel_basis(maps):
                         kept += Z.basis != canonical.basis
                         below = ss.cycle_subgroup(n, s - 1, r - 1)
                         up = ss.cycle_subgroup(n + 1, s + r - 1, r - 1)
-                        B = Subgroup(Z.ambient_rank, below.basis.hstack(ss.D(n + 1) @ up.basis))
+                        image = rung_block(ss.rung(0), n + 1) @ up.basis
+                        B = Subgroup(Z.ambient_rank, below.basis.hstack(image))
                         label = (name, kind, ss.filtration, r, s, n)
                         assert subgroup_quotient(Z, B) == subgroup_quotient(canonical, B), label
                         assert subgroup_quotient(Z, B) == ss.page_group(r, s, n - s), label
@@ -509,13 +511,13 @@ def euler_by_level(levels) -> dict:
 
 
 def assert_filtered_complex(D, kept, label):
-    """No entry of D raises the level, and D squares to zero."""
+    """No entry of D's columns raises the level, and D squares to zero."""
     for n in range(1, len(D)):
-        for i, row in enumerate(D[n].data):
-            for j, a in enumerate(row):
+        for j, col in enumerate(D[n]):
+            for i, a in col.items():
                 assert not a or kept[n - 1][i] <= kept[n][j], (label, n)
         if n + 1 < len(D):
-            assert is_zero(D[n] @ D[n + 1]), (label, n)
+            assert is_zero(rung_block((D, kept), n) @ rung_block((D, kept), n + 1)), (label, n)
 
 
 def test_reduction_is_filtered(maps):
@@ -540,9 +542,9 @@ def test_reduction_pairs_only_equal_levels():
     """An edge cancels against its endpoint of the same level and against
     no endpoint of a lower one."""
     D, kept = reduce_complex([[{}, {}], [{0: -1, 1: 1}]], [[0, 1], [1]])
-    assert kept == [[0], []] and D[1] == IntMatrix(1, 0)
+    assert kept == [[0], []] and rung_block((D, kept), 1) == IntMatrix(1, 0)
     D, kept = reduce_complex([[{}, {}], [{0: -1, 1: 1}]], [[0, 0], [1]])
-    assert kept == [[0, 0], [1]] and D[1] == from_rows([[-1], [1]])
+    assert kept == [[0, 0], [1]] and rung_block((D, kept), 1) == from_rows([[-1], [1]])
 
 
 # Two column-filtered grids with a unit pair (sigma, tau), sigma at level 1
